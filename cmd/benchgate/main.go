@@ -29,6 +29,7 @@ var sections = []struct{ name, key string }{
 	{"wire_formats", "wire"},
 	{"recorder_overhead", "recorder"},
 	{"pipeline_dag", "graph"},
+	{"tree_fits", "shape"},
 }
 
 func main() {

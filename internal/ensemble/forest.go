@@ -68,8 +68,10 @@ func (f *RandomForestRegressor) Fit(x [][]float64, y []float64) error {
 	for t := 0; t < opts.NumTrees; t++ {
 		wg.Add(1)
 		sem <- struct{}{}
+		//lint:allow hotalloc one goroutine per tree; its closure is noise next to the tree fit it runs
 		go func(t int) {
 			defer wg.Done()
+			//lint:allow hotalloc released once per tree fit, like the goroutine above
 			defer func() { <-sem }()
 			rng := rand.New(rand.NewSource(opts.Seed + int64(t)*7919))
 			xi, yi := x, y

@@ -69,13 +69,15 @@ func (m *XGBRegressor) Fit(x [][]float64, y []float64) error {
 	h := make([]float64, n)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	m.trees = m.trees[:0]
+	stages := make([]tree.GradTree, opts.NumTrees)
 	for t := 0; t < opts.NumTrees; t++ {
 		for i := 0; i < n; i++ {
 			g[i] = pred[i] - y[i] // d/dpred ½(pred−y)²
 			h[i] = 1
 		}
 		idx := subsampleIndices(n, opts.Subsample, rng)
-		gt := &tree.GradTree{
+		gt := &stages[t]
+		*gt = tree.GradTree{
 			MaxDepth:       opts.MaxDepth,
 			Lambda:         opts.Lambda,
 			Gamma:          opts.Gamma,

@@ -323,9 +323,9 @@ func DefaultConfig(modulePath string) Config {
 		HotExemptPkgs: map[string]bool{
 			// The model zoo's training loops are the workload itself — the
 			// perf policy targets protocol/orchestration overhead around
-			// them, not the math they exist to do.
-			modulePath + "/internal/tree":      true,
-			modulePath + "/internal/ensemble":  true,
+			// them, not the math they exist to do. The tree core and the
+			// ensembles built on it are policed: they share one
+			// allocation-free split scan.
 			modulePath + "/internal/linmodel":  true,
 			modulePath + "/internal/classical": true,
 			modulePath + "/internal/prophet":   true,

@@ -1,10 +1,5 @@
 package tree
 
-import (
-	"math/rand"
-	"sort"
-)
-
 // Classifier is a CART classification tree over integer class indices.
 // The ensemble layer maps string labels to indices once and shares the
 // mapping across trees.
@@ -13,7 +8,6 @@ type Classifier struct {
 	NumClasses  int
 	nodes       []node
 	importances []float64
-	nFeatures   int
 }
 
 // NewClassifier returns a classification tree for numClasses classes.
@@ -26,15 +20,14 @@ func (t *Classifier) Fit(x [][]float64, y []int) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errEmptyTraining
 	}
-	t.nFeatures = len(x[0])
-	t.nodes = t.nodes[:0]
-	t.importances = make([]float64, t.nFeatures)
-	rng := rand.New(rand.NewSource(t.Opts.Seed))
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
+	k := t.NumClasses
+	counts := make([]float64, 3*k)
+	sc := &clfScan{y: y, total: counts[:k:k], left: counts[k : 2*k : 2*k], right: counts[2*k:]}
+	s := newSplitter(x, len(x), t.Opts)
+	t.nodes, t.importances = s.fit(sc, identity(len(x)), t.nodes)
+	for id := range t.nodes {
+		t.nodes[id].classDist = sc.dists[id*k : (id+1)*k : (id+1)*k]
 	}
-	t.build(x, y, idx, 0, rng)
 	return nil
 }
 
@@ -50,147 +43,64 @@ func giniTimesN(counts []float64, n float64) float64 {
 	return n - sumsq/n
 }
 
-func (t *Classifier) build(x [][]float64, y []int, idx []int, depth int, rng *rand.Rand) int {
-	counts := make([]float64, t.NumClasses)
-	for _, i := range idx {
-		counts[y[i]]++
-	}
-	n := float64(len(idx))
-	dist := make([]float64, t.NumClasses)
-	for c := range counts {
-		dist[c] = counts[c] / n
-	}
-	impurity := giniTimesN(counts, n)
-
-	nodeID := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, classDist: dist})
-	if len(idx) < t.Opts.MinSamplesSplit ||
-		(t.Opts.MaxDepth > 0 && depth >= t.Opts.MaxDepth) ||
-		impurity <= 1e-12 {
-		return nodeID
-	}
-
-	feat, thr, gain := t.bestSplitClf(x, y, idx, impurity, rng)
-	if feat < 0 || gain <= t.Opts.MinImpurityDecr {
-		return nodeID
-	}
-	var leftIdx, rightIdx []int
-	for _, i := range idx {
-		if x[i][feat] <= thr {
-			leftIdx = append(leftIdx, i)
-		} else {
-			rightIdx = append(rightIdx, i)
-		}
-	}
-	if len(leftIdx) < t.Opts.MinSamplesLeaf || len(rightIdx) < t.Opts.MinSamplesLeaf {
-		return nodeID
-	}
-	t.importances[feat] += gain
-	left := t.build(x, y, leftIdx, depth+1, rng)
-	right := t.build(x, y, rightIdx, depth+1, rng)
-	t.nodes[nodeID] = node{feature: feat, threshold: thr, left: left, right: right, classDist: dist}
-	return nodeID
+// clfScan accumulates class counts for the decrease of n·gini. total
+// holds the open node's counts; dists gathers every node's class
+// distribution in node order, one slab for the whole tree.
+type clfScan struct {
+	y                  []int
+	parentImp          float64
+	total, left, right []float64
+	dists              []float64
 }
 
-func (t *Classifier) bestSplitClf(x [][]float64, y []int, idx []int, parentImp float64, rng *rand.Rand) (int, float64, float64) {
-	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
-	total := make([]float64, t.NumClasses)
+func (c *clfScan) open(idx []int) (node, bool) {
+	clear(c.total)
 	for _, i := range idx {
-		total[y[i]]++
+		c.total[c.y[i]]++
 	}
 	n := float64(len(idx))
-	left := make([]float64, t.NumClasses)
-	right := make([]float64, t.NumClasses)
+	for _, v := range c.total {
+		c.dists = append(c.dists, v/n)
+	}
+	c.parentImp = giniTimesN(c.total, n)
+	return node{feature: -1}, c.parentImp <= 1e-12
+}
 
-	for _, f := range candidateFeatures(t.nFeatures, t.Opts.MaxFeatures, rng) {
-		if t.Opts.RandomThresholds {
-			lo, hi := x[idx[0]][f], x[idx[0]][f]
-			for _, i := range idx {
-				v := x[i][f]
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			if !(hi > lo) {
-				continue
-			}
-			thr := lo + rng.Float64()*(hi-lo)
-			for c := range left {
-				left[c], right[c] = 0, 0
-			}
-			var ln, rn float64
-			for _, i := range idx {
-				if x[i][f] <= thr {
-					left[y[i]]++
-					ln++
-				} else {
-					right[y[i]]++
-					rn++
-				}
-			}
-			if int(ln) < t.Opts.MinSamplesLeaf || int(rn) < t.Opts.MinSamplesLeaf {
-				continue
-			}
-			gain := parentImp - giniTimesN(left, ln) - giniTimesN(right, rn)
-			if gain > bestGain {
-				bestFeat, bestThr, bestGain = f, thr, gain
-			}
-			continue
-		}
-		ord := make([]int, len(idx))
-		copy(ord, idx)
-		sort.Slice(ord, func(a, b int) bool { return x[ord[a]][f] < x[ord[b]][f] })
-		for c := range left {
-			left[c] = 0
-			right[c] = total[c]
-		}
-		for pos := 0; pos < len(ord)-1; pos++ {
-			i := ord[pos]
-			left[y[i]]++
-			right[y[i]]--
-			//lint:allow floateq adjacent sorted feature values compared bitwise to skip zero-width splits
-			if x[ord[pos]][f] == x[ord[pos+1]][f] {
-				continue
-			}
-			ln := float64(pos + 1)
-			rn := n - ln
-			if int(ln) < t.Opts.MinSamplesLeaf || int(rn) < t.Opts.MinSamplesLeaf {
-				continue
-			}
-			gain := parentImp - giniTimesN(left, ln) - giniTimesN(right, rn)
-			if gain > bestGain {
-				bestFeat = f
-				bestThr = (x[ord[pos]][f] + x[ord[pos+1]][f]) / 2
-				bestGain = gain
-			}
+func (c *clfScan) reset([]pair) {
+	copy(c.right, c.total)
+	clear(c.left)
+}
+
+func (c *clfScan) push(run []pair) {
+	for _, p := range run {
+		c.left[c.y[p.i]]++
+		c.right[c.y[p.i]]--
+	}
+}
+
+func (c *clfScan) gain(left, right int) float64 {
+	return c.parentImp - giniTimesN(c.left, float64(left)) - giniTimesN(c.right, float64(right))
+}
+
+func (c *clfScan) gainAt(x [][]float64, idx []int, f int, thr float64) (float64, int) {
+	clear(c.left)
+	clear(c.right)
+	var ln, rn float64
+	for _, i := range idx {
+		if x[i][f] <= thr {
+			c.left[c.y[i]]++
+			ln++
+		} else {
+			c.right[c.y[i]]++
+			rn++
 		}
 	}
-	return bestFeat, bestThr, bestGain
+	return c.parentImp - giniTimesN(c.left, ln) - giniTimesN(c.right, rn), int(ln)
 }
 
 // PredictProbaOne returns the class distribution at the leaf reached
 // by row.
-func (t *Classifier) PredictProbaOne(row []float64) []float64 {
-	if len(t.nodes) == 0 {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("tree: Predict called before Fit")
-	}
-	cur := 0
-	for {
-		n := &t.nodes[cur]
-		if n.feature < 0 {
-			return n.classDist
-		}
-		if row[n.feature] <= n.threshold {
-			cur = n.left
-		} else {
-			cur = n.right
-		}
-	}
-}
+func (t *Classifier) PredictProbaOne(row []float64) []float64 { return leafOf(t.nodes, row).classDist }
 
 // PredictOne returns the majority class index for a single row.
 func (t *Classifier) PredictOne(row []float64) int {

@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"math/rand"
-	"sort"
-)
+import "slices"
 
 // GradTree is a second-order gradient tree in the XGBoost style: it is
 // fitted to per-sample gradients g and hessians h of an arbitrary
@@ -23,22 +20,19 @@ type GradTree struct {
 
 	nodes       []node
 	importances []float64
-	nFeatures   int
 }
 
-// FitGrad builds the tree on the rows listed in idx.
+// FitGrad builds the tree on the rows listed in idx; idx itself is
+// left as it is.
 func (t *GradTree) FitGrad(x [][]float64, g, h []float64, idx []int) error {
 	if len(x) == 0 || len(idx) == 0 {
 		return errEmptyTraining
 	}
-	t.nFeatures = len(x[0])
-	t.nodes = t.nodes[:0]
-	t.importances = make([]float64, t.nFeatures)
 	if t.MaxDepth <= 0 {
 		t.MaxDepth = 6
 	}
-	rng := rand.New(rand.NewSource(t.Seed))
-	t.build(x, g, h, idx, 0, rng)
+	s := newSplitter(x, len(idx), Options{MaxDepth: t.MaxDepth, MaxFeatures: t.MaxFeatures, Seed: t.Seed}.normalized())
+	t.nodes, t.importances = s.fit(&gradScan{t: t, g: g, h: h}, slices.Clone(idx), t.nodes)
 	return nil
 }
 
@@ -50,87 +44,46 @@ func (t *GradTree) score(gSum, hSum float64) float64 {
 	return gSum * gSum / (hSum + t.Lambda)
 }
 
-func (t *GradTree) build(x [][]float64, g, h []float64, idx []int, depth int, rng *rand.Rand) int {
-	var gSum, hSum float64
-	for _, i := range idx {
-		gSum += g[i]
-		hSum += h[i]
-	}
-	nodeID := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, value: t.leafWeight(gSum, hSum)})
-	if depth >= t.MaxDepth || len(idx) < 2 {
-		return nodeID
-	}
+// gradScan accumulates gradient and hessian sums for the regularized
+// second-order gain.
+type gradScan struct {
+	t                       *GradTree
+	g, h                    []float64
+	gSum, hSum, parentScore float64
+	gl, hl                  float64
+}
 
-	parentScore := t.score(gSum, hSum)
-	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
-	for _, f := range candidateFeatures(t.nFeatures, t.MaxFeatures, rng) {
-		ord := make([]int, len(idx))
-		copy(ord, idx)
-		sort.Slice(ord, func(a, b int) bool { return x[ord[a]][f] < x[ord[b]][f] })
-		var gl, hl float64
-		for pos := 0; pos < len(ord)-1; pos++ {
-			i := ord[pos]
-			gl += g[i]
-			hl += h[i]
-			//lint:allow floateq adjacent sorted feature values compared bitwise to skip zero-width splits
-			if x[ord[pos]][f] == x[ord[pos+1]][f] {
-				continue
-			}
-			gr := gSum - gl
-			hr := hSum - hl
-			if hl < t.MinChildWeight || hr < t.MinChildWeight {
-				continue
-			}
-			gain := 0.5*(t.score(gl, hl)+t.score(gr, hr)-parentScore) - t.Gamma
-			if gain > bestGain {
-				bestFeat = f
-				bestThr = (x[ord[pos]][f] + x[ord[pos+1]][f]) / 2
-				bestGain = gain
-			}
-		}
-	}
-	if bestFeat < 0 {
-		return nodeID
-	}
-	var leftIdx, rightIdx []int
+func (s *gradScan) open(idx []int) (node, bool) {
+	s.gSum, s.hSum = 0, 0
 	for _, i := range idx {
-		if x[i][bestFeat] <= bestThr {
-			leftIdx = append(leftIdx, i)
-		} else {
-			rightIdx = append(rightIdx, i)
-		}
+		s.gSum += s.g[i]
+		s.hSum += s.h[i]
 	}
-	if len(leftIdx) == 0 || len(rightIdx) == 0 {
-		return nodeID
+	s.parentScore = s.t.score(s.gSum, s.hSum)
+	return node{feature: -1, value: s.t.leafWeight(s.gSum, s.hSum)}, false
+}
+
+func (s *gradScan) reset([]pair) { s.gl, s.hl = 0, 0 }
+
+func (s *gradScan) push(run []pair) {
+	for _, p := range run {
+		s.gl += s.g[p.i]
+		s.hl += s.h[p.i]
 	}
-	t.importances[bestFeat] += bestGain
-	left := t.build(x, g, h, leftIdx, depth+1, rng)
-	right := t.build(x, g, h, rightIdx, depth+1, rng)
-	t.nodes[nodeID] = node{feature: bestFeat, threshold: bestThr, left: left, right: right,
-		value: t.leafWeight(gSum, hSum)}
-	return nodeID
+}
+
+func (s *gradScan) gain(int, int) float64 {
+	t := s.t
+	gr := s.gSum - s.gl
+	hr := s.hSum - s.hl
+	if s.hl < t.MinChildWeight || hr < t.MinChildWeight {
+		return 0
+	}
+	return 0.5*(t.score(s.gl, s.hl)+t.score(gr, hr)-s.parentScore) - t.Gamma
 }
 
 // PredictOne evaluates the tree on one feature row.
-func (t *GradTree) PredictOne(row []float64) float64 {
-	if len(t.nodes) == 0 {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("tree: GradTree Predict called before Fit")
-	}
-	cur := 0
-	for {
-		n := &t.nodes[cur]
-		if n.feature < 0 {
-			return n.value
-		}
-		if row[n.feature] <= n.threshold {
-			cur = n.left
-		} else {
-			cur = n.right
-		}
-	}
-}
+func (t *GradTree) PredictOne(row []float64) float64 { return leafOf(t.nodes, row).value }
 
 // FeatureImportances returns normalized gain importances.
 func (t *GradTree) FeatureImportances() []float64 {

@@ -1,0 +1,203 @@
+package tree
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+)
+
+// pair is one entry of the sort buffer: a row's value on the feature
+// being scanned, and the row.
+type pair struct {
+	v float64
+	i int
+}
+
+// byValue orders pairs by value. slices.SortFunc runs the same
+// generated pdqsort as sort.Slice and only ever tests cmp(a, b) < 0,
+// so this yields exactly the permutation of sort.Slice with the less
+// function v[a] < v[b], ties included.
+func byValue(a, b pair) int {
+	if a.v < b.v {
+		return -1
+	}
+	if a.v > b.v {
+		return 1
+	}
+	return 0
+}
+
+// scanner is the per-kind half of tree induction: a node's summary, and
+// the accumulators (target sums, class counts, or gradient and hessian
+// sums) and gain arithmetic of its split search.
+type scanner interface {
+	// open primes the scanner for rows idx and returns them as a leaf;
+	// pure reports a node that no split can improve.
+	open(idx []int) (leaf node, pure bool)
+	// reset starts a feature scan with every row, in sorted order, right.
+	reset(sorted []pair)
+	// push moves a run of tied rows from the right child to the left.
+	push(run []pair)
+	// gain scores the boundary with left and right rows on each side;
+	// it returns 0 for a split the kind forbids.
+	gain(left, right int) float64
+}
+
+// thresholdScanner also scores one given threshold over unsorted rows,
+// for the RandomThresholds (extra-trees) mode, and counts the rows that
+// go left.
+type thresholdScanner interface {
+	scanner
+	gainAt(x [][]float64, idx []int, f int, thr float64) (gain float64, left int)
+}
+
+// splitter grows a tree of any kind. It owns the shared half of the
+// split search: the candidate-feature draw, one sort per (node,
+// candidate feature), the tie-skipping boundary walk with midpoint
+// thresholds, the random-threshold mode, and the stable partition of a
+// node's rows. Its buffers are sized once per Fit and dropped with it.
+type splitter struct {
+	x           [][]float64
+	o           Options
+	rng         *rand.Rand
+	feats       []int  // candidate features, p
+	pairs       []pair // sort buffer, n
+	spill       []int  // partition buffer, n
+	nodes       []node
+	importances []float64
+}
+
+func newSplitter(x [][]float64, n int, o Options) *splitter {
+	s := &splitter{
+		x:     x,
+		o:     o,
+		feats: make([]int, len(x[0])),
+		pairs: make([]pair, n),
+		spill: make([]int, n),
+	}
+	// Seeding costs more than a small tree's scan: skip it when the fit
+	// draws nothing.
+	if o.RandomThresholds || (o.MaxFeatures > 0 && o.MaxFeatures < len(s.feats)) {
+		s.rng = rand.New(rand.NewSource(o.Seed))
+	}
+	return s
+}
+
+// fit grows the tree over rows idx, which it reorders, reusing nodes'
+// storage, and returns the nodes and the raw importances.
+func (s *splitter) fit(sc scanner, idx []int, nodes []node) ([]node, []float64) {
+	s.nodes, s.importances = nodes[:0], make([]float64, len(s.feats))
+	s.grow(sc, idx, 0)
+	return s.nodes, s.importances
+}
+
+func (s *splitter) grow(sc scanner, idx []int, depth int) int {
+	id := len(s.nodes)
+	leaf, pure := sc.open(idx)
+	s.nodes = append(s.nodes, leaf)
+	if pure || len(idx) < s.o.MinSamplesSplit || (s.o.MaxDepth > 0 && depth >= s.o.MaxDepth) {
+		return id
+	}
+	feat, thr, gain := s.best(sc, idx)
+	if feat < 0 || gain <= s.o.MinImpurityDecr {
+		return id
+	}
+	nl := s.partition(idx, feat, thr)
+	if nl < s.o.MinSamplesLeaf || len(idx)-nl < s.o.MinSamplesLeaf {
+		return id
+	}
+	s.importances[feat] += gain
+	left := s.grow(sc, idx[:nl], depth+1)
+	right := s.grow(sc, idx[nl:], depth+1)
+	n := &s.nodes[id]
+	n.feature, n.threshold, n.left, n.right = feat, thr, left, right
+	return id
+}
+
+// candidates returns the features to scan at one node: all of them, or
+// the first MaxFeatures of a fresh shuffle.
+func (s *splitter) candidates() []int {
+	for i := range s.feats {
+		s.feats[i] = i
+	}
+	p := len(s.feats)
+	if s.o.MaxFeatures <= 0 || s.o.MaxFeatures >= p {
+		return s.feats
+	}
+	s.rng.Shuffle(p, func(i, j int) { s.feats[i], s.feats[j] = s.feats[j], s.feats[i] })
+	return s.feats[:s.o.MaxFeatures]
+}
+
+// best returns the split of rows idx with the largest positive gain,
+// or feature -1 when none gains.
+func (s *splitter) best(sc scanner, idx []int) (feat int, thr, gain float64) {
+	feat = -1
+	for _, f := range s.candidates() {
+		if s.o.RandomThresholds {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, i := range idx {
+				v := s.x[i][f]
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+			if !(hi > lo) {
+				continue
+			}
+			t := lo + s.rng.Float64()*(hi-lo)
+			g, left := sc.(thresholdScanner).gainAt(s.x, idx, f, t)
+			if left >= s.o.MinSamplesLeaf && len(idx)-left >= s.o.MinSamplesLeaf && g > gain {
+				feat, thr, gain = f, t, g
+			}
+			continue
+		}
+		p := s.sorted(idx, f)
+		sc.reset(p)
+		for lo := 0; lo < len(p)-1; {
+			hi := lo + 1
+			//lint:allow floateq sorted feature values compared bitwise to skip zero-width splits
+			for hi < len(p) && p[hi].v == p[lo].v {
+				hi++
+			}
+			sc.push(p[lo:hi])
+			if hi < len(p) && hi >= s.o.MinSamplesLeaf && len(p)-hi >= s.o.MinSamplesLeaf {
+				if g := sc.gain(hi, len(p)-hi); g > gain {
+					feat, thr, gain = f, (p[hi-1].v+p[hi].v)/2, g
+				}
+			}
+			lo = hi
+		}
+	}
+	return feat, thr, gain
+}
+
+// sorted fills the sort buffer with rows idx, in idx order, and sorts
+// it by their value on feature f.
+func (s *splitter) sorted(idx []int, f int) []pair {
+	p := s.pairs[:len(idx)]
+	for k, i := range idx {
+		p[k] = pair{s.x[i][f], i}
+	}
+	slices.SortFunc(p, byValue)
+	return p
+}
+
+// partition reorders idx in place so that the rows with x[i][f] <= thr
+// come first, each side keeping its order, and returns their count.
+func (s *splitter) partition(idx []int, f int, thr float64) int {
+	nl, nr := 0, 0
+	for _, i := range idx {
+		if s.x[i][f] <= thr {
+			idx[nl] = i
+			nl++
+		} else {
+			s.spill[nr] = i
+			nr++
+		}
+	}
+	copy(idx[nl:], s.spill[:nr])
+	return nl
+}

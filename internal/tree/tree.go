@@ -7,12 +7,7 @@
 // XGBoost-style booster.
 package tree
 
-import (
-	"errors"
-	"math"
-	"math/rand"
-	"sort"
-)
+import "errors"
 
 // Options control tree induction.
 type Options struct {
@@ -55,7 +50,6 @@ type Regressor struct {
 	Opts        Options
 	nodes       []node
 	importances []float64
-	nFeatures   int
 }
 
 // NewRegressor returns a regression tree with the given options.
@@ -66,140 +60,67 @@ func (t *Regressor) Fit(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errEmptyTraining
 	}
-	t.nFeatures = len(x[0])
-	t.nodes = t.nodes[:0]
-	t.importances = make([]float64, t.nFeatures)
-	rng := rand.New(rand.NewSource(t.Opts.Seed))
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.build(x, y, idx, 0, rng)
+	s := newSplitter(x, len(x), t.Opts)
+	t.nodes, t.importances = s.fit(&regScan{y: y}, identity(len(x)), t.nodes)
 	return nil
 }
 
-func (t *Regressor) build(x [][]float64, y []float64, idx []int, depth int, rng *rand.Rand) int {
+// regScan accumulates target sums for the decrease of n·variance.
+type regScan struct {
+	y                          []float64
+	parentImp                  float64
+	lSum, lSumSq, tSum, tSumSq float64
+}
+
+func (r *regScan) open(idx []int) (node, bool) {
 	var sum, sumsq float64
 	for _, i := range idx {
-		sum += y[i]
-		sumsq += y[i] * y[i]
+		sum += r.y[i]
+		sumsq += r.y[i] * r.y[i]
 	}
 	n := float64(len(idx))
-	mean := sum / n
-	impurity := sumsq - sum*sum/n // n · variance
-
-	nodeID := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, value: mean})
-	if len(idx) < t.Opts.MinSamplesSplit ||
-		(t.Opts.MaxDepth > 0 && depth >= t.Opts.MaxDepth) ||
-		impurity <= 1e-12 {
-		return nodeID
-	}
-
-	feat, thr, gain := t.bestSplitReg(x, y, idx, impurity, rng)
-	if feat < 0 || gain <= t.Opts.MinImpurityDecr {
-		return nodeID
-	}
-	var leftIdx, rightIdx []int
-	for _, i := range idx {
-		if x[i][feat] <= thr {
-			leftIdx = append(leftIdx, i)
-		} else {
-			rightIdx = append(rightIdx, i)
-		}
-	}
-	if len(leftIdx) < t.Opts.MinSamplesLeaf || len(rightIdx) < t.Opts.MinSamplesLeaf {
-		return nodeID
-	}
-	t.importances[feat] += gain
-	left := t.build(x, y, leftIdx, depth+1, rng)
-	right := t.build(x, y, rightIdx, depth+1, rng)
-	t.nodes[nodeID] = node{feature: feat, threshold: thr, left: left, right: right, value: mean}
-	return nodeID
+	r.parentImp = sumsq - sum*sum/n // n · variance
+	return node{feature: -1, value: sum / n}, r.parentImp <= 1e-12
 }
 
-// bestSplitReg scans candidate features for the split maximizing the
-// decrease of n·variance. Returns (-1, 0, 0) when no valid split exists.
-func (t *Regressor) bestSplitReg(x [][]float64, y []float64, idx []int, parentImp float64, rng *rand.Rand) (int, float64, float64) {
-	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
-	for _, f := range candidateFeatures(t.nFeatures, t.Opts.MaxFeatures, rng) {
-		if t.Opts.RandomThresholds {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, i := range idx {
-				v := x[i][f]
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			if !(hi > lo) {
-				continue
-			}
-			thr := lo + rng.Float64()*(hi-lo)
-			gain := regGainAt(x, y, idx, f, thr, parentImp, t.Opts.MinSamplesLeaf)
-			if gain > bestGain {
-				bestFeat, bestThr, bestGain = f, thr, gain
-			}
-			continue
-		}
-		// Exact scan over sorted values.
-		ord := make([]int, len(idx))
-		copy(ord, idx)
-		sort.Slice(ord, func(a, b int) bool { return x[ord[a]][f] < x[ord[b]][f] })
-		var lSum, lSumSq, tSum, tSumSq float64
-		for _, i := range ord {
-			tSum += y[i]
-			tSumSq += y[i] * y[i]
-		}
-		n := float64(len(ord))
-		for pos := 0; pos < len(ord)-1; pos++ {
-			i := ord[pos]
-			lSum += y[i]
-			lSumSq += y[i] * y[i]
-			//lint:allow floateq adjacent sorted feature values compared bitwise to skip zero-width splits
-			if x[ord[pos]][f] == x[ord[pos+1]][f] {
-				continue // cannot split between equal values
-			}
-			ln := float64(pos + 1)
-			rn := n - ln
-			if int(ln) < t.Opts.MinSamplesLeaf || int(rn) < t.Opts.MinSamplesLeaf {
-				continue
-			}
-			rSum := tSum - lSum
-			rSumSq := tSumSq - lSumSq
-			childImp := (lSumSq - lSum*lSum/ln) + (rSumSq - rSum*rSum/rn)
-			gain := parentImp - childImp
-			if gain > bestGain {
-				bestFeat = f
-				bestThr = (x[ord[pos]][f] + x[ord[pos+1]][f]) / 2
-				bestGain = gain
-			}
-		}
+func (r *regScan) reset(sorted []pair) {
+	r.lSum, r.lSumSq, r.tSum, r.tSumSq = 0, 0, 0, 0
+	for _, p := range sorted {
+		r.tSum += r.y[p.i]
+		r.tSumSq += r.y[p.i] * r.y[p.i]
 	}
-	return bestFeat, bestThr, bestGain
 }
 
-func regGainAt(x [][]float64, y []float64, idx []int, f int, thr, parentImp float64, minLeaf int) float64 {
-	var lSum, lSumSq, rSum, rSumSq float64
-	var ln, rn float64
+func (r *regScan) push(run []pair) {
+	for _, p := range run {
+		r.lSum += r.y[p.i]
+		r.lSumSq += r.y[p.i] * r.y[p.i]
+	}
+}
+
+func (r *regScan) gain(left, right int) float64 {
+	ln, rn := float64(left), float64(right)
+	rSum := r.tSum - r.lSum
+	rSumSq := r.tSumSq - r.lSumSq
+	childImp := (r.lSumSq - r.lSum*r.lSum/ln) + (rSumSq - rSum*rSum/rn)
+	return r.parentImp - childImp
+}
+
+func (r *regScan) gainAt(x [][]float64, idx []int, f int, thr float64) (float64, int) {
+	var lSum, lSumSq, rSum, rSumSq, ln, rn float64
 	for _, i := range idx {
 		if x[i][f] <= thr {
-			lSum += y[i]
-			lSumSq += y[i] * y[i]
+			lSum += r.y[i]
+			lSumSq += r.y[i] * r.y[i]
 			ln++
 		} else {
-			rSum += y[i]
-			rSumSq += y[i] * y[i]
+			rSum += r.y[i]
+			rSumSq += r.y[i] * r.y[i]
 			rn++
 		}
 	}
-	if int(ln) < minLeaf || int(rn) < minLeaf {
-		return 0
-	}
 	childImp := (lSumSq - lSum*lSum/ln) + (rSumSq - rSum*rSum/rn)
-	return parentImp - childImp
+	return r.parentImp - childImp, int(ln)
 }
 
 // Predict returns one prediction per row of x.
@@ -212,24 +133,7 @@ func (t *Regressor) Predict(x [][]float64) []float64 {
 }
 
 // PredictOne evaluates the tree on a single feature row.
-func (t *Regressor) PredictOne(row []float64) float64 {
-	if len(t.nodes) == 0 {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("tree: Predict called before Fit")
-	}
-	cur := 0
-	for {
-		n := &t.nodes[cur]
-		if n.feature < 0 {
-			return n.value
-		}
-		if row[n.feature] <= n.threshold {
-			cur = n.left
-		} else {
-			cur = n.right
-		}
-	}
-}
+func (t *Regressor) PredictOne(row []float64) float64 { return leafOf(t.nodes, row).value }
 
 // FeatureImportances returns impurity-decrease importances normalized
 // to sum to 1 (all zeros if the tree is a stump).
@@ -244,16 +148,29 @@ func (t *Regressor) NumNodes() int { return len(t.nodes) }
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-func candidateFeatures(p, maxFeatures int, rng *rand.Rand) []int {
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
+// leafOf walks a fitted tree's nodes down to the leaf that row reaches.
+func leafOf(nodes []node, row []float64) *node {
+	if len(nodes) == 0 {
+		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
+		panic("tree: Predict called before Fit")
 	}
-	if maxFeatures <= 0 || maxFeatures >= p {
-		return all
+	cur := 0
+	for nodes[cur].feature >= 0 {
+		if row[nodes[cur].feature] <= nodes[cur].threshold {
+			cur = nodes[cur].left
+		} else {
+			cur = nodes[cur].right
+		}
 	}
-	rng.Shuffle(p, func(i, j int) { all[i], all[j] = all[j], all[i] })
-	return all[:maxFeatures]
+	return &nodes[cur]
+}
+
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
 
 func normalizeImportances(imp []float64) []float64 {

@@ -16,17 +16,21 @@
 # candidate evaluation (the ClientNode hot path) for the degenerate
 # chain, a fully branched template graph, and the chain under 3-fold
 # rolling-origin CV, so the DAG refactor's per-candidate cost is
-# tracked next to the round protocol it feeds.
+# tracked next to the round protocol it feeds. BenchmarkTreeFits prices
+# the shared tree core on tie-heavy columns at two engine shapes: the
+# per-client random-forest importance fit of the feature-selection round
+# and an XGB candidate fit.
 #
 # All benchmarks run under -benchmem, so every JSON row also carries
 # bytes_per_op and allocs_per_op — the numbers the perflint retrofit
 # (hotalloc/bigcopy/prealloc/deferloop/iboxing) is accounted against.
 #
-# The JSON is one object with four lists:
+# The JSON is one object with five lists:
 #   {"engine_rounds": [...one object per q...],
 #    "wire_formats": [...one object per wire format, all at q=8...],
 #    "recorder_overhead": [...one object per recorder mode...],
-#    "pipeline_dag": [...one object per graph shape...]}
+#    "pipeline_dag": [...one object per graph shape...],
+#    "tree_fits": [...one object per tree-fit shape...]}
 #
 # Usage:
 #   scripts/bench.sh               # writes BENCH_engine.json in the repo root
@@ -58,8 +62,12 @@ echo "==> go test -bench=PipelineDAG -benchmem -benchtime=$benchtime ./internal/
 rawdag="$(go test -bench='PipelineDAG' -benchmem -benchtime="$benchtime" -run '^$' ./internal/pipeline/)"
 echo "$rawdag"
 
-printf '%s\n%s\n' "$raw" "$rawdag" | awk '
-BEGIN { nr = 0; nw = 0; no = 0; nd = 0 }
+echo "==> go test -bench=TreeFits -benchmem -benchtime=$benchtime ./internal/ensemble/"
+rawtree="$(go test -bench='TreeFits' -benchmem -benchtime="$benchtime" -run '^$' ./internal/ensemble/)"
+echo "$rawtree"
+
+printf '%s\n%s\n%s\n' "$raw" "$rawdag" "$rawtree" | awk '
+BEGIN { nr = 0; nw = 0; no = 0; nd = 0; nt = 0 }
 /^BenchmarkEngineRounds\// {
     split($1, parts, "=")
     sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
@@ -120,6 +128,18 @@ BEGIN { nr = 0; nw = 0; no = 0; nd = 0 }
     drows[nd++] = sprintf("    {\"graph\": \"%s\", \"ns_per_op\": %s, \"folds\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
         graph, nsop, folds, bop, aop)
 }
+/^BenchmarkTreeFits\// {
+    split($1, parts, "=")
+    sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
+    shape = parts[2]
+    nsop = ""; bop = ""; aop = ""
+    for (i = 2; i < NF; i++) {
+        if ($(i+1) == "ns/op")     nsop = $i
+        if ($(i+1) == "B/op")      bop = $i
+        if ($(i+1) == "allocs/op") aop = $i
+    }
+    trows[nt++] = sprintf("    {\"shape\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", shape, nsop, bop, aop)
+}
 END {
     print "{"
     print "  \"engine_rounds\": ["
@@ -133,6 +153,9 @@ END {
     print "  ],"
     print "  \"pipeline_dag\": ["
     for (i = 0; i < nd; i++) printf "%s%s\n", drows[i], (i < nd-1 ? "," : "")
+    print "  ],"
+    print "  \"tree_fits\": ["
+    for (i = 0; i < nt; i++) printf "%s%s\n", trows[i], (i < nt-1 ? "," : "")
     print "  ]"
     print "}"
 }
