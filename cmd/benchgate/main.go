@@ -30,6 +30,7 @@ var sections = []struct{ name, key string }{
 	{"recorder_overhead", "recorder"},
 	{"pipeline_dag", "graph"},
 	{"tree_fits", "shape"},
+	{"linmodel_fits", "shape"},
 }
 
 func main() {

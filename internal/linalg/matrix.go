@@ -33,7 +33,7 @@ func FromRows(rows [][]float64) *Matrix {
 	m := NewMatrix(len(rows), len(rows[0]))
 	for i, r := range rows {
 		if len(r) != m.Cols {
-			//lint:allow panicfree dimension mismatch is a caller bug; gonum-style shape invariant
+			//lint:allow panicfree,iboxing dimension mismatch is a caller bug; gonum-style shape invariant, boxed only on the way to the panic
 			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), m.Cols))
 		}
 		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)

@@ -1,0 +1,70 @@
+package linmodel
+
+import (
+	"math/rand"
+	"testing"
+
+	"fedforecaster/internal/model"
+)
+
+// lagDesign lag-embeds an AR(1) series into n rows of p lags with the
+// next value as target: strongly correlated columns, like the engine's
+// lag features, so coordinate descent needs many sweeps.
+func lagDesign(n, p int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	s := make([]float64, n+p)
+	for t := 1; t < len(s); t++ {
+		s[t] = 0.9*s[t-1] + rng.NormFloat64()
+	}
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		row := make([]float64, p)
+		for j := range row {
+			row[j] = s[i+p-1-j]
+		}
+		x[i] = row
+		y[i] = s[i+p]
+	}
+	return x, y
+}
+
+// BenchmarkLinmodelFits prices the coordinate-descent and Huber IRLS
+// fits at two engine shapes: a chaos-rounds client (414×14) and a
+// paper-seq client (132×14), each with Lasso in both selection modes,
+// ElasticNetCV (10 alphas, 3 folds) and Huber.
+func BenchmarkLinmodelFits(b *testing.B) {
+	shapes := []struct {
+		name string
+		n, p int
+	}{
+		{"chaos", 414, 14},
+		{"paper", 132, 14},
+	}
+	fits := []struct {
+		name  string
+		model func() model.Regressor
+	}{
+		{"lasso-cyclic", func() model.Regressor { return NewLasso(0.02, SelectionCyclic) }},
+		{"lasso-random", func() model.Regressor {
+			m := NewLasso(0.02, SelectionRandom)
+			m.Seed = 7
+			return m
+		}},
+		{"encv", func() model.Regressor { return NewElasticNetCV(0.7, SelectionCyclic) }},
+		{"huber", func() model.Regressor { return NewHuber(1.35, 0.1) }},
+	}
+	for _, sh := range shapes {
+		x, y := lagDesign(sh.n, sh.p, 5)
+		for _, f := range fits {
+			b.Run("shape="+sh.name+"-"+f.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := f.model().Fit(x, y); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -1,8 +1,16 @@
 package linmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+)
+
+// Coordinate-descent defaults shared by Lasso, ElasticNet and the
+// per-fold fits of ElasticNetCV.
+const (
+	defaultMaxIter = 300
+	defaultTol     = 1e-5
 )
 
 // SelectionRule chooses the coordinate-descent update order, matching
@@ -35,7 +43,7 @@ type Lasso struct {
 
 // NewLasso returns a Lasso with the given regularization strength.
 func NewLasso(alpha float64, sel SelectionRule) *Lasso {
-	return &Lasso{Alpha: alpha, Selection: sel, MaxIter: 300, Tol: 1e-5}
+	return &Lasso{Alpha: alpha, Selection: sel, MaxIter: defaultMaxIter, Tol: defaultTol}
 }
 
 // Fit trains the model.
@@ -81,19 +89,12 @@ type ElasticNet struct {
 
 // NewElasticNet returns an elastic net with the given penalties.
 func NewElasticNet(alpha, l1Ratio float64, sel SelectionRule) *ElasticNet {
-	return &ElasticNet{Alpha: alpha, L1Ratio: l1Ratio, Selection: sel, MaxIter: 300, Tol: 1e-5}
+	return &ElasticNet{Alpha: alpha, L1Ratio: l1Ratio, Selection: sel, MaxIter: defaultMaxIter, Tol: defaultTol}
 }
 
 // Fit trains the model.
 func (m *ElasticNet) Fit(x [][]float64, y []float64) error {
-	rho := m.L1Ratio
-	if rho < 0 {
-		rho = 0
-	}
-	if rho > 1 {
-		rho = 1
-	}
-	coef, icpt, err := coordinateDescent(x, y, m.Alpha, rho, m.Selection, m.MaxIter, m.Tol, m.Seed, &m.scaler, &m.center)
+	coef, icpt, err := coordinateDescent(x, y, m.Alpha, clampL1Ratio(m.L1Ratio), m.Selection, m.MaxIter, m.Tol, m.Seed, &m.scaler, &m.center)
 	if err != nil {
 		return err
 	}
@@ -130,15 +131,22 @@ func NewElasticNetCV(l1Ratio float64, sel SelectionRule) *ElasticNetCV {
 	return &ElasticNetCV{L1Ratio: l1Ratio, Selection: sel, NumAlphas: 10, Folds: 3}
 }
 
-// Fit selects alpha and refits on the full data.
+// Fit selects alpha and refits on the full data. NumAlphas 1 means the
+// single grid point 1e-4; NumAlphas ≤ 0 is an error.
 func (m *ElasticNetCV) Fit(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errEmptyTraining
 	}
+	if m.NumAlphas <= 0 {
+		return fmt.Errorf("linmodel: ElasticNetCV.NumAlphas = %d, want ≥ 1", m.NumAlphas)
+	}
 	alphas := make([]float64, m.NumAlphas)
 	for i := range alphas {
 		// Geometric grid from 1e-4 to 1e1.
-		frac := float64(i) / float64(len(alphas)-1)
+		var frac float64
+		if len(alphas) > 1 {
+			frac = float64(i) / float64(len(alphas)-1)
+		}
 		alphas[i] = math.Pow(10, -4+5*frac)
 	}
 	folds := m.Folds
@@ -149,27 +157,34 @@ func (m *ElasticNetCV) Fit(x [][]float64, y []float64) error {
 	if n < folds*4 {
 		folds = 2
 	}
+	// A fold's scaler, centred target and column norms depend only on
+	// its training block, so each fold's design is built once and
+	// solved for every alpha.
+	type cvFold struct {
+		cd       *cdProblem
+		cut, end int
+	}
+	fs := make([]cvFold, 0, folds-1)
+	for f := 1; f < folds; f++ {
+		cut := n * f / folds
+		end := n * (f + 1) / folds
+		if cut < 2 || end <= cut {
+			continue
+		}
+		fs = append(fs, cvFold{cd: newCDProblem(x[:cut], y[:cut]), cut: cut, end: end})
+	}
+	rho := clampL1Ratio(m.L1Ratio)
 	bestAlpha, bestErr := alphas[0], math.Inf(1)
 	for _, a := range alphas {
 		var total float64
 		var count int
-		for f := 1; f < folds; f++ {
-			cut := n * f / folds
-			end := n * (f + 1) / folds
-			if cut < 2 || end <= cut {
-				continue
-			}
-			en := NewElasticNet(a, m.L1Ratio, m.Selection)
-			en.Seed = m.Seed
-			if err := en.Fit(x[:cut], y[:cut]); err != nil {
-				continue
-			}
-			pred := en.Predict(x[cut:end])
-			for i, p := range pred {
-				d := p - y[cut+i]
+		for _, fd := range fs {
+			w := fd.cd.solve(a, rho, m.Selection, defaultMaxIter, defaultTol, m.Seed)
+			for r, row := range x[fd.cut:fd.end] {
+				d := (fd.cd.sc.dotRow(w, row) + fd.cd.ct.mean) - y[fd.cut+r]
 				total += d * d
 			}
-			count += end - cut
+			count += fd.end - fd.cut
 		}
 		if count == 0 {
 			continue
@@ -193,6 +208,17 @@ func (m *ElasticNetCV) Predict(x [][]float64) []float64 {
 	return m.inner.Predict(x)
 }
 
+// clampL1Ratio clamps an elastic-net mixing ratio into [0, 1].
+func clampL1Ratio(rho float64) float64 {
+	if rho < 0 {
+		rho = 0
+	}
+	if rho > 1 {
+		rho = 1
+	}
+	return rho
+}
+
 // coordinateDescent minimizes the elastic-net objective on
 // standardized features and a centred target and returns the
 // coefficients and intercept in that standardized space.
@@ -201,62 +227,109 @@ func coordinateDescent(x [][]float64, y []float64, alpha, l1Ratio float64, sel S
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, 0, errEmptyTraining
 	}
-	sc.fit(x)
-	xs := sc.transform(x)
-	yc := ct.fit(y)
-	n := len(xs)
-	p := len(xs[0])
-	nf := float64(n)
+	cd := newCDProblem(x, y)
+	*sc, *ct = cd.sc, cd.ct
+	return cd.solve(alpha, l1Ratio, sel, maxIter, tol, seed), ct.mean, nil
+}
 
-	// Column views and their (1/n)·‖x_j‖² norms; features are unit
-	// variance after scaling so these are ≈ 1 but we compute exactly.
-	colNorm := make([]float64, p)
-	for _, row := range xs {
-		for j, v := range row {
-			colNorm[j] += v * v
-		}
-	}
-	for j := range colNorm {
-		colNorm[j] /= nf
-		if colNorm[j] < 1e-12 {
-			colNorm[j] = 1e-12
-		}
-	}
+// cdProblem is one standardized elastic-net design, ready to be solved
+// for any penalty. The features are stored column-major (column j is
+// cols[j*n:(j+1)*n]), so the dot products and residual updates of a
+// coordinate step walk contiguous column slices.
+type cdProblem struct {
+	sc      scaler
+	ct      centerer
+	n, p    int
+	cols    []float64
+	yc      []float64
+	colNorm []float64 // (1/n)·‖x_j‖², floored at 1e-12
+	rng     *rand.Rand
+}
 
-	w := make([]float64, p)
-	resid := append([]float64(nil), yc...) // resid = y − Xw with w = 0
+// newCDProblem fits the scaler and the target centring on (x, y) and
+// builds the standardized column-major design. x must be non-empty and
+// as long as y.
+func newCDProblem(x [][]float64, y []float64) *cdProblem {
+	cd := &cdProblem{n: len(x)}
+	cd.sc.fit(x)
+	cd.p = len(cd.sc.mean)
+	cd.cols = cd.sc.transformCols(x)
+	cd.yc = cd.ct.fit(y)
+	cd.colNorm = make([]float64, cd.p)
+	// Features are unit variance after scaling so these norms are ≈ 1,
+	// but they are computed exactly.
+	nf := float64(cd.n)
+	for j := range cd.colNorm {
+		var s float64
+		for _, v := range cd.col(j) {
+			s += v * v
+		}
+		s /= nf
+		if s < 1e-12 {
+			s = 1e-12
+		}
+		cd.colNorm[j] = s
+	}
+	return cd
+}
+
+// solve runs coordinate descent with soft-thresholding from w = 0 and
+// returns the coefficients. Random selection reshuffles the update
+// order every sweep from a generator seeded with seed.
+func (cd *cdProblem) solve(alpha, l1Ratio float64, sel SelectionRule, maxIter int, tol float64, seed int64) []float64 {
+	nf := float64(cd.n)
+	w := make([]float64, cd.p)
+	resid := append([]float64(nil), cd.yc...) // resid = y − Xw with w = 0
 	l1 := alpha * l1Ratio
 	l2 := alpha * (1 - l1Ratio)
 	if maxIter <= 0 {
-		maxIter = 300
+		maxIter = defaultMaxIter
 	}
-	rng := rand.New(rand.NewSource(seed))
-	order := make([]int, p)
+	order := make([]int, cd.p)
 	for j := range order {
 		order[j] = j
 	}
+	var swap func(a, b int)
+	if sel == SelectionRandom {
+		// Reseeding puts the generator in the same state as a fresh
+		// rand.NewSource(seed), without another 4.9 KB source per solve.
+		if cd.rng == nil {
+			cd.rng = rand.New(rand.NewSource(seed))
+		} else {
+			cd.rng.Seed(seed)
+		}
+		swap = func(a, b int) { order[a], order[b] = order[b], order[a] }
+	}
 
 	for iter := 0; iter < maxIter; iter++ {
-		if sel == SelectionRandom {
-			rng.Shuffle(p, func(a, b int) { order[a], order[b] = order[b], order[a] })
+		if swap != nil {
+			cd.rng.Shuffle(cd.p, swap)
 		}
 		var maxDelta float64
-		for _, j := range order {
-			// rho_j = (1/n)·x_jᵀ·(resid + x_j·w_j)
-			var rho float64
-			for i := 0; i < n; i++ {
-				rho += xs[i][j] * resid[i]
+		// After a move, subDot has already computed the next
+		// coordinate's x_jᵀ·resid.
+		var pending float64
+		havePending := false
+		for k, j := range order {
+			col := cd.col(j)
+			rho := pending
+			if !havePending {
+				rho = dot(col, resid)
 			}
-			rho = rho/nf + colNorm[j]*w[j]
+			havePending = false
+			// rho_j = (1/n)·x_jᵀ·(resid + x_j·w_j)
+			rho = rho/nf + cd.colNorm[j]*w[j]
 			var newW float64
 			if rho > l1 {
-				newW = (rho - l1) / (colNorm[j] + l2)
+				newW = (rho - l1) / (cd.colNorm[j] + l2)
 			} else if rho < -l1 {
-				newW = (rho + l1) / (colNorm[j] + l2)
+				newW = (rho + l1) / (cd.colNorm[j] + l2)
 			}
 			if d := newW - w[j]; d != 0 {
-				for i := 0; i < n; i++ {
-					resid[i] -= d * xs[i][j]
+				if k+1 < len(order) {
+					pending, havePending = subDot(resid, d, col, cd.col(order[k+1])), true
+				} else {
+					sub(resid, d, col)
 				}
 				w[j] = newW
 				if ad := math.Abs(d); ad > maxDelta {
@@ -268,5 +341,44 @@ func coordinateDescent(x [][]float64, y []float64, alpha, l1Ratio float64, sel S
 			break
 		}
 	}
-	return w, ct.mean, nil
+	return w
+}
+
+// col returns standardized feature column j.
+func (cd *cdProblem) col(j int) []float64 { return cd.cols[j*cd.n : (j+1)*cd.n] }
+
+// The kernels below sum in index order with one accumulator, in the
+// expression shapes rho += v*r[i] and r[i] -= d*v.
+
+// dot returns col·r.
+func dot(col, r []float64) float64 {
+	r = r[:len(col)]
+	var rho float64
+	for i, v := range col {
+		rho += v * r[i]
+	}
+	return rho
+}
+
+// sub subtracts d·col from r.
+func sub(r []float64, d float64, col []float64) {
+	r = r[:len(col)]
+	for i, v := range col {
+		r[i] -= d * v
+	}
+}
+
+// subDot subtracts d·col from r and returns next·r over the updated r,
+// in one pass. Every r[i] is final before it is read, so the result
+// has the bits of sub followed by dot(next, r); the update runs in the
+// shadow of the dot product's add latency instead of a pass of its own.
+func subDot(r []float64, d float64, col, next []float64) float64 {
+	r = r[:len(col)]
+	next = next[:len(col)]
+	var rho float64
+	for i, v := range col {
+		r[i] -= d * v
+		rho += next[i] * r[i]
+	}
+	return rho
 }

@@ -125,6 +125,37 @@ func TestElasticNetCVSelectsSmallAlphaOnCleanData(t *testing.T) {
 	}
 }
 
+// TestElasticNetCVSingleAlpha pins NumAlphas = 1 to the grid's first
+// point. The grid step used to divide 0 by 0, so BestAlpha came out NaN
+// and the refit silently predicted the target mean.
+func TestElasticNetCVSingleAlpha(t *testing.T) {
+	x, y := linearData(200, 0.01, 17)
+	m := NewElasticNetCV(0.5, SelectionCyclic)
+	m.NumAlphas = 1
+	if err := m.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Pow(10, -4); m.BestAlpha != want {
+		t.Fatalf("BestAlpha = %v, want %v", m.BestAlpha, want)
+	}
+	if mse := model.MSE(m.Predict(x), y); mse > 0.05 {
+		t.Errorf("single-alpha ENCV MSE = %v, want a real fit", mse)
+	}
+}
+
+// TestElasticNetCVNoAlphasErrors checks that an empty alpha grid is an
+// error instead of an index-out-of-range panic.
+func TestElasticNetCVNoAlphasErrors(t *testing.T) {
+	x, y := linearData(50, 0.01, 18)
+	for _, k := range []int{0, -3} {
+		m := NewElasticNetCV(0.5, SelectionCyclic)
+		m.NumAlphas = k
+		if err := m.Fit(x, y); err == nil {
+			t.Errorf("NumAlphas = %d: Fit returned nil error", k)
+		}
+	}
+}
+
 func TestLinearSVRRecoversLinear(t *testing.T) {
 	x, y := linearData(400, 0.05, 8)
 	m := NewLinearSVR(5, 0.01)

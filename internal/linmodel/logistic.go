@@ -151,6 +151,7 @@ func (m *LogisticRegression) PredictProba(x [][]float64) []map[string]float64 {
 	for i, row := range x {
 		z := m.scaler.transformRow(row)
 		m.softmaxRow(z, probs)
+		//lint:allow hotalloc one probability map per row is the API's result type
 		dist := make(map[string]float64, len(m.labels))
 		for c, l := range m.labels {
 			dist[l] = probs[c]

@@ -39,19 +39,15 @@ func (m *HuberRegressor) Fit(x [][]float64, y []float64) error {
 		return errEmptyTraining
 	}
 	m.scaler.fit(x)
-	xsRaw := m.scaler.transform(x)
 	yc := m.center.fit(y)
-	n := len(xsRaw)
+	n := len(x)
 	// Augment with an intercept column so the bias is re-estimated
 	// robustly: with outliers the contaminated target mean alone would
 	// leave a large systematic offset.
-	p := len(xsRaw[0]) + 1
-	xs := make([][]float64, n)
-	for i, row := range xsRaw {
-		r := make([]float64, p)
-		copy(r, row)
-		r[p-1] = 1
-		xs[i] = r
+	p := len(m.scaler.mean) + 1
+	xs := m.scaler.transformPadded(x, 1)
+	for _, row := range xs {
+		row[p-1] = 1
 	}
 
 	w := make([]float64, p)
@@ -59,18 +55,25 @@ func (m *HuberRegressor) Fit(x [][]float64, y []float64) error {
 	for i := range weights {
 		weights[i] = 1
 	}
+	// IRLS scratch, reused by every iteration.
+	xtx := linalg.NewMatrix(p, p)
+	xty := make([]float64, p)
+	abs := make([]float64, n)
+	scratch := make([]float64, n)
 	for iter := 0; iter < m.MaxIter; iter++ {
 		// Weighted ridge solve: (XᵀWX + αI)w = XᵀWy (bias unregularized).
-		xtx := linalg.NewMatrix(p, p)
-		xty := make([]float64, p)
-		for i := 0; i < n; i++ {
-			wi := weights[i]
-			row := xs[i]
-			for j := 0; j < p; j++ {
-				xty[j] += wi * row[j] * yc[i]
-				rj := xtx.Row(j)
-				for k := j; k < p; k++ {
-					rj[k] += wi * row[j] * row[k]
+		clear(xtx.Data)
+		clear(xty)
+		for i, row := range xs {
+			wi, yi := weights[i], yc[i]
+			for j, xj := range row {
+				a := wi * xj
+				xty[j] += a * yi
+				rk := row[j:]
+				rj := xtx.Row(j)[j:]
+				rj = rj[:len(rk)]
+				for k, v := range rk {
+					rj[k] += a * v
 				}
 			}
 		}
@@ -94,13 +97,10 @@ func (m *HuberRegressor) Fit(x [][]float64, y []float64) error {
 		}
 		w = newW
 		// Robust scale estimate (MAD) of residuals.
-		resid := make([]float64, n)
-		abs := make([]float64, n)
-		for i := range resid {
-			resid[i] = yc[i] - linalg.Dot(xs[i], w)
-			abs[i] = math.Abs(resid[i])
+		for i, row := range xs {
+			abs[i] = math.Abs(yc[i] - linalg.Dot(row, w))
 		}
-		sigma := medianOf(abs) / 0.6745
+		sigma := median(abs, scratch) / 0.6745
 		if sigma < 1e-9 {
 			sigma = 1e-9
 		}
@@ -248,15 +248,92 @@ func sign(v float64) float64 {
 	}
 }
 
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
+// median returns the median of xs — the mean of the two middle values
+// when len(xs) is even — with the bits of reading the middle of a
+// sort.Float64s-sorted copy, in expected O(n) time. scratch must hold
+// len(xs) values; xs itself is not reordered.
+func median(xs, scratch []float64) float64 {
+	n := len(xs)
+	if n == 0 {
 		return 0
 	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	mid := len(tmp) / 2
-	if len(tmp)%2 == 1 {
-		return tmp[mid]
+	a := scratch[:n]
+	copy(a, xs)
+	for _, v := range a {
+		// sort.Float64s puts NaN first, and it orders -0 against +0
+		// only by where its partitioning happens to leave them. Both
+		// cases keep the sort, so the result bits stay its bits.
+		if math.IsNaN(v) || (v == 0 && math.Signbit(v)) {
+			sort.Float64s(a)
+			if n%2 == 1 {
+				return a[n/2]
+			}
+			return (a[n/2-1] + a[n/2]) / 2
+		}
 	}
-	return (tmp[mid-1] + tmp[mid]) / 2
+	mid := n / 2
+	hi := selectKth(a, mid)
+	if n%2 == 1 {
+		return hi
+	}
+	// selectKth leaves a[:mid] ≤ a[mid]; the lower middle value is
+	// their maximum.
+	lo := a[0]
+	for _, v := range a[1:mid] {
+		if v > lo {
+			lo = v
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// selectKth reorders a so that a[k] holds the value sort.Float64s would
+// put there, with a[:k] ≤ a[k] ≤ a[k+1:], and returns it. a must hold
+// no NaN. Quickselect with a median-of-three pivot and a three-way
+// partition, so runs of ties cost one pass; after 64 rounds it sorts
+// what is left, bounding the worst case at O(n log n).
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)
+	for round := 0; hi-lo > 1; round++ {
+		if round == 64 {
+			sort.Float64s(a[lo:hi])
+			break
+		}
+		pivot := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// [lo, lt) < pivot, [lt, i) == pivot, [gt, hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
+}
+
+// median3 returns the middle value of a, b and c.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = max(a, c)
+	}
+	return b
 }

@@ -51,13 +51,35 @@ func (s *scaler) fit(x [][]float64) {
 }
 
 func (s *scaler) transform(x [][]float64) [][]float64 {
+	return s.transformPadded(x, 0)
+}
+
+// transformPadded standardizes x into rows of p+pad columns, all backed
+// by one allocation; the pad trailing columns of each row are zero.
+func (s *scaler) transformPadded(x [][]float64, pad int) [][]float64 {
+	width := len(s.mean) + pad
+	buf := make([]float64, len(x)*width)
 	out := make([][]float64, len(x))
 	for i, row := range x {
-		r := make([]float64, len(row))
+		r := buf[i*width : (i+1)*width : (i+1)*width]
 		for j, v := range row {
 			r[j] = (v - s.mean[j]) / s.std[j]
 		}
 		out[i] = r
+	}
+	return out
+}
+
+// transformCols standardizes x into one column-major slice: column j
+// occupies out[j*n:(j+1)*n], so a coordinate-descent sweep over feature
+// j reads contiguous memory.
+func (s *scaler) transformCols(x [][]float64) []float64 {
+	n := len(x)
+	out := make([]float64, n*len(s.mean))
+	for i, row := range x {
+		for j, v := range row {
+			out[j*n+i] = (v - s.mean[j]) / s.std[j]
+		}
 	}
 	return out
 }
@@ -68,6 +90,16 @@ func (s *scaler) transformRow(row []float64) []float64 {
 		r[j] = (v - s.mean[j]) / s.std[j]
 	}
 	return r
+}
+
+// dotRow returns coef·z, where z is row standardized by s, without
+// materializing z.
+func (s *scaler) dotRow(coef, row []float64) float64 {
+	var v float64
+	for j, c := range coef {
+		v += c * ((row[j] - s.mean[j]) / s.std[j])
+	}
+	return v
 }
 
 // centerer removes the target mean during fitting and restores it at
@@ -91,12 +123,7 @@ func (c *centerer) fit(y []float64) []float64 {
 func linPredict(s *scaler, coef []float64, intercept float64, x [][]float64) []float64 {
 	out := make([]float64, len(x))
 	for i, row := range x {
-		z := s.transformRow(row)
-		var v float64
-		for j, c := range coef {
-			v += c * z[j]
-		}
-		out[i] = v + intercept
+		out[i] = s.dotRow(coef, row) + intercept
 	}
 	return out
 }

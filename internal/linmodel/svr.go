@@ -87,8 +87,9 @@ func (m *LinearSVR) Fit(x [][]float64, y []float64) error {
 	// bounded by ≈ C instead of C·n (standard Pegasos warm offset).
 	t := n + 1
 	totalSteps := m.Epochs*n + n
+	swap := func(a, c int) { order[a], order[c] = order[c], order[a] }
 	for epoch := 0; epoch < m.Epochs; epoch++ {
-		rng.Shuffle(n, func(a, c int) { order[a], order[c] = order[c], order[a] })
+		rng.Shuffle(n, swap)
 		for _, i := range order {
 			// Pegasos step: η_t = 1/(λt); stochastic subgradient of
 			// λ/2‖w‖² + loss(i) is λw + g·xᵢ with g ∈ {−1, 0, 1}.

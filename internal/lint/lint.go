@@ -323,10 +323,9 @@ func DefaultConfig(modulePath string) Config {
 		HotExemptPkgs: map[string]bool{
 			// The model zoo's training loops are the workload itself — the
 			// perf policy targets protocol/orchestration overhead around
-			// them, not the math they exist to do. The tree core and the
-			// ensembles built on it are policed: they share one
-			// allocation-free split scan.
-			modulePath + "/internal/linmodel":  true,
+			// them, not the math they exist to do. The tree core, the
+			// ensembles built on it and the linear models are policed:
+			// their inner loops allocate no scratch.
 			modulePath + "/internal/classical": true,
 			modulePath + "/internal/prophet":   true,
 			modulePath + "/internal/model":     true,

@@ -19,18 +19,21 @@
 # tracked next to the round protocol it feeds. BenchmarkTreeFits prices
 # the shared tree core on tie-heavy columns at two engine shapes: the
 # per-client random-forest importance fit of the feature-selection round
-# and an XGB candidate fit.
+# and an XGB candidate fit. BenchmarkLinmodelFits prices the linear
+# fits (Lasso cyclic and random, ElasticNetCV, Huber) at a chaos-rounds
+# and a paper-seq client's n×p.
 #
 # All benchmarks run under -benchmem, so every JSON row also carries
 # bytes_per_op and allocs_per_op — the numbers the perflint retrofit
 # (hotalloc/bigcopy/prealloc/deferloop/iboxing) is accounted against.
 #
-# The JSON is one object with five lists:
+# The JSON is one object with six lists:
 #   {"engine_rounds": [...one object per q...],
 #    "wire_formats": [...one object per wire format, all at q=8...],
 #    "recorder_overhead": [...one object per recorder mode...],
 #    "pipeline_dag": [...one object per graph shape...],
-#    "tree_fits": [...one object per tree-fit shape...]}
+#    "tree_fits": [...one object per tree-fit shape...],
+#    "linmodel_fits": [...one object per linear-fit shape...]}
 #
 # Usage:
 #   scripts/bench.sh               # writes BENCH_engine.json in the repo root
@@ -66,8 +69,12 @@ echo "==> go test -bench=TreeFits -benchmem -benchtime=$benchtime ./internal/ens
 rawtree="$(go test -bench='TreeFits' -benchmem -benchtime="$benchtime" -run '^$' ./internal/ensemble/)"
 echo "$rawtree"
 
-printf '%s\n%s\n%s\n' "$raw" "$rawdag" "$rawtree" | awk '
-BEGIN { nr = 0; nw = 0; no = 0; nd = 0; nt = 0 }
+echo "==> go test -bench=LinmodelFits -benchmem -benchtime=$benchtime ./internal/linmodel/"
+rawlin="$(go test -bench='LinmodelFits' -benchmem -benchtime="$benchtime" -run '^$' ./internal/linmodel/)"
+echo "$rawlin"
+
+printf '%s\n%s\n%s\n%s\n' "$raw" "$rawdag" "$rawtree" "$rawlin" | awk '
+BEGIN { nr = 0; nw = 0; no = 0; nd = 0; nt = 0; nl = 0 }
 /^BenchmarkEngineRounds\// {
     split($1, parts, "=")
     sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
@@ -128,7 +135,9 @@ BEGIN { nr = 0; nw = 0; no = 0; nd = 0; nt = 0 }
     drows[nd++] = sprintf("    {\"graph\": \"%s\", \"ns_per_op\": %s, \"folds\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
         graph, nsop, folds, bop, aop)
 }
-/^BenchmarkTreeFits\// {
+# fitrow formats one BenchmarkTreeFits/BenchmarkLinmodelFits line,
+# keyed by the shape after "shape=".
+function fitrow(   parts, shape, nsop, bop, aop, i) {
     split($1, parts, "=")
     sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
     shape = parts[2]
@@ -138,8 +147,10 @@ BEGIN { nr = 0; nw = 0; no = 0; nd = 0; nt = 0 }
         if ($(i+1) == "B/op")      bop = $i
         if ($(i+1) == "allocs/op") aop = $i
     }
-    trows[nt++] = sprintf("    {\"shape\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", shape, nsop, bop, aop)
+    return sprintf("    {\"shape\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", shape, nsop, bop, aop)
 }
+/^BenchmarkTreeFits\// { trows[nt++] = fitrow() }
+/^BenchmarkLinmodelFits\// { lrows[nl++] = fitrow() }
 END {
     print "{"
     print "  \"engine_rounds\": ["
@@ -156,6 +167,9 @@ END {
     print "  ],"
     print "  \"tree_fits\": ["
     for (i = 0; i < nt; i++) printf "%s%s\n", trows[i], (i < nt-1 ? "," : "")
+    print "  ],"
+    print "  \"linmodel_fits\": ["
+    for (i = 0; i < nl; i++) printf "%s%s\n", lrows[i], (i < nl-1 ? "," : "")
     print "  ]"
     print "}"
 }
