@@ -3,7 +3,6 @@ package tree
 import (
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // pair is one entry of the sort buffer: a row's value on the feature
@@ -11,20 +10,6 @@ import (
 type pair struct {
 	v float64
 	i int
-}
-
-// byValue orders pairs by value. slices.SortFunc runs the same
-// generated pdqsort as sort.Slice and only ever tests cmp(a, b) < 0,
-// so this yields exactly the permutation of sort.Slice with the less
-// function v[a] < v[b], ties included.
-func byValue(a, b pair) int {
-	if a.v < b.v {
-		return -1
-	}
-	if a.v > b.v {
-		return 1
-	}
-	return 0
 }
 
 // scanner is the per-kind half of tree induction: a node's summary, and
@@ -181,7 +166,7 @@ func (s *splitter) sorted(idx []int, f int) []pair {
 	for k, i := range idx {
 		p[k] = pair{s.x[i][f], i}
 	}
-	slices.SortFunc(p, byValue)
+	sortPairs(p)
 	return p
 }
 
