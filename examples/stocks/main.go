@@ -43,7 +43,7 @@ func main() {
 	}
 	resCh := make(chan listenResult, 1)
 	go func() {
-		tr, err := fl.ListenTCPWithAddr("127.0.0.1:0", len(clients), 30*time.Second, addrCh)
+		tr, err := fl.ListenTCP("127.0.0.1:0", len(clients), 30*time.Second, addrCh, fl.WireOpts{})
 		resCh <- listenResult{tr, err}
 	}()
 	addr := <-addrCh
@@ -53,7 +53,7 @@ func main() {
 	stop := make(chan struct{})
 	for i, s := range clients {
 		go func(i int, s *timeseries.Series) {
-			if err := fl.ServeTCP(addr, core.NewClientNode(s, int64(i)), stop); err != nil {
+			if err := fl.ServeTCP(addr, core.NewClientNode(s, int64(i)), stop, fl.WireOpts{}); err != nil {
 				log.Printf("client %d: %v", i, err)
 			}
 		}(i, s)

@@ -128,11 +128,9 @@ type Options struct {
 	// q > 1 trades per-round compute for ~q× fewer evaluation rounds
 	// via constant-liar q-EI proposals.
 	BatchSize int
-	// Wire selects the wire format in the -wire flag syntax: "" or
-	// "gob" for the legacy gob-era path, or "v1" with optional
-	// "+q8"/"+q16" (int8/float16 payload quantization) and "+z"
-	// (dictionary DEFLATE) tiers — e.g. "v1+q8+z". Invalid strings make
-	// Run fail fast.
+	// Wire selects the wire format in the -wire flag syntax: "" or "v1"
+	// for lossless frames, "v1+q8" or "v1+q16" for int8/float16 payload
+	// quantization. Invalid strings make Run fail fast.
 	Wire string
 	// Trace receives phase events when non-nil (a human-readable
 	// rendering of the typed event stream; see Recorder).

@@ -103,10 +103,10 @@ func TestOptionsDefaults(t *testing.T) {
 	if cfg.Iterations != 24 || cfg.TopK != 3 || !cfg.FeatureSelection {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	if cfg.Wire.Version != 0 {
-		t.Errorf("default wire = %v, want gob (v0)", cfg.Wire)
+	if cfg.Wire.String() != "v1" {
+		t.Errorf("default wire = %v, want lossless v1", cfg.Wire)
 	}
-	custom, err := Options{Iterations: 5, TopK: 2, ValidFrac: 0.2, TestFrac: 0.1, DisableFeatureSelection: true, Wire: "v1+q8+z"}.engineConfig()
+	custom, err := Options{Iterations: 5, TopK: 2, ValidFrac: 0.2, TestFrac: 0.1, DisableFeatureSelection: true, Wire: "v1+q8"}.engineConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,13 @@ func TestOptionsDefaults(t *testing.T) {
 	if custom.Splits.ValidFrac != 0.2 || custom.Splits.TestFrac != 0.1 {
 		t.Errorf("splits = %+v", custom.Splits)
 	}
-	if got := custom.Wire.String(); got != "v1+q8+z" {
-		t.Errorf("custom wire = %q, want v1+q8+z", got)
+	if got := custom.Wire.String(); got != "v1+q8" {
+		t.Errorf("custom wire = %q, want v1+q8", got)
 	}
-	if _, err := (Options{Wire: "v2"}).engineConfig(); err == nil {
-		t.Error("invalid wire string accepted")
+	for _, w := range []string{"v2", "gob", "v1+z"} {
+		if _, err := (Options{Wire: w}).engineConfig(); err == nil {
+			t.Errorf("invalid wire string %q accepted", w)
+		}
 	}
 }
 

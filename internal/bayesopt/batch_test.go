@@ -38,7 +38,7 @@ func snapshot(o *Optimizer) map[string]any {
 	return st
 }
 
-// TestProposeBatchQ1MatchesSequential pins the q=1 ≡ Next/Observe
+// TestProposeBatchQ1MatchesSequential pins the q=1 ≡ next/observe
 // contract: driving the optimizer with ProposeBatch(1)+ObserveAll
 // produces the exact proposal sequence and internal state of the
 // sequential loop, RNG draw for RNG draw.
@@ -47,8 +47,8 @@ func TestProposeBatchQ1MatchesSequential(t *testing.T) {
 	seq := New(spaces, 7)
 	bat := New(spaces, 7)
 	for i := 0; i < 12; i++ {
-		c1 := seq.Next()
-		seq.Observe(c1, objective(c1))
+		c1 := seq.next()
+		seq.observe(c1, objective(c1))
 
 		cs := bat.ProposeBatch(1)
 		if len(cs) != 1 {
@@ -73,8 +73,8 @@ func TestProposeBatchRetractsLies(t *testing.T) {
 	// Build some real history first so the GP path (not just uniform
 	// coverage) is exercised.
 	for i := 0; i < 5; i++ {
-		c := o.Next()
-		o.Observe(c, objective(c))
+		c := o.next()
+		o.observe(c, objective(c))
 	}
 	before := snapshot(o)
 	batch := o.ProposeBatch(4)

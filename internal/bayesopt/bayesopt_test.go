@@ -66,8 +66,8 @@ func quadLoss(cfg search.Config) float64 {
 func TestOptimizerFindsQuadraticMinimum(t *testing.T) {
 	o := New([]search.Space{quadraticSpace()}, 1)
 	for iter := 0; iter < 25; iter++ {
-		cfg := o.Next()
-		o.Observe(cfg, quadLoss(cfg))
+		cfg := o.next()
+		o.observe(cfg, quadLoss(cfg))
 	}
 	best, loss, ok := o.Best()
 	if !ok {
@@ -87,8 +87,8 @@ func TestOptimizerBeatsRandomSearchOnAverage(t *testing.T) {
 	for seed := int64(0); seed < trials; seed++ {
 		o := New([]search.Space{quadraticSpace()}, seed)
 		for i := 0; i < budget; i++ {
-			cfg := o.Next()
-			o.Observe(cfg, quadLoss(cfg))
+			cfg := o.next()
+			o.observe(cfg, quadLoss(cfg))
 		}
 		_, boLoss, _ := o.Best()
 
@@ -114,7 +114,7 @@ func TestOptimizerWarmStartEvaluatedFirst(t *testing.T) {
 	o := New([]search.Space{s}, 2)
 	warm := s.Decode([]float64{0.5})
 	o.Warm([]search.Config{warm})
-	first := o.Next()
+	first := o.next()
 	if math.Abs(first.Values["x"]-warm.Values["x"]) > 1e-12 {
 		t.Errorf("first proposal = %v, want warm-start %v", first, warm)
 	}
@@ -135,11 +135,11 @@ func TestOptimizerMultiSpace(t *testing.T) {
 	o := New([]search.Space{good, bad}, 3)
 	goodCount := 0
 	for iter := 0; iter < 30; iter++ {
-		cfg := o.Next()
+		cfg := o.next()
 		if cfg.Algorithm == "Good" {
 			goodCount++
 		}
-		o.Observe(cfg, loss(cfg))
+		o.observe(cfg, loss(cfg))
 	}
 	if goodCount < 18 {
 		t.Errorf("only %d/30 proposals in the better space", goodCount)
@@ -152,11 +152,11 @@ func TestOptimizerMultiSpace(t *testing.T) {
 
 func TestObserveNaNLossDoesNotPoison(t *testing.T) {
 	o := New([]search.Space{quadraticSpace()}, 4)
-	cfg := o.Next()
-	o.Observe(cfg, math.NaN())
+	cfg := o.next()
+	o.observe(cfg, math.NaN())
 	for i := 0; i < 10; i++ {
-		c := o.Next()
-		o.Observe(c, quadLoss(c))
+		c := o.next()
+		o.observe(c, quadLoss(c))
 	}
 	_, loss, ok := o.Best()
 	if !ok || math.IsNaN(loss) {
@@ -173,7 +173,7 @@ func TestBestBeforeObservations(t *testing.T) {
 
 func TestObserveUnknownAlgorithmIgnored(t *testing.T) {
 	o := New([]search.Space{quadraticSpace()}, 6)
-	o.Observe(search.Config{Algorithm: "Ghost", Values: map[string]float64{"x": 0}}, 1)
+	o.observe(search.Config{Algorithm: "Ghost", Values: map[string]float64{"x": 0}}, 1)
 	if o.NumObservations() != 0 {
 		t.Error("unknown-space observation counted")
 	}

@@ -36,17 +36,17 @@ func BenchmarkGPFitPredict(b *testing.B) {
 
 func BenchmarkOptimizerIteration(b *testing.B) {
 	o := New(search.DefaultSpaces(), 1)
-	// Pre-load observations so Next() exercises the GP path.
+	// Pre-load observations so next() exercises the GP path.
 	rng := rand.New(rand.NewSource(2))
 	for _, s := range search.DefaultSpaces() {
 		for k := 0; k < 4; k++ {
 			cfg := s.Sample(rng)
-			o.Observe(cfg, rng.Float64())
+			o.observe(cfg, rng.Float64())
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := o.Next()
-		o.Observe(cfg, rng.Float64())
+		cfg := o.next()
+		o.observe(cfg, rng.Float64())
 	}
 }

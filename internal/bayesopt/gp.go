@@ -29,7 +29,7 @@ type gp struct {
 	// predict scratch, sized to the observation count at fit time. A gp
 	// serves one goroutine (the optimizer's proposal loop), so the
 	// buffers are reused across the hundreds of candidate predictions a
-	// single Next makes.
+	// single proposal makes.
 	kStar []float64
 	vbuf  []float64
 }

@@ -28,14 +28,14 @@ func TestNextDeterministicAcrossFreshOptimizers(t *testing.T) {
 		o := New(twoSpaces(), 7)
 		var trace string
 		for iter := 0; iter < 20; iter++ {
-			cfg := o.Next()
+			cfg := o.next()
 			trace += fmt.Sprintf("%s %v\n", cfg.Algorithm, cfg.Values)
 			// A loss that depends on the parameter keeps the GP honest.
 			var loss float64
 			for _, v := range cfg.Values {
 				loss += (v - 0.25) * (v - 0.25)
 			}
-			o.Observe(cfg, loss)
+			o.observe(cfg, loss)
 		}
 		return trace
 	}

@@ -51,8 +51,8 @@ func New(spaces []search.Space, seed int64) *Optimizer {
 	return o
 }
 
-// Warm enqueues initial configurations to be returned by Next before
-// any model-based proposal.
+// Warm enqueues initial configurations to be proposed, in order,
+// before any model-based proposal.
 func (o *Optimizer) Warm(cfgs []search.Config) {
 	for _, c := range cfgs {
 		if _, ok := o.obs[c.Algorithm]; ok {
@@ -68,8 +68,8 @@ func (o *Optimizer) Warm(cfgs []search.Config) {
 // exploration.
 const minPerSpace = 1
 
-// Next proposes the next configuration to evaluate.
-func (o *Optimizer) Next() search.Config {
+// next proposes the next configuration (ProposeBatch(1) exports it).
+func (o *Optimizer) next() search.Config {
 	if len(o.queue) > 0 {
 		c := o.queue[0]
 		o.queue = o.queue[1:]
@@ -175,7 +175,7 @@ func (o *Optimizer) sampleUnseen(s search.Space) search.Config {
 	// Audit note: every attempt landed on an already-proposed point, so
 	// the space is (nearly) exhausted. Returning the last draw is a
 	// deliberate duplicate — re-evaluating a known configuration is
-	// harmless (Observe just re-records it), whereas looping until an
+	// harmless (observe just re-records it), whereas looping until an
 	// unseen point appears may never terminate on a finite grid.
 	return c
 }
@@ -185,12 +185,12 @@ func (o *Optimizer) sampleUnseen(s search.Space) search.Config {
 // fake observation at the incumbent loss (the "lie") is recorded so the
 // acquisition function avoids re-proposing the same region, and all
 // lies are retracted before returning. For q = 1 no lie is placed and
-// the call is exactly Next — same RNG draws, same proposal — which is
+// the call is exactly next — same RNG draws, same proposal — which is
 // the q=1 ≡ sequential determinism contract the engine's golden
 // regression test pins.
 func (o *Optimizer) ProposeBatch(q int) []search.Config {
 	if q <= 1 {
-		return []search.Config{o.Next()}
+		return []search.Config{o.next()}
 	}
 	// The lies must not survive the batch: save the incumbent (a lie at
 	// the incumbent value never improves it, but an empty history would
@@ -211,17 +211,17 @@ func (o *Optimizer) ProposeBatch(q int) []search.Config {
 	lies := make([]lieRecord, 0, q-1)
 	batch := make([]search.Config, 0, q)
 	for k := 0; k < q; k++ {
-		cfg := o.Next()
+		cfg := o.next()
 		batch = append(batch, cfg)
 		if k == q-1 {
 			break // the last candidate needs no lie: nothing follows it
 		}
 		if _, ok := o.obs[cfg.Algorithm]; !ok {
-			continue // Observe would ignore it; nothing to retract
+			continue // observe would ignore it; nothing to retract
 		}
 		key := cfg.String()
 		lies = append(lies, lieRecord{cfg.Algorithm, key, o.seen[key]})
-		o.Observe(cfg, liar)
+		o.observe(cfg, liar)
 	}
 	// Retract the lies in reverse order so the observation arrays pop
 	// back to their pre-batch lengths.
@@ -240,20 +240,20 @@ func (o *Optimizer) ProposeBatch(q int) []search.Config {
 }
 
 // ObserveAll records the evaluated batch in proposal order. For a
-// single-element batch it is exactly one Observe call, preserving the
-// sequential Next/Observe history byte for byte.
+// single-element batch it is exactly one observe call, preserving the
+// sequential next/observe history byte for byte.
 func (o *Optimizer) ObserveAll(cfgs []search.Config, losses []float64) {
 	for i, c := range cfgs {
 		if i < len(losses) {
-			o.Observe(c, losses[i])
+			o.observe(c, losses[i])
 		}
 	}
 }
 
-// Observe records the aggregated global loss of a configuration.
+// observe records the aggregated global loss of a configuration.
 // Non-finite losses are clamped to a large penalty so the surrogate
 // learns to avoid the region instead of crashing.
-func (o *Optimizer) Observe(cfg search.Config, loss float64) {
+func (o *Optimizer) observe(cfg search.Config, loss float64) {
 	so, ok := o.obs[cfg.Algorithm]
 	if !ok {
 		return

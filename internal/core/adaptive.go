@@ -59,7 +59,7 @@ func (a *AdaptiveRunner) Check(clients []*timeseries.Series) (retuned bool, curr
 	for i, s := range clients {
 		nodes[i] = NewClientNode(s, a.Engine.Cfg.Seed+int64(i)*101)
 	}
-	srv := fl.NewServer(fl.NewInProc(nodes))
+	srv := fl.NewServer(fl.NewInProcWire(nodes, a.Engine.Cfg.Wire))
 	defer srv.Close()
 
 	// Rebuild the feature schema on the *current* data so the check

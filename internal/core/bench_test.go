@@ -12,7 +12,8 @@ import (
 // BenchmarkEngineRounds measures a full engine run on a seeded
 // synthetic federation at batch sizes 1/4/8, reporting the numbers the
 // batched protocol exists to move: evaluation rounds, total federated
-// rounds, and estimated payload bytes both ways (from Server.Stats).
+// rounds, and exact lossless v1 payload bytes both ways (from
+// Server.Stats).
 // scripts/bench.sh parses this output into BENCH_engine.json.
 func BenchmarkEngineRounds(b *testing.B) {
 	for _, q := range []int{1, 4, 8} {
@@ -41,14 +42,12 @@ func BenchmarkEngineRounds(b *testing.B) {
 
 // BenchmarkEngineWire is the wire-format dimension of the engine
 // benchmark: the same q=8 workload as BenchmarkEngineRounds, run over
-// every wire tier the transports negotiate — gob (v0 baseline),
-// lossless binary v1 (plain and flate-compressed), and the quantized
-// tiers. Byte metrics are estimated payload size for gob and exact
-// encoded frame length for v1, so the rows are directly comparable to
-// the accounting in Result.Comms. scripts/bench.sh parses this output
-// into BENCH_engine.json's wire_formats section.
+// every wire tier — lossless v1 and the int8 and float16 quantized
+// tiers. Byte metrics are exact encoded frame lengths, the accounting
+// in Result.Comms. scripts/bench.sh parses this output into
+// BENCH_engine.json's wire_formats section.
 func BenchmarkEngineWire(b *testing.B) {
-	for _, ws := range []string{"gob", "v1", "v1+z", "v1+q8", "v1+q8+z", "v1+q16+z"} {
+	for _, ws := range []string{"v1", "v1+q8", "v1+q16"} {
 		b.Run("wire="+ws, func(b *testing.B) {
 			w, err := fl.ParseWireOpts(ws)
 			if err != nil {

@@ -193,7 +193,7 @@ func TestRandomSearchBaseline(t *testing.T) {
 
 func TestEngineNoClients(t *testing.T) {
 	engine := NewEngine(nil, smallEngineConfig(14))
-	srv := fl.NewServer(fl.NewInProc(nil))
+	srv := fl.NewServer(fl.NewInProcWire(nil, fl.WireOpts{}))
 	if _, err := engine.RunWithServer(srv); err == nil {
 		t.Error("no-client run accepted")
 	}
@@ -208,14 +208,14 @@ func TestEngineOverTCPTransport(t *testing.T) {
 	}
 	resCh := make(chan listenResult, 1)
 	go func() {
-		tr, err := fl.ListenTCPWithAddr("127.0.0.1:0", len(clients), 10*time.Second, addrCh)
+		tr, err := fl.ListenTCP("127.0.0.1:0", len(clients), 10*time.Second, addrCh, fl.WireOpts{})
 		resCh <- listenResult{tr, err}
 	}()
 	addr := <-addrCh
 	stop := make(chan struct{})
 	for i, s := range clients {
 		go func(i int, s *timeseries.Series) {
-			_ = fl.ServeTCP(addr, NewClientNode(s, int64(i)), stop)
+			_ = fl.ServeTCP(addr, NewClientNode(s, int64(i)), stop, fl.WireOpts{})
 		}(i, s)
 	}
 	lr := <-resCh

@@ -75,12 +75,10 @@ type EngineConfig struct {
 	// jitter; dead clients fail fast).
 	MaxRetries int
 	// Wire selects the wire format Run's in-process transport speaks
-	// (see fl.ParseWireOpts for the flag syntax). The zero value is the
-	// legacy v0 path — normalization-only message passing with
-	// PayloadSize accounting — which keeps pre-codec results
-	// bit-identical. Version 1 round-trips every message through the
-	// binary codec, so Result.Comms reports exact frame bytes and any
-	// configured quantization tier is really applied to the payloads.
+	// (see fl.ParseWireOpts for the flag syntax). Every message
+	// round-trips through the binary codec, so Result.Comms reports
+	// exact frame bytes and any configured quantization tier is really
+	// applied to the payloads. The zero value is lossless v1.
 	Wire fl.WireOpts
 	// MinClientFraction ∈ (0, 1] enables partial participation: a round
 	// succeeds when at least ⌈fraction·N⌉ clients respond, and every

@@ -20,7 +20,7 @@ func chaosServer(clients []*timeseries.Series, seed int64) (*fl.Server, *fl.Chao
 	for i, s := range clients {
 		nodes[i] = NewClientNode(s, seed+int64(i)*101)
 	}
-	chaos := fl.NewChaos(fl.NewInProc(nodes), seed)
+	chaos := fl.NewChaos(fl.NewInProcWire(nodes, fl.WireOpts{}), seed)
 	return fl.NewServer(chaos), chaos
 }
 
@@ -259,7 +259,7 @@ func TestEngineBatchedHealsMissedPrepare(t *testing.T) {
 		}
 		nodes[i] = n
 	}
-	srv := fl.NewServer(fl.NewInProc(nodes))
+	srv := fl.NewServer(fl.NewInProcWire(nodes, fl.WireOpts{}))
 	defer srv.Close()
 
 	cfg := resilientConfig(5, 0.5, 0)

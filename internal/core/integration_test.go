@@ -88,7 +88,7 @@ func TestClientNodeSkipsTinySplit(t *testing.T) {
 func TestGlobalLossAllSkippedErrors(t *testing.T) {
 	tiny := fedDataset(t, 600, 1, 46)[0].Slice(0, 8)
 	engine := NewEngine(nil, smallEngineConfig(47))
-	srv := fl.NewServer(fl.NewInProc([]fl.Client{NewClientNode(tiny, 1)}))
+	srv := fl.NewServer(fl.NewInProcWire([]fl.Client{NewClientNode(tiny, 1)}, fl.WireOpts{}))
 	defer srv.Close()
 	eng := decodeEngineer(func() fl.Message {
 		m := fl.NewMessage("x")

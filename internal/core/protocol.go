@@ -134,9 +134,9 @@ func decodeEngineer(msg fl.Message) *features.Engineer {
 		e.ExogNames = strings.Split(ex, ",")
 	}
 	if k, ok := msg.Ints["keep"]; ok {
-		// append to a non-nil base: gob decodes an empty slice value as
-		// nil while keeping the key, and key presence alone must restore
-		// a non-nil (possibly empty) Keep.
+		// append to a non-nil base: the codec decodes an empty slice
+		// value as nil while keeping the key, and key presence alone must
+		// restore a non-nil (possibly empty) Keep.
 		e.Keep = append([]int{}, k...)
 	}
 	return e

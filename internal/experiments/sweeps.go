@@ -231,12 +231,12 @@ func runLocalMetaBaseline(clients []*timeseries.Series, iterations int, seed int
 		opt.Warm([]search.Config{sp.Decode(u)})
 	}
 	for iter := 0; iter < iterations; iter++ {
-		cfg := opt.Next()
-		loss, err := evalPhase(cfg, "valid")
+		batch := opt.ProposeBatch(1)
+		loss, err := evalPhase(batch[0], "valid")
 		if err != nil {
 			return 0, 0, err
 		}
-		opt.Observe(cfg, loss)
+		opt.ObserveAll(batch, []float64{loss})
 	}
 	best, bestLoss, ok := opt.Best()
 	if !ok {

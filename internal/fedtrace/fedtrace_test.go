@@ -56,7 +56,7 @@ func traceRun(t *testing.T, seed int64) []obs.Event {
 	for i, s := range series {
 		nodes[i] = core.NewClientNode(s, seed+int64(i)*101)
 	}
-	chaos := fl.NewChaos(fl.NewInProc(nodes), seed)
+	chaos := fl.NewChaos(fl.NewInProcWire(nodes, fl.WireOpts{}), seed)
 	chaos.SetRecorder(col)
 	chaos.SetFaults(1, fl.ClientFaults{FailFirst: 2})
 	chaos.SetFaults(2, fl.ClientFaults{DieAfter: 5})

@@ -147,9 +147,9 @@ func (t *ChaosTransport) Dead(i int) bool {
 // NumClients delegates to the wrapped transport.
 func (t *ChaosTransport) NumClients() int { return t.inner.NumClients() }
 
-// Wire reports the wrapped transport's wire format (v0 when the inner
-// transport does not report one), so chaos-wrapped servers bill bytes
-// identically to unwrapped ones.
+// Wire reports the wrapped transport's wire format (lossless v1 when
+// the inner transport does not report one), so chaos-wrapped servers
+// bill bytes identically to unwrapped ones.
 func (t *ChaosTransport) Wire() WireOpts {
 	if wt, ok := t.inner.(WireTransport); ok {
 		return wt.Wire()

@@ -26,7 +26,7 @@ func newEchoChaos(n int, seed int64) (*ChaosTransport, *countingTransport) {
 	for i := range clients {
 		clients[i] = &echoClient{id: i}
 	}
-	inner := &countingTransport{Transport: NewInProc(clients)}
+	inner := &countingTransport{Transport: NewInProcWire(clients, WireOpts{})}
 	return NewChaos(inner, seed), inner
 }
 

@@ -1,12 +1,9 @@
 package codec
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -18,11 +15,11 @@ import (
 // table). A frame is:
 //
 //	byte 0      version (0x01)
-//	byte 1      flags: bit0 = body DEFLATE-compressed against Dict();
-//	            bits 2..1 = quantization mode the encoder applied
+//	byte 1      flags: bits 2..1 = quantization mode the encoder
+//	            applied; every other bit must be clear
 //	bytes 2...  body
 //
-// The body, after decompression when flagged:
+// The body:
 //
 //	str(Kind)
 //	uvarint nScalars; nScalars × { str(key), varfloat(value) }   sorted by key
@@ -79,14 +76,10 @@ import (
 // flag bits it does not understand it rejects), never panics, and
 // requires the frame to be fully consumed.
 
-// Version1 identifies the binary wire format this package encodes.
-// Version 0 is reserved for the legacy gob stream spoken directly by
-// the transports; it never appears in a codec frame.
+// Version1 identifies the binary wire format this package encodes. It
+// is byte 0 of every frame, and Decode rejects any other value: that
+// byte is what turns away a peer speaking a foreign format.
 const Version1 = 1
-
-// MaxVersion is the newest wire version this build can speak — the
-// version a transport proposes during negotiation.
-const MaxVersion = Version1
 
 // QuantMode selects the lossy tier applied to float vectors of at
 // least quantMinLen elements; shorter vectors and ineligible tensors
@@ -95,7 +88,7 @@ type QuantMode uint8
 
 const (
 	// QuantNone keeps every float vector dense: the lossless tier,
-	// golden-pinned bit-identical to gob-era results.
+	// golden-pinned bit-identical to the engine's recorded histories.
 	QuantNone QuantMode = 0
 	// QuantInt8 maps eligible tensors onto 255 uniform levels with a
 	// per-tensor offset/scale header: 1 byte per element, error ≤
@@ -106,22 +99,10 @@ const (
 	QuantFloat16 QuantMode = 2
 )
 
-// Options select the encoder's lossy and compression tiers. The zero
-// value is the lossless uncompressed tier.
-type Options struct {
-	Quant QuantMode
-	// Compress DEFLATE-compresses the body against the protocol preset
-	// dictionary when that makes the frame smaller; frames that would
-	// grow ship uncompressed with the flag clear, so enabling it never
-	// costs bytes.
-	Compress bool
-}
-
 // flags byte layout.
 const (
-	flagCompressed = 0x01
-	quantShift     = 1
-	quantFlagMask  = 0x06
+	quantShift    = 1
+	quantFlagMask = 0x06
 )
 
 // vector tags.
@@ -131,43 +112,29 @@ const (
 	tagFloat16 = 0x02
 )
 
-// maxDecodedBody bounds decompression so a malicious tiny frame
-// cannot balloon into an arbitrarily large allocation (64 MiB is two
-// orders of magnitude above any real protocol message).
-const maxDecodedBody = 64 << 20
-
 // ErrMalformed wraps every decode failure, so transports can
 // distinguish codec corruption from I/O errors with errors.Is.
 var ErrMalformed = errors.New("codec: malformed frame")
 
-// Encode serializes the message as a version-1 frame. Encoding cannot
-// fail: every Message value has a representation, and compression
-// errors (which the bytes.Buffer sink cannot produce) fall back to
-// the uncompressed form.
-func Encode(m Message, opts Options) []byte {
-	return AppendEncode(nil, m, opts)
+// Encode serializes the message as a version-1 frame under the given
+// quantization tier. Encoding cannot fail: every Message value has a
+// representation.
+func Encode(m Message, q QuantMode) []byte {
+	return AppendEncode(nil, m, q)
 }
 
 // AppendEncode appends the encoded frame to dst and returns the
-// extended slice, for callers reusing buffers.
-func AppendEncode(dst []byte, m Message, opts Options) []byte {
-	body := appendBody(nil, m, opts.Quant)
-	flags := byte(opts.Quant) << quantShift
-	if opts.Compress {
-		if z, ok := deflate(body); ok && len(z) < len(body) {
-			dst = append(dst, Version1, flags|flagCompressed)
-			return append(dst, z...)
-		}
-	}
-	dst = append(dst, Version1, flags)
-	return append(dst, body...)
+// extended slice, for callers reusing buffers or framing the message
+// behind their own header.
+func AppendEncode(dst []byte, m Message, q QuantMode) []byte {
+	dst = append(dst, Version1, byte(q)<<quantShift)
+	return appendBody(dst, m, q)
 }
 
 // EncodedSize returns the exact frame length Encode would produce —
-// the number the communication accounting bills for wire-version ≥ 1
-// transports.
-func EncodedSize(m Message, opts Options) int {
-	return len(AppendEncode(nil, m, opts))
+// the number the communication accounting bills.
+func EncodedSize(m Message, q QuantMode) int {
+	return len(AppendEncode(nil, m, q))
 }
 
 // appendBody serializes the body sections in canonical order.
@@ -353,24 +320,6 @@ func appendVector(b []byte, v []float64, q QuantMode) []byte {
 	}
 }
 
-// deflate compresses the body against the preset dictionary. The
-// second return is false on the (theoretically unreachable) writer
-// error path, making the fallback explicit rather than silent.
-func deflate(body []byte) ([]byte, bool) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriterDict(&buf, flate.BestCompression, Dict())
-	if err != nil {
-		return nil, false
-	}
-	if _, err := w.Write(body); err != nil {
-		return nil, false
-	}
-	if err := w.Close(); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
 // Decode parses a version-1 frame. It returns the message in
 // canonical (Normalize) form: payload maps are always non-nil and
 // zero-length vectors decode as nil values under their key. Malformed
@@ -385,28 +334,13 @@ func Decode(data []byte) (Message, error) {
 		return Message{}, fmt.Errorf("%w: unknown wire version %d", ErrMalformed, data[0])
 	}
 	flags := data[1]
-	if flags&^(flagCompressed|quantFlagMask) != 0 {
+	if flags&^quantFlagMask != 0 {
 		return Message{}, fmt.Errorf("%w: unknown flag bits 0x%02x", ErrMalformed, flags)
 	}
 	if q := QuantMode(flags >> quantShift & 0x3); q > QuantFloat16 {
 		return Message{}, fmt.Errorf("%w: unknown quant mode %d", ErrMalformed, q)
 	}
-	body := data[2:]
-	if flags&flagCompressed != 0 {
-		fr := flate.NewReaderDict(bytes.NewReader(body), Dict())
-		expanded, err := io.ReadAll(io.LimitReader(fr, maxDecodedBody+1))
-		if cerr := fr.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return Message{}, fmt.Errorf("%w: decompress: %v", ErrMalformed, err)
-		}
-		if len(expanded) > maxDecodedBody {
-			return Message{}, fmt.Errorf("%w: body exceeds %d bytes", ErrMalformed, maxDecodedBody)
-		}
-		body = expanded
-	}
-	d := decoder{buf: body, lossy: flags&quantFlagMask != 0}
+	d := decoder{buf: data[2:], lossy: flags&quantFlagMask != 0}
 	m, err := d.message()
 	if err != nil {
 		return Message{}, err

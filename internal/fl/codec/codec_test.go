@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -76,15 +75,9 @@ func checkLossyMessage(want, got Message, q QuantMode) error {
 	return nil
 }
 
-// allOptions enumerates every encoder configuration the wire can ship.
-func allOptions() []Options {
-	var opts []Options
-	for _, q := range []QuantMode{QuantNone, QuantInt8, QuantFloat16} {
-		for _, z := range []bool{false, true} {
-			opts = append(opts, Options{Quant: q, Compress: z})
-		}
-	}
-	return opts
+// allQuants enumerates every encoder tier the wire can ship.
+func allQuants() []QuantMode {
+	return []QuantMode{QuantNone, QuantInt8, QuantFloat16}
 }
 
 // fixtureMessages is the shared corpus of protocol-shaped and
@@ -148,19 +141,17 @@ func fixtureMessages() []Message {
 }
 
 // TestLosslessRoundTripIdentity: decode(encode(m)) == Normalize(m) for
-// the lossless tier, compressed or not, across the fixture corpus.
+// the lossless tier across the fixture corpus.
 func TestLosslessRoundTripIdentity(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		for fi, m := range fixtureMessages() {
-			got, err := Decode(Encode(m, Options{Compress: compress}))
-			if err != nil {
-				t.Fatalf("fixture %d compress=%v: %v", fi, compress, err)
-			}
-			want := m
-			want.Normalize()
-			if !equalMessages(want, got) {
-				t.Errorf("fixture %d compress=%v: round trip diverged\nwant %#v\ngot  %#v", fi, compress, want, got)
-			}
+	for fi, m := range fixtureMessages() {
+		got, err := Decode(Encode(m, QuantNone))
+		if err != nil {
+			t.Fatalf("fixture %d: %v", fi, err)
+		}
+		want := m
+		want.Normalize()
+		if !equalMessages(want, got) {
+			t.Errorf("fixture %d: round trip diverged\nwant %#v\ngot  %#v", fi, want, got)
 		}
 	}
 }
@@ -170,16 +161,16 @@ func TestLosslessRoundTripIdentity(t *testing.T) {
 // vector lengths; float values may move at most by the documented
 // bound.
 func TestQuantizedRoundTripShape(t *testing.T) {
-	for _, opts := range allOptions() {
+	for _, q := range allQuants() {
 		for fi, m := range fixtureMessages() {
-			got, err := Decode(Encode(m, opts))
+			got, err := Decode(Encode(m, q))
 			if err != nil {
-				t.Fatalf("fixture %d opts=%+v: %v", fi, opts, err)
+				t.Fatalf("fixture %d quant=%d: %v", fi, q, err)
 			}
 			want := m
 			want.Normalize()
-			if err := checkLossyMessage(want, got, opts.Quant); err != nil {
-				t.Errorf("fixture %d opts=%+v: %v", fi, opts, err)
+			if err := checkLossyMessage(want, got, q); err != nil {
+				t.Errorf("fixture %d quant=%d: %v", fi, q, err)
 			}
 		}
 	}
@@ -206,24 +197,24 @@ func TestEncodeDeterministic(t *testing.T) {
 		rev[len(keys)-1-i] = k
 	}
 	b := build(rev)
-	for _, opts := range allOptions() {
-		ea, eb := Encode(a, opts), Encode(b, opts)
+	for _, q := range allQuants() {
+		ea, eb := Encode(a, q), Encode(b, q)
 		if !bytes.Equal(ea, eb) {
-			t.Errorf("opts=%+v: insertion order leaked into the frame", opts)
+			t.Errorf("quant=%d: insertion order leaked into the frame", q)
 		}
-		if !bytes.Equal(ea, Encode(a, opts)) {
-			t.Errorf("opts=%+v: repeated encode differs", opts)
+		if !bytes.Equal(ea, Encode(a, q)) {
+			t.Errorf("quant=%d: repeated encode differs", q)
 		}
 	}
 }
 
 // TestEncodedSizeMatchesEncode: the accounting size is the exact frame
-// length for every option set.
+// length for every tier.
 func TestEncodedSizeMatchesEncode(t *testing.T) {
-	for _, opts := range allOptions() {
+	for _, q := range allQuants() {
 		for fi, m := range fixtureMessages() {
-			if got, want := EncodedSize(m, opts), len(Encode(m, opts)); got != want {
-				t.Errorf("fixture %d opts=%+v: EncodedSize=%d, len(Encode)=%d", fi, opts, got, want)
+			if got, want := EncodedSize(m, q), len(Encode(m, q)); got != want {
+				t.Errorf("fixture %d quant=%d: EncodedSize=%d, len(Encode)=%d", fi, q, got, want)
 			}
 		}
 	}
@@ -234,47 +225,19 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 func TestAppendEncodeAppends(t *testing.T) {
 	m := fixtureMessages()[1]
 	prefix := []byte{0xAA, 0xBB}
-	out := AppendEncode(prefix, m, Options{})
+	out := AppendEncode(prefix, m, QuantNone)
 	if !bytes.Equal(out[:2], prefix) {
 		t.Fatalf("prefix clobbered: % x", out[:4])
 	}
-	if !bytes.Equal(out[2:], Encode(m, Options{})) {
+	if !bytes.Equal(out[2:], Encode(m, QuantNone)) {
 		t.Fatalf("appended frame differs from Encode")
-	}
-}
-
-// TestCompressionFallsBackWhenBigger: incompressible bodies ship
-// uncompressed (flag clear), so Compress never grows a frame.
-func TestCompressionFallsBackWhenBigger(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := NewMessage("fit/final")
-	noise := make([]float64, 64)
-	for i := range noise {
-		noise[i] = rng.NormFloat64()
-	}
-	m.Floats["weights"] = noise
-	plain := Encode(m, Options{})
-	z := Encode(m, Options{Compress: true})
-	if len(z) > len(plain) {
-		t.Errorf("compressed frame larger: %d > %d", len(z), len(plain))
-	}
-	// A repetitive message must actually compress. Protocol vocabulary
-	// is already interned to table references, so use strings outside
-	// the table — the case flate still exists for.
-	cfg := NewMessage("eval/config")
-	for i := 0; i < 8; i++ {
-		k := string(rune('0'+i)) + ":custom_model_name"
-		cfg.Strings[k] = "GradientBoostedForecaster"
-	}
-	if zl, pl := EncodedSize(cfg, Options{Compress: true}), EncodedSize(cfg, Options{}); zl >= pl {
-		t.Errorf("repetitive eval/config did not compress: %d >= %d", zl, pl)
 	}
 }
 
 // TestDecodeMalformed: corrupt frames error (wrapping ErrMalformed)
 // rather than panicking or over-allocating.
 func TestDecodeMalformed(t *testing.T) {
-	valid := Encode(fixtureMessages()[2], Options{})
+	valid := Encode(fixtureMessages()[2], QuantNone)
 	cases := map[string][]byte{
 		"empty":            nil,
 		"one byte":         {Version1},
@@ -285,7 +248,7 @@ func TestDecodeMalformed(t *testing.T) {
 		"truncated body":   valid[:len(valid)-3],
 		"trailing bytes":   append(append([]byte{}, valid...), 0x00),
 		"huge count":       {Version1, 0x00, 0x01, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
-		"bad compressed":   {Version1, flagCompressed, 0xde, 0xad, 0xbe, 0xef},
+		"flag bit 0":       append([]byte{Version1, 0x01}, valid[2:]...),
 		"unterminated len": {Version1, 0x00, 0xFF},
 	}
 	for name, data := range cases {
@@ -300,19 +263,19 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
-// TestDecodeIsCanonical: whatever the encoder options, the decoded
+// TestDecodeIsCanonical: whatever the encoder tier, the decoded
 // message is already in Normalize's canonical form.
 func TestDecodeIsCanonical(t *testing.T) {
-	for _, opts := range allOptions() {
+	for _, q := range allQuants() {
 		for fi, m := range fixtureMessages() {
-			got, err := Decode(Encode(m, opts))
+			got, err := Decode(Encode(m, q))
 			if err != nil {
 				t.Fatal(err)
 			}
 			before := got
 			got.Normalize()
 			if !equalMessages(before, got) {
-				t.Errorf("fixture %d opts=%+v: decode output not canonical", fi, opts)
+				t.Errorf("fixture %d quant=%d: decode output not canonical", fi, q)
 			}
 		}
 	}

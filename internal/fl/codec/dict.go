@@ -1,32 +1,18 @@
 package codec
 
-import "strings"
-
-// vocab is the protocol vocabulary shared by the two v1 compaction
-// mechanisms:
-//
-//   - the string intern table: any string (kind, payload key, or string
-//     value) that appears here verbatim is encoded as a 2-byte table
-//     reference instead of its raw bytes — the codec-level
-//     generalization of the round protocol's ship-once trick: instead
-//     of shipping the schema once per connection, the schema strings
-//     ship zero times, because both ends compiled them in;
-//   - the preset DEFLATE dictionary: LZ77 back-references reach up to
-//     32 KiB behind the cursor and a preset dictionary is prepended to
-//     that window, so raw strings the protocol repeats still compress
-//     even in small frames. Entries are ordered least-frequent-first so
-//     the most common strings sit nearest the cursor, where
-//     back-reference distances (and their Huffman codes) are shortest.
+// vocab is the protocol string intern table: any string (kind,
+// payload key, or string value) that appears here verbatim is encoded
+// as a one-byte table reference instead of its raw bytes. It is the
+// codec-level generalization of the round protocol's ship-once trick:
+// instead of shipping the schema once per connection, the schema
+// strings ship zero times, because both ends compiled them in.
 //
 // The table is part of wire format v1: both ends derive the indices
-// and the dictionary from this list. Removing or reordering entries
-// breaks every assigned index and must bump the version byte;
-// appending at the tail keeps existing indices (and all uncompressed
-// frames) stable but still alters the preset dictionary, so it
-// requires regenerating the golden fixtures under testdata/ in the
-// same change. The list must stay under 128 entries so every
-// reference fits in a single uvarint byte (the pinned policy ceiling
-// is 96 — see TestVocabFitsDirectForm).
+// from this list. Removing or reordering entries breaks every assigned
+// index and must bump the version byte; appending at the tail keeps
+// existing indices, and so every existing frame, stable. The list must
+// stay under 128 entries so every reference fits in a single uvarint
+// byte (the pinned policy ceiling is 96 — see TestVocabFitsDirectForm).
 var vocab = []string{
 	// Rare: engine/protocol bookkeeping keys.
 	"fingerprint", "need_prepare", "batch", "skipped", "cached", "keep",
@@ -87,19 +73,12 @@ const (
 	SpansKey = "spans"
 )
 
-var (
-	dict = []byte(strings.Join(vocab, "|"))
-	// vocabIndex maps each vocab entry to its table index for the
-	// encoder's exact-match lookup.
-	vocabIndex = func() map[string]int {
-		idx := make(map[string]int, len(vocab))
-		for i, s := range vocab {
-			idx[s] = i
-		}
-		return idx
-	}()
-)
-
-// Dict returns the preset dictionary both the encoder and decoder
-// hand to compress/flate. Callers must not mutate the returned slice.
-func Dict() []byte { return dict }
+// vocabIndex maps each vocab entry to its table index for the
+// encoder's exact-match lookup.
+var vocabIndex = func() map[string]int {
+	idx := make(map[string]int, len(vocab))
+	for i, s := range vocab {
+		idx[s] = i
+	}
+	return idx
+}()

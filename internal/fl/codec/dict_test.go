@@ -1,10 +1,8 @@
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -37,9 +35,6 @@ func TestVocabFitsDirectForm(t *testing.T) {
 			t.Errorf("vocab[%d] = %q duplicated", i, s)
 		}
 		seen[s] = true
-		if strings.Contains(s, "|") {
-			t.Errorf("vocab[%d] = %q contains the flate-dictionary separator", i, s)
-		}
 	}
 }
 
@@ -140,20 +135,6 @@ func TestStringMalformedForms(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		} else if !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: error %v does not wrap ErrMalformed", name, err)
-		}
-	}
-}
-
-// TestDictCoversVocab: the flate preset dictionary is derived from the
-// vocab table, so the strings flate can reference are exactly the
-// strings the intern table already eliminates — the dictionary earns
-// its keep on the raw strings *between* them (user-supplied names,
-// punctuation runs).
-func TestDictCoversVocab(t *testing.T) {
-	d := Dict()
-	for i, s := range vocab {
-		if s != "" && !bytes.Contains(d, []byte(s)) {
-			t.Errorf("vocab[%d] = %q missing from the flate dictionary", i, s)
 		}
 	}
 }

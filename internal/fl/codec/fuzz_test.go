@@ -44,14 +44,14 @@ func (r *fuzzReader) str() string {
 	return string(b)
 }
 
-// buildFuzzMessage derives a message and encoder options from raw fuzz
-// bytes. The shape distribution is bounded (≤ 3 entries per section,
+// buildFuzzMessage derives a message and encoder tier from raw fuzz
+// bytes (the first byte's bits 2..1; bit 0 is unused, which keeps the
+// committed seed corpus meaningful). The shape distribution is bounded (≤ 3 entries per section,
 // vectors ≤ 19 elements) so the fuzzer spends its budget on value and
 // key edge cases rather than on huge allocations.
-func buildFuzzMessage(data []byte) (Message, Options) {
+func buildFuzzMessage(data []byte) (Message, QuantMode) {
 	r := &fuzzReader{data: data}
-	mode := r.byte()
-	opts := Options{Compress: mode&1 != 0, Quant: QuantMode(mode >> 1 % 3)}
+	q := QuantMode(r.byte() >> 1 % 3)
 	m := NewMessage(r.str())
 	for i := int(r.byte()) % 4; i > 0; i-- {
 		m.Scalars[r.str()] = r.float()
@@ -73,7 +73,7 @@ func buildFuzzMessage(data []byte) (Message, Options) {
 		}
 		m.Ints[r.str()] = v
 	}
-	return m, opts
+	return m, q
 }
 
 // FuzzMessageRoundTrip: for any message derivable from fuzz bytes,
@@ -86,13 +86,12 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add([]byte{0x02, 0x03, 'f', 'i', 't', 0x00, 0x01, 0x09, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{0x05, 0x00, 0x01, 0x13})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, opts := buildFuzzMessage(data)
+		m, q := buildFuzzMessage(data)
 		want := m
 		want.Normalize()
 
-		// Lossless identity, with the fuzz-selected compression choice.
-		lossless := Options{Compress: opts.Compress}
-		got, err := Decode(Encode(m, lossless))
+		// Lossless identity.
+		got, err := Decode(Encode(m, QuantNone))
 		if err != nil {
 			t.Fatalf("lossless round trip failed: %v", err)
 		}
@@ -101,14 +100,22 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		}
 
 		// Lossy tier: same shape, bounded error.
-		got, err = Decode(Encode(m, opts))
+		got, err = Decode(Encode(m, q))
 		if err != nil {
-			t.Fatalf("opts %+v round trip failed: %v", opts, err)
+			t.Fatalf("quant %d round trip failed: %v", q, err)
 		}
-		if err := checkLossyMessage(want, got, opts.Quant); err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
+		if err := checkLossyMessage(want, got, q); err != nil {
+			t.Fatalf("quant %d: %v", q, err)
 		}
 	})
+}
+
+// flagBit0 returns a copy of frame with flag bit 0 set — a bit no
+// encoder sets, so Decode must reject the frame.
+func flagBit0(frame []byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[1] |= 0x01
+	return out
 }
 
 // FuzzCodecDecode: Decode must never panic, whatever the bytes; and
@@ -117,13 +124,14 @@ func FuzzMessageRoundTrip(f *testing.F) {
 // canonical).
 func FuzzCodecDecode(f *testing.F) {
 	for _, c := range goldenCases() {
-		f.Add(Encode(c.msg, c.opts))
-		f.Add(Encode(c.msg, Options{Quant: c.opts.Quant, Compress: true}))
+		frame := Encode(c.msg, c.quant)
+		f.Add(frame)
+		f.Add(flagBit0(frame))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version1})
 	f.Add([]byte{Version1, 0x00})
-	f.Add([]byte{Version1, flagCompressed, 0x03, 0x00})
+	f.Add([]byte{Version1, 0x01, 0x03, 0x00})
 	f.Add([]byte{Version1, 0x06})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -131,7 +139,7 @@ func FuzzCodecDecode(f *testing.F) {
 		if err != nil {
 			return // malformed input must error, never panic
 		}
-		again, err := Decode(Encode(m, Options{}))
+		again, err := Decode(Encode(m, QuantNone))
 		if err != nil {
 			t.Fatalf("re-encode of decoded message failed to decode: %v", err)
 		}
@@ -164,9 +172,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	var decodeSeeds [][]byte
 	for _, c := range goldenCases() {
-		decodeSeeds = append(decodeSeeds,
-			Encode(c.msg, c.opts),
-			Encode(c.msg, Options{Quant: c.opts.Quant, Compress: true}))
+		frame := Encode(c.msg, c.quant)
+		decodeSeeds = append(decodeSeeds, frame, flagBit0(frame))
 	}
 	decodeSeeds = append(decodeSeeds,
 		[]byte{Version1, 0x00},

@@ -15,28 +15,26 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden wire-format fi
 // goldenCases pins the v1 byte format: any change to the encoding —
 // section order, varint scheme, vector tags, quantization layout —
 // fails these comparisons loudly and demands a version bump, not a
-// fixture refresh. Compressed frames are deliberately not pinned:
-// DEFLATE output is not guaranteed stable across Go releases, so the
-// compressed tier is covered by round-trip equality instead.
+// fixture refresh.
 func goldenCases() []struct {
-	name string
-	msg  Message
-	opts Options
+	name  string
+	msg   Message
+	quant QuantMode
 } {
 	fix := fixtureMessages()
 	return []struct {
-		name string
-		msg  Message
-		opts Options
+		name  string
+		msg   Message
+		quant QuantMode
 	}{
-		{"empty.v1", fix[0], Options{}},
-		{"range.v1", fix[1], Options{}},
-		{"config.v1", fix[2], Options{}},
-		{"odd.v1", fix[4], Options{}},
-		{"graph.v1", fix[5], Options{}},
-		{"tensors.v1", fix[3], Options{}},
-		{"tensors.v1q8", fix[3], Options{Quant: QuantInt8}},
-		{"tensors.v1q16", fix[3], Options{Quant: QuantFloat16}},
+		{"empty.v1", fix[0], QuantNone},
+		{"range.v1", fix[1], QuantNone},
+		{"config.v1", fix[2], QuantNone},
+		{"odd.v1", fix[4], QuantNone},
+		{"graph.v1", fix[5], QuantNone},
+		{"tensors.v1", fix[3], QuantNone},
+		{"tensors.v1q8", fix[3], QuantInt8},
+		{"tensors.v1q16", fix[3], QuantFloat16},
 	}
 }
 
@@ -63,7 +61,7 @@ func readGolden(t *testing.T, name string) []byte {
 // byte sequence.
 func TestGoldenWireFormat(t *testing.T) {
 	for _, c := range goldenCases() {
-		got := Encode(c.msg, c.opts)
+		got := Encode(c.msg, c.quant)
 		if *updateGolden {
 			// 32 hex bytes per line keeps the fixtures diffable.
 			var sb strings.Builder
@@ -101,14 +99,14 @@ func TestGoldenDecode(t *testing.T) {
 		}
 		want := c.msg
 		want.Normalize()
-		if c.opts.Quant == QuantNone {
+		if c.quant == QuantNone {
 			if !equalMessages(want, got) {
 				t.Errorf("%s: pinned frame decoded to a different message\nwant %#v\ngot  %#v", c.name, want, got)
 			}
 			continue
 		}
 		// Quantized pins: exact string/int sections, bounded floats.
-		if err := checkLossyMessage(want, got, c.opts.Quant); err != nil {
+		if err := checkLossyMessage(want, got, c.quant); err != nil {
 			t.Errorf("%s: %v", c.name, err)
 		}
 	}

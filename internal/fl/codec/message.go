@@ -1,9 +1,8 @@
 // Package codec defines the federated Message payload type and its
 // compact versioned binary wire format. It is the wire layer under
 // package fl: fl.Message is an alias of Message here, and both the
-// in-process and TCP transports encode through this package when the
-// negotiated wire version is ≥ 1 (encoding/gob remains the v0
-// fallback, spoken by ListenTCP/ServeTCP peers that negotiate down).
+// in-process and TCP transports encode every message through this
+// package.
 //
 // Design constraints, in priority order:
 //
@@ -15,9 +14,9 @@
 //     frames return errors (fuzzed by FuzzCodecDecode).
 //  3. Compactness: varint lengths, byte-reversed varint float64
 //     scalars (gob's trick: small magnitudes and round numbers
-//     shrink), zigzag varint ints, optional int8/float16 quantization
-//     of float vectors, and optional DEFLATE compression against a
-//     protocol-aware preset dictionary.
+//     shrink), zigzag varint ints, an intern table for protocol
+//     strings, and optional int8/float16 quantization of float
+//     vectors.
 package codec
 
 // Message is the unit of client↔server communication: a kind tag plus
@@ -49,11 +48,10 @@ func NewMessage(kind string) Message {
 // only the value's nil-vs-empty distinction is erased. Protocol
 // semantics may hang off key *presence* (e.g. the engineer schema's
 // "keep" key) but never off a present key's empty-vs-nil slice shape:
-// gob already collapses that distinction on the TCP path, so Normalize
-// collapses it everywhere, and decode(encode(m)) == Normalize(m) holds
-// for every transport × wire-format combination. Both transports
-// normalize every message on receipt, so handlers may index payload
-// maps unconditionally.
+// decode(encode(m)) == Normalize(m) holds for every quantization tier
+// (up to the tier's float rounding). Both transports decode every
+// message on receipt, so handlers may index payload maps
+// unconditionally.
 func (m *Message) Normalize() {
 	if m.Scalars == nil {
 		m.Scalars = map[string]float64{}
@@ -81,27 +79,4 @@ func (m *Message) Normalize() {
 			}
 		}
 	}
-}
-
-// PayloadSize estimates the message's serialized payload in bytes:
-// key and string lengths plus 8 bytes per float64 and per int. It is a
-// transport-independent estimate (gob framing adds type metadata, the
-// in-process transport ships pointers) used for v0 communication
-// accounting; wire-version ≥ 1 transports account the exact encoded
-// frame length instead (see fl.WireOpts.Size).
-func (m Message) PayloadSize() int64 {
-	n := int64(len(m.Kind))
-	for k := range m.Scalars {
-		n += int64(len(k)) + 8
-	}
-	for k, v := range m.Floats {
-		n += int64(len(k)) + 8*int64(len(v))
-	}
-	for k, v := range m.Strings {
-		n += int64(len(k)) + int64(len(v))
-	}
-	for k, v := range m.Ints {
-		n += int64(len(k)) + 8*int64(len(v))
-	}
-	return n
 }

@@ -211,14 +211,14 @@ func TestQuantEligibilityGates(t *testing.T) {
 	// use the 2-byte qfloat encoding for dense elements.)
 	m := NewMessage("fit/final")
 	m.Floats["weights"] = inf
-	a := Encode(m, Options{Quant: QuantInt8})
-	b := Encode(m, Options{Quant: QuantFloat16})
+	a := Encode(m, QuantInt8)
+	b := Encode(m, QuantFloat16)
 	if len(a) != len(b) || string(a[2:]) != string(b[2:]) {
 		t.Errorf("lossy modes disagree on an ineligible tensor's body")
 	}
 	// The non-finite element survives each tier bit-exactly.
 	for _, q := range []QuantMode{QuantNone, QuantInt8, QuantFloat16} {
-		got, err := Decode(Encode(m, Options{Quant: q}))
+		got, err := Decode(Encode(m, q))
 		if err != nil {
 			t.Fatalf("quant %d: %v", q, err)
 		}

@@ -4,7 +4,8 @@
 // Flower's ClientApp surface), a server that drives rounds over any
 // transport, weighted loss aggregation, and FedAvg over flat weight
 // vectors. Two transports are provided: in-process (fast simulation)
-// and TCP with gob encoding (real distributed deployment).
+// and TCP (real distributed deployment); both ship every message as a
+// codec v1 frame.
 package fl
 
 import (
@@ -24,8 +25,7 @@ import (
 // typed payload maps. It is an alias of codec.Message — the payload
 // type lives in the wire-format package so both the transports here
 // and the codec can name it without an import cycle. See the codec
-// package for the type's methods (Normalize, PayloadSize) and its
-// binary encoding.
+// package for the type's Normalize method and its binary encoding.
 type Message = codec.Message
 
 // NewMessage returns an empty message of the given kind.
@@ -69,9 +69,9 @@ type Transport interface {
 }
 
 // Stats is a server's cumulative communication accounting. Byte
-// counts follow the transport's wire format (see WireTransport): the
-// exact encoded frame length for wire version ≥ 1, the PayloadSize
-// estimate for v0 and for transports that do not report their format.
+// counts are exact encoded frame lengths under the transport's wire
+// format (see WireTransport; lossless v1 for transports that do not
+// report one).
 // Useful communication (Calls / BytesDown / BytesUp) bills only
 // successful logical calls; wire waste — request payloads shipped on
 // attempts that failed and had to be retried or dropped — is tracked
@@ -82,16 +82,16 @@ type Stats struct {
 	Rounds int
 	// Calls counts successful logical client calls.
 	Calls int
-	// BytesDown estimates server→client payload bytes (requests).
+	// BytesDown counts server→client payload bytes (requests).
 	BytesDown int64
-	// BytesUp estimates client→server payload bytes (responses).
+	// BytesUp counts client→server payload bytes (responses).
 	BytesUp int64
 	// WastedCalls counts failed per-attempt client calls under the
 	// quorum retry layer (transient faults, timeouts, dead clients) —
 	// attempts that consumed wire and wall-clock without producing a
 	// usable response.
 	WastedCalls int
-	// WastedBytes estimates the request payload bytes shipped on those
+	// WastedBytes counts the request payload bytes shipped on those
 	// failed attempts.
 	WastedBytes int64
 }
@@ -125,7 +125,7 @@ type Server struct {
 
 // NewServer returns a server bound to the transport. If the transport
 // reports its wire format (WireTransport), byte accounting follows it;
-// otherwise messages are billed as v0 PayloadSize estimates.
+// otherwise messages are billed as lossless v1 frames.
 func NewServer(t Transport) *Server {
 	s := &Server{transport: t}
 	if wt, ok := t.(WireTransport); ok {

@@ -86,7 +86,7 @@ func TestDispatchTable(t *testing.T) {
 
 func TestInProcBroadcast(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}}
-	srv := NewServer(NewInProc(clients))
+	srv := NewServer(NewInProcWire(clients, WireOpts{}))
 	defer srv.Close()
 	req := NewMessage("fit/x")
 	req.Scalars["offset"] = 100
@@ -106,14 +106,14 @@ func TestInProcBroadcast(t *testing.T) {
 
 func TestBroadcastPropagatesError(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1, fail: true}}
-	srv := NewServer(NewInProc(clients))
+	srv := NewServer(NewInProcWire(clients, WireOpts{}))
 	if _, err := srv.Broadcast(NewMessage("fit/x")); err == nil {
 		t.Fatal("failing client did not abort round")
 	}
 }
 
 func TestInProcOutOfRange(t *testing.T) {
-	srv := NewServer(NewInProc([]Client{&echoClient{}}))
+	srv := NewServer(NewInProcWire([]Client{&echoClient{}}, WireOpts{}))
 	if _, err := srv.Call(5, NewMessage("props")); err == nil {
 		t.Error("out-of-range call accepted")
 	}
@@ -163,14 +163,14 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	resCh := make(chan listenResult, 1)
 	addrCh := make(chan string, 1)
 	go func() {
-		ln, err := ListenTCPWithAddr("127.0.0.1:0", numClients, 5*time.Second, addrCh)
+		ln, err := ListenTCP("127.0.0.1:0", numClients, 5*time.Second, addrCh, WireOpts{})
 		resCh <- listenResult{ln, err}
 	}()
 	addr := <-addrCh
 	stop := make(chan struct{})
 	for i := 0; i < numClients; i++ {
 		go func(i int) {
-			_ = ServeTCP(addr, &echoClient{id: i}, stop)
+			_ = ServeTCP(addr, &echoClient{id: i}, stop, WireOpts{})
 		}(i)
 	}
 	res := <-resCh
@@ -212,12 +212,12 @@ func TestTCPClientErrorSurfaces(t *testing.T) {
 	}
 	resCh := make(chan listenResult, 1)
 	go func() {
-		ln, err := ListenTCPWithAddr("127.0.0.1:0", 1, 5*time.Second, addrCh)
+		ln, err := ListenTCP("127.0.0.1:0", 1, 5*time.Second, addrCh, WireOpts{})
 		resCh <- listenResult{ln, err}
 	}()
 	addr := <-addrCh
 	stop := make(chan struct{})
-	go func() { _ = ServeTCP(addr, &echoClient{id: 0, fail: true}, stop) }()
+	go func() { _ = ServeTCP(addr, &echoClient{id: 0, fail: true}, stop, WireOpts{}) }()
 	res := <-resCh
 	if res.err != nil {
 		t.Fatal(res.err)
@@ -232,15 +232,15 @@ func TestTCPClientErrorSurfaces(t *testing.T) {
 }
 
 func TestListenTCPTimeout(t *testing.T) {
-	if _, err := ListenTCP("127.0.0.1:0", 1, 50*time.Millisecond); err == nil {
+	if _, err := ListenTCP("127.0.0.1:0", 1, 50*time.Millisecond, nil, WireOpts{}); err == nil {
 		t.Fatal("listen with no clients should time out")
 	}
 }
 
 func TestSampleClients(t *testing.T) {
-	srv := NewServer(NewInProc([]Client{
+	srv := NewServer(NewInProcWire([]Client{
 		&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}, &echoClient{id: 3},
-	}))
+	}, WireOpts{}))
 	rng := rand.New(rand.NewSource(1))
 	half := srv.SampleClients(0.5, rng)
 	if len(half) != 2 {
@@ -264,16 +264,16 @@ func TestSampleClients(t *testing.T) {
 	if got := srv.SampleClients(5, rng); len(got) != 4 {
 		t.Errorf("overfull fraction sampled %v", got)
 	}
-	empty := NewServer(NewInProc(nil))
+	empty := NewServer(NewInProcWire(nil, WireOpts{}))
 	if got := empty.SampleClients(0.5, rng); got != nil {
 		t.Errorf("empty server sampled %v", got)
 	}
 }
 
 func TestCallSubset(t *testing.T) {
-	srv := NewServer(NewInProc([]Client{
+	srv := NewServer(NewInProcWire([]Client{
 		&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2},
-	}))
+	}, WireOpts{}))
 	req := NewMessage("fit/x")
 	resps, err := srv.CallSubset([]int{2, 0}, req)
 	if err != nil {
@@ -286,7 +286,7 @@ func TestCallSubset(t *testing.T) {
 		t.Errorf("subset order wrong: %v %v", resps[0].Scalars, resps[1].Scalars)
 	}
 	// Error propagation.
-	srv2 := NewServer(NewInProc([]Client{&echoClient{id: 0, fail: true}}))
+	srv2 := NewServer(NewInProcWire([]Client{&echoClient{id: 0, fail: true}}, WireOpts{}))
 	if _, err := srv2.CallSubset([]int{0}, req); err == nil {
 		t.Error("subset error not propagated")
 	}

@@ -8,21 +8,13 @@ import (
 
 // InProcTransport runs clients in the server's process — the
 // simulation mode used by the evaluation harness (the paper similarly
-// simulates clients as processes on a shared cluster). With wire
-// version ≥ 1 every message is round-tripped through the binary codec,
-// so simulation observes the real wire semantics — including
-// quantization loss — and accounting bills the exact frame bytes a
-// TCP deployment would ship.
+// simulates clients as processes on a shared cluster). Every message
+// is round-tripped through the binary codec, so simulation observes
+// the real wire semantics — including quantization loss — and
+// accounting bills the exact frame bytes a TCP deployment would ship.
 type InProcTransport struct {
 	clients []Client
 	wire    WireOpts
-}
-
-// NewInProc returns a transport over in-process clients speaking wire
-// v0: messages pass by value with normalization only, matching the
-// legacy gob-era behaviour bit for bit.
-func NewInProc(clients []Client) *InProcTransport {
-	return &InProcTransport{clients: clients}
 }
 
 // NewInProcWire returns a transport over in-process clients speaking
@@ -37,17 +29,12 @@ func (t *InProcTransport) Wire() WireOpts { return t.wire }
 // NumClients reports the client count.
 func (t *InProcTransport) NumClients() int { return len(t.clients) }
 
-// roundTrip passes one message through the configured wire format:
-// encode+decode under v1 (the decoder output is canonical by
-// construction), plain Normalize under v0 — exactly like the TCP
-// transport's decode path, so handlers observe one canonical message
-// shape regardless of transport.
+// roundTrip passes one message through the configured wire format —
+// encode then decode, exactly like the TCP transport, so handlers
+// observe one canonical message shape regardless of transport (the
+// decoder output is canonical by construction).
 func (t *InProcTransport) roundTrip(m Message) (Message, error) {
-	if t.wire.Version < codec.Version1 {
-		m.Normalize()
-		return m, nil
-	}
-	out, err := codec.Decode(codec.Encode(m, t.wire.codecOptions()))
+	out, err := codec.Decode(codec.Encode(m, t.wire.Quant))
 	if err != nil {
 		return Message{}, fmt.Errorf("fl: in-proc wire round-trip: %w", err)
 	}

@@ -7,8 +7,7 @@ import (
 )
 
 // rawClient answers with zero-value Messages whose payload maps are
-// nil — the shape a handler that never touches a map produces, and the
-// shape gob's nil-map elision creates on the wire.
+// nil — the shape a handler that never touches a map produces.
 type rawClient struct{}
 
 func (rawClient) Properties(req Message) (Message, error) {
@@ -17,29 +16,15 @@ func (rawClient) Properties(req Message) (Message, error) {
 func (rawClient) Fit(req Message) (Message, error)      { return Message{Kind: "raw"}, nil }
 func (rawClient) Evaluate(req Message) (Message, error) { return Message{Kind: "raw"}, nil }
 
-// TestPayloadSizeArithmetic pins the estimate: key lengths plus 8 bytes
-// per numeric element plus string bytes.
-func TestPayloadSizeArithmetic(t *testing.T) {
-	m := NewMessage("kind") // 4
-	m.Scalars["ab"] = 1     // 2 + 8
-	m.Floats["xyz"] = []float64{1, 2, 3}
-	m.Strings["s"] = "hello" // 1 + 5
-	m.Ints["ii"] = []int{7}  // 2 + 8
-	want := int64(4 + (2 + 8) + (3 + 24) + (1 + 5) + (2 + 8))
-	if got := m.PayloadSize(); got != want {
-		t.Errorf("PayloadSize = %d, want %d", got, want)
-	}
-	var zero Message
-	if got := zero.PayloadSize(); got != 0 {
-		t.Errorf("zero message PayloadSize = %d, want 0", got)
-	}
-}
+// losslessSize is the byte count a server bills for m on a transport
+// speaking the zero WireOpts (lossless v1).
+func losslessSize(m Message) int64 { return WireOpts{}.Size(m) }
 
 // TestServerStatsAccounting: rounds, calls, and byte totals accumulate
 // across Broadcast/CallSubset/Call; Sub scopes a window.
 func TestServerStatsAccounting(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}}
-	srv := NewServer(NewInProc(clients))
+	srv := NewServer(NewInProcWire(clients, WireOpts{}))
 	defer srv.Close()
 
 	req := NewMessage("fit/x")
@@ -52,10 +37,10 @@ func TestServerStatsAccounting(t *testing.T) {
 	if st.Rounds != 1 || st.Calls != 3 {
 		t.Errorf("after broadcast: %+v, want 1 round / 3 calls", st)
 	}
-	wantDown := 3 * req.PayloadSize()
+	wantDown := 3 * losslessSize(req)
 	var wantUp int64
 	for _, r := range resps {
-		wantUp += r.PayloadSize()
+		wantUp += losslessSize(r)
 	}
 	if st.BytesDown != wantDown || st.BytesUp != wantUp {
 		t.Errorf("bytes = %d down / %d up, want %d / %d", st.BytesDown, st.BytesUp, wantDown, wantUp)
@@ -85,7 +70,7 @@ func TestServerStatsAccounting(t *testing.T) {
 // TestQuorumRoundAccounted: quorum rounds charge only the survivors.
 func TestQuorumRoundAccounted(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1, fail: true}, &echoClient{id: 2}}
-	srv := NewServer(NewInProc(clients))
+	srv := NewServer(NewInProcWire(clients, WireOpts{}))
 	defer srv.Close()
 	msgs, ids, err := srv.BroadcastQuorum(NewMessage("fit/x"), QuorumConfig{MinFraction: 0.5})
 	if err != nil {
@@ -106,7 +91,7 @@ func TestQuorumRoundAccounted(t *testing.T) {
 // the TCP transport, so server code never branches on transport.
 func TestNormalizeCrossTransportEquivalence(t *testing.T) {
 	// In-process path.
-	inproc := NewServer(NewInProc([]Client{rawClient{}}))
+	inproc := NewServer(NewInProcWire([]Client{rawClient{}}, WireOpts{}))
 	defer inproc.Close()
 	inResp, err := inproc.Call(0, Message{Kind: "props"}) // nil-map request too
 	if err != nil {
@@ -121,12 +106,12 @@ func TestNormalizeCrossTransportEquivalence(t *testing.T) {
 	}
 	resCh := make(chan listenResult, 1)
 	go func() {
-		ln, err := ListenTCPWithAddr("127.0.0.1:0", 1, 5*time.Second, addrCh)
+		ln, err := ListenTCP("127.0.0.1:0", 1, 5*time.Second, addrCh, WireOpts{})
 		resCh <- listenResult{ln, err}
 	}()
 	addr := <-addrCh
 	stop := make(chan struct{})
-	go func() { _ = ServeTCP(addr, rawClient{}, stop) }()
+	go func() { _ = ServeTCP(addr, rawClient{}, stop, WireOpts{}) }()
 	res := <-resCh
 	if res.err != nil {
 		t.Fatal(res.err)

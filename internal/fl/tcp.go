@@ -2,8 +2,6 @@ package fl
 
 import (
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,19 +12,11 @@ import (
 )
 
 // TCPTransport is the distributed deployment path: clients dial the
-// server (as in Flower) and serve requests over the negotiated wire
-// format.
-//
-// Version negotiation is one byte each way at connection setup: the
-// client sends the highest wire version it can speak, the server
-// replies with min(its configured version, the proposal), and both
-// ends then speak the chosen version for the connection's lifetime.
-// Version 0 is a gob stream of envelopes (the original format, so a
-// v0-configured fleet is byte-compatible with pre-codec peers modulo
-// the two-byte handshake); version 1 is length-prefixed codec frames.
-// Quantization and compression are encoder-side tiers, not negotiated:
-// each end encodes under its own WireOpts and any v1 decoder reads any
-// tier.
+// server (as in Flower) and serve requests over length-prefixed codec
+// v1 frames. There is no handshake: each frame's own version byte
+// (codec.Version1) is what rejects a peer speaking a foreign format,
+// and quantization is an encoder-side tier — each end encodes under
+// its own WireOpts and any v1 decoder reads any tier.
 //
 // The connection table is guarded by mu: Call, NumClients, Close and
 // SetCallTimeout may run concurrently (quorum broadcasts race with
@@ -44,23 +34,10 @@ type TCPTransport struct {
 
 type tcpConn struct {
 	conn net.Conn
-	// vers is the wire version negotiated for this connection, or −1
-	// before negotiation. The server side negotiates lazily, on the
-	// first Call: the handshake read is then bounded by the per-call
-	// deadline, so a client that connects but never speaks (hung peer)
-	// is accepted at listen time and trips ErrCallTimeout at call time —
-	// the same observable behaviour as the pre-negotiation protocol.
-	// guarded by mu.
-	vers int
-	// enc/dec are the gob pair, populated only when vers == 0.
-	// guarded by mu.
-	enc *gob.Encoder
-	dec *gob.Decoder // guarded by mu
-	mu  sync.Mutex
-	// dead marks a connection whose stream failed. Neither format is
-	// mid-message recoverable (a gob stream is unframed; a torn codec
-	// frame desynchronizes the length prefixes), so the connection is
-	// closed and every later call fails fast with ErrClientDead.
+	mu   sync.Mutex
+	// dead marks a connection whose stream failed. A torn frame
+	// desynchronizes the length prefixes, so the connection is closed
+	// and every later call fails fast with ErrClientDead.
 	// guarded by mu.
 	dead bool
 }
@@ -73,35 +50,36 @@ func (c *tcpConn) markDeadLocked() {
 	c.conn.Close()
 }
 
-// envelope frames a message with an error string for the v0 (gob)
-// return path.
-type envelope struct {
-	Msg Message
-	Err string
-}
-
-// maxFrame bounds a v1 frame read so a corrupt or hostile length
-// prefix cannot induce an arbitrarily large allocation.
+// maxFrame bounds a frame read so a corrupt or hostile length prefix
+// cannot induce an arbitrarily large allocation.
 const maxFrame = 64 << 20
 
-// v1 response status bytes.
+// frameHeader is the length prefix's size. Senders build each frame
+// behind a reserved header (newFrame) so it goes out in one write
+// without a copy.
+const frameHeader = 4
+
+// Response status bytes, ahead of the codec frame in every reply.
 const (
 	statusOK  = 0
 	statusErr = 1
 )
 
-// writeFrame sends one length-prefixed v1 frame as a single write.
-func writeFrame(conn net.Conn, payload []byte) error {
-	buf := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := conn.Write(buf)
+// newFrame returns an empty frame with its length prefix reserved.
+func newFrame() []byte { return make([]byte, frameHeader) }
+
+// writeFrame fills in the reserved length prefix and sends the frame
+// as a single write.
+func writeFrame(conn net.Conn, frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
+	_, err := conn.Write(frame)
 	return err
 }
 
-// readFrame receives one length-prefixed v1 frame.
+// readFrame receives one length-prefixed frame and returns its
+// payload.
 func readFrame(conn net.Conn) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -118,22 +96,11 @@ func readFrame(conn net.Conn) ([]byte, error) {
 
 // ListenTCP starts a server transport that accepts exactly
 // expectClients connections on addr (use "127.0.0.1:0" for an
-// ephemeral port) within the timeout, speaking wire v0 (gob).
-func ListenTCP(addr string, expectClients int, timeout time.Duration) (*TCPTransport, error) {
-	return ListenTCPWire(addr, expectClients, timeout, nil, WireOpts{})
-}
-
-// ListenTCPWithAddr is ListenTCP but reports the bound address on
-// addrCh before blocking for connections — needed when clients in the
-// same process must learn an ephemeral port.
-func ListenTCPWithAddr(addr string, expectClients int, timeout time.Duration, addrCh chan<- string) (*TCPTransport, error) {
-	return ListenTCPWire(addr, expectClients, timeout, addrCh, WireOpts{})
-}
-
-// ListenTCPWire is ListenTCPWithAddr with an explicit wire format: the
-// server negotiates each connection down to at most wire.Version and
-// encodes its requests under the given tiers.
-func ListenTCPWire(addr string, expectClients int, timeout time.Duration, addrCh chan<- string, wire WireOpts) (*TCPTransport, error) {
+// ephemeral port) within the timeout and encodes its requests under
+// wire. A non-nil addrCh receives the bound address before the call
+// blocks for connections — needed when clients in the same process
+// must learn an ephemeral port.
+func ListenTCP(addr string, expectClients int, timeout time.Duration, addrCh chan<- string, wire WireOpts) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("fl: listen: %w", err)
@@ -160,70 +127,18 @@ func ListenTCPWire(addr string, expectClients int, timeout time.Duration, addrCh
 			ln.Close()
 			return nil, fmt.Errorf("fl: accept (have %d/%d clients): %w", len(conns), expectClients, err)
 		}
-		conns = append(conns, &tcpConn{conn: conn, vers: -1})
+		conns = append(conns, &tcpConn{conn: conn})
 	}
 	return &TCPTransport{listener: ln, wire: wire, conns: conns}, nil
-}
-
-// negotiateLocked performs the server side of the version handshake on
-// first use: read the client's proposal byte, reply min(configured,
-// proposal), and set up the connection for the chosen version. Callers
-// hold c.mu and have already bounded the connection with the per-call
-// deadline.
-func (c *tcpConn) negotiateLocked(configured int) error {
-	var b [1]byte
-	if _, err := io.ReadFull(c.conn, b[:]); err != nil {
-		return fmt.Errorf("read proposal: %w", err)
-	}
-	vers := configured
-	if p := int(b[0]); p < vers {
-		vers = p
-	}
-	if _, err := c.conn.Write([]byte{byte(vers)}); err != nil {
-		return fmt.Errorf("write version: %w", err)
-	}
-	c.vers = vers
-	if vers == 0 {
-		c.enc = gob.NewEncoder(c.conn)
-		c.dec = gob.NewDecoder(c.conn)
-	}
-	return nil
-}
-
-// errHandshakeClosed marks a version handshake cut short by the
-// connection closing — a clean shutdown, not a protocol violation.
-var errHandshakeClosed = errors.New("fl: connection closed during handshake")
-
-// negotiateClient performs the client side: propose a version, accept
-// the server's (lower or equal) choice. The server answers lazily, on
-// its first call, so the read blocks until the server speaks; a
-// connection that closes instead reports errHandshakeClosed.
-func negotiateClient(conn net.Conn, proposal int) (int, error) {
-	if _, err := conn.Write([]byte{byte(proposal)}); err != nil {
-		return 0, fmt.Errorf("%w: %v", errHandshakeClosed, err)
-	}
-	var b [1]byte
-	if _, err := io.ReadFull(conn, b[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", errHandshakeClosed, err)
-	}
-	vers := int(b[0])
-	if vers > proposal {
-		return 0, fmt.Errorf("fl: server chose wire version %d above proposal %d", vers, proposal)
-	}
-	return vers, nil
 }
 
 // Addr returns the listener address (useful with ephemeral ports).
 func (t *TCPTransport) Addr() string { return t.listener.Addr().String() }
 
 // Wire reports the transport's configured wire format — the options
-// the Server bills under. Billing is a per-fleet cost model, not an
-// octet count: a connection whose peer negotiated down to v0 still
-// ships gob frames but is billed at the configured tier, just as v0
-// itself bills the PayloadSize estimate rather than gob's actual
-// stream bytes. Mixed-version fleets therefore see configured-tier
-// accounting; uniform fleets (every engine and CLI path) see exact
-// frame lengths under v1.
+// the Server bills under. Billing is per fleet: a client that encodes
+// its replies under a different quantization tier is still billed at
+// the server's.
 func (t *TCPTransport) Wire() WireOpts { return t.wire }
 
 // SetCallTimeout installs a per-call deadline (0 disables). Safe to
@@ -245,9 +160,13 @@ func (t *TCPTransport) NumClients() int {
 // Call sends the request to client i and waits for its reply, bounded
 // by the configured call timeout. Calls to the same client serialize;
 // calls to distinct clients proceed in parallel. A connection whose
-// stream fails (timeout, peer death) is dropped: it is closed and every
-// later call to it returns ErrClientDead immediately, so quorum rounds
-// skip it without waiting.
+// stream fails (timeout, peer death, a frame that does not decode) is
+// dropped: it is closed and every later call to it returns
+// ErrClientDead immediately, so quorum rounds skip it without waiting.
+//
+// The reply is a status byte followed by either a codec frame
+// (statusOK) or an error string (statusErr — an application-level
+// error: the stream stays in sync and the call is retryable).
 func (t *TCPTransport) Call(i int, req Message) (Message, error) {
 	t.mu.Lock()
 	if i < 0 || i >= len(t.conns) {
@@ -272,56 +191,7 @@ func (t *TCPTransport) Call(i int, req Message) (Message, error) {
 		c.markDeadLocked()
 		return Message{}, fmt.Errorf("fl: client %d: set deadline: %v: %w", i, err, ErrClientDead)
 	}
-	if c.vers < 0 {
-		if err := c.negotiateLocked(wire.Version); err != nil {
-			c.markDeadLocked()
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				return Message{}, fmt.Errorf("fl: negotiate with client %d: %v (%w): %w", i, err, ErrCallTimeout, ErrClientDead)
-			}
-			return Message{}, fmt.Errorf("fl: negotiate with client %d: %v: %w", i, err, ErrClientDead)
-		}
-	}
-	if c.vers >= codec.Version1 {
-		return t.callV1(i, c, req, wire)
-	}
-	return t.callGob(i, c, req)
-}
-
-// callGob performs one call over a v0 (gob envelope) connection;
-// callers hold c.mu.
-func (t *TCPTransport) callGob(i int, c *tcpConn, req Message) (Message, error) {
-	if err := c.enc.Encode(envelope{Msg: req}); err != nil {
-		c.markDeadLocked()
-		return Message{}, fmt.Errorf("fl: send to client %d: %v: %w", i, err, ErrClientDead)
-	}
-	var resp envelope
-	if err := c.dec.Decode(&resp); err != nil {
-		c.markDeadLocked()
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return Message{}, fmt.Errorf("fl: receive from client %d: %v (%w): %w", i, err, ErrCallTimeout, ErrClientDead)
-		}
-		return Message{}, fmt.Errorf("fl: receive from client %d: %v: %w", i, err, ErrClientDead)
-	}
-	if resp.Err != "" {
-		// An application-level error: the stream stays in sync and the
-		// client remains healthy, so this is retryable.
-		return Message{}, fmt.Errorf("fl: client %d error: %s", i, resp.Err)
-	}
-	// gob omits nil maps, so a payload map that was nil (or never
-	// written) on the client decodes as nil here; normalize so both
-	// transports hand the server the same canonical shape.
-	resp.Msg.Normalize()
-	return resp.Msg, nil
-}
-
-// callV1 performs one call over a v1 (codec frame) connection; callers
-// hold c.mu. The response frame is a status byte followed by either a
-// codec frame (statusOK) or an error string (statusErr — an
-// application-level error: the stream stays in sync and the call is
-// retryable).
-func (t *TCPTransport) callV1(i int, c *tcpConn, req Message, wire WireOpts) (Message, error) {
-	if err := writeFrame(c.conn, codec.Encode(req, wire.codecOptions())); err != nil {
+	if err := writeFrame(c.conn, codec.AppendEncode(newFrame(), req, wire.Quant)); err != nil {
 		c.markDeadLocked()
 		return Message{}, fmt.Errorf("fl: send to client %d: %v: %w", i, err, ErrClientDead)
 	}
@@ -368,19 +238,12 @@ func (t *TCPTransport) Close() error {
 }
 
 // ServeTCP connects a client to the server at addr and serves requests
-// until the connection closes or stop is closed, proposing the newest
-// wire version this build speaks (the server may negotiate down to
-// gob) and encoding responses losslessly. It returns nil on a clean
-// shutdown (server closed the connection).
-func ServeTCP(addr string, client Client, stop <-chan struct{}) error {
-	return ServeTCPWire(addr, client, stop, WireOpts{Version: codec.MaxVersion})
-}
-
-// ServeTCPWire is ServeTCP with an explicit wire format: the client
-// proposes wire.Version (so a v0 value forces gob even against a v1
-// server) and, when the negotiated version is ≥ 1, encodes its
-// responses under the given quantization/compression tiers.
-func ServeTCPWire(addr string, client Client, stop <-chan struct{}, wire WireOpts) error {
+// until the connection closes or stop is closed, encoding responses
+// under wire. It returns nil on a clean shutdown (the server closed the
+// connection, before or between requests) and an error wrapping
+// codec.ErrMalformed when the server sends a frame that does not
+// decode.
+func ServeTCP(addr string, client Client, stop <-chan struct{}, wire WireOpts) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("fl: dial: %w", err)
@@ -402,48 +265,6 @@ func ServeTCPWire(addr string, client Client, stop <-chan struct{}, wire WireOpt
 			}
 		}()
 	}
-	vers, err := negotiateClient(conn, wire.Version)
-	if err != nil {
-		if errors.Is(err, errHandshakeClosed) {
-			return nil // server closed before speaking: clean shutdown
-		}
-		return err
-	}
-	if vers >= codec.Version1 {
-		return serveV1(conn, client, wire)
-	}
-	return serveGob(conn, client)
-}
-
-// serveGob answers requests over a v0 (gob envelope) stream.
-func serveGob(conn net.Conn, client Client) error {
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	for {
-		var req envelope
-		if err := dec.Decode(&req); err != nil {
-			return nil // connection closed: clean shutdown
-		}
-		// Mirror of the server-side decode normalization: a request whose
-		// payload maps were empty or nil on the server must reach the
-		// client handler in the same canonical shape the in-process
-		// transport delivers.
-		req.Msg.Normalize()
-		resp, derr := Dispatch(client, req.Msg)
-		env := envelope{Msg: resp}
-		if derr != nil {
-			env.Err = derr.Error()
-		}
-		if err := enc.Encode(env); err != nil {
-			return fmt.Errorf("fl: reply: %w", err)
-		}
-	}
-}
-
-// serveV1 answers requests over a v1 (codec frame) stream, encoding
-// responses under the client's own wire tiers.
-func serveV1(conn net.Conn, client Client, wire WireOpts) error {
-	opts := wire.codecOptions()
 	for {
 		frame, err := readFrame(conn)
 		if err != nil {
@@ -454,13 +275,13 @@ func serveV1(conn net.Conn, client Client, wire WireOpts) error {
 			return fmt.Errorf("fl: decode request: %w", err)
 		}
 		resp, derr := Dispatch(client, req)
-		var payload []byte
+		reply := newFrame()
 		if derr != nil {
-			payload = append([]byte{statusErr}, derr.Error()...)
+			reply = append(append(reply, statusErr), derr.Error()...)
 		} else {
-			payload = codec.AppendEncode([]byte{statusOK}, resp, opts)
+			reply = codec.AppendEncode(append(reply, statusOK), resp, wire.Quant)
 		}
-		if err := writeFrame(conn, payload); err != nil {
+		if err := writeFrame(conn, reply); err != nil {
 			return fmt.Errorf("fl: reply: %w", err)
 		}
 	}

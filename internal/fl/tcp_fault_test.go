@@ -41,16 +41,16 @@ func TestTCPKillMidRound(t *testing.T) {
 	resCh := make(chan listenResult, 1)
 	addrCh := make(chan string, 1)
 	go func() {
-		tr, err := ListenTCPWithAddr("127.0.0.1:0", n, 5*time.Second, addrCh)
+		tr, err := ListenTCP("127.0.0.1:0", n, 5*time.Second, addrCh, WireOpts{})
 		resCh <- listenResult{tr, err}
 	}()
 	addr := <-addrCh
 
 	stop := make(chan struct{})
 	die := make(chan struct{})
-	go func() { _ = ServeTCP(addr, &suicidalClient{echoClient: echoClient{id: 99}, die: die}, die) }()
+	go func() { _ = ServeTCP(addr, &suicidalClient{echoClient: echoClient{id: 99}, die: die}, die, WireOpts{}) }()
 	for i := 0; i < n-1; i++ {
-		go func(i int) { _ = ServeTCP(addr, &echoClient{id: i}, stop) }(i)
+		go func(i int) { _ = ServeTCP(addr, &echoClient{id: i}, stop, WireOpts{}) }(i)
 	}
 	res := <-resCh
 	if res.err != nil {
@@ -122,7 +122,7 @@ func TestTCPHungClientDeadline(t *testing.T) {
 	resCh := make(chan listenResult, 1)
 	addrCh := make(chan string, 1)
 	go func() {
-		tr, err := ListenTCPWithAddr("127.0.0.1:0", 1, 5*time.Second, addrCh)
+		tr, err := ListenTCP("127.0.0.1:0", 1, 5*time.Second, addrCh, WireOpts{})
 		resCh <- listenResult{tr, err}
 	}()
 	addr := <-addrCh
@@ -178,7 +178,7 @@ func TestTCPHungClientViaRetryPolicy(t *testing.T) {
 	resCh := make(chan listenResult, 1)
 	addrCh := make(chan string, 1)
 	go func() {
-		tr, err := ListenTCPWithAddr("127.0.0.1:0", 2, 5*time.Second, addrCh)
+		tr, err := ListenTCP("127.0.0.1:0", 2, 5*time.Second, addrCh, WireOpts{})
 		resCh <- listenResult{tr, err}
 	}()
 	addr := <-addrCh
@@ -190,7 +190,7 @@ func TestTCPHungClientViaRetryPolicy(t *testing.T) {
 	defer hung.Close()
 	stop := make(chan struct{})
 	defer close(stop)
-	go func() { _ = ServeTCP(addr, &echoClient{id: 1}, stop) }()
+	go func() { _ = ServeTCP(addr, &echoClient{id: 1}, stop, WireOpts{}) }()
 
 	res := <-resCh
 	if res.err != nil {
@@ -228,13 +228,13 @@ func TestTCPConcurrentCallsAndClose(t *testing.T) {
 	resCh := make(chan listenResult, 1)
 	addrCh := make(chan string, 1)
 	go func() {
-		tr, err := ListenTCPWithAddr("127.0.0.1:0", 2, 5*time.Second, addrCh)
+		tr, err := ListenTCP("127.0.0.1:0", 2, 5*time.Second, addrCh, WireOpts{})
 		resCh <- listenResult{tr, err}
 	}()
 	addr := <-addrCh
 	stop := make(chan struct{})
 	for i := 0; i < 2; i++ {
-		go func(i int) { _ = ServeTCP(addr, &echoClient{id: i}, stop) }(i)
+		go func(i int) { _ = ServeTCP(addr, &echoClient{id: i}, stop, WireOpts{}) }(i)
 	}
 	res := <-resCh
 	if res.err != nil {

@@ -27,13 +27,13 @@ func TestServeTCPStopWatcherNoLeak(t *testing.T) {
 		resCh := make(chan listenResult, 1)
 		addrCh := make(chan string, 1)
 		go func() {
-			tr, err := ListenTCPWithAddr("127.0.0.1:0", 1, 5*time.Second, addrCh)
+			tr, err := ListenTCP("127.0.0.1:0", 1, 5*time.Second, addrCh, WireOpts{})
 			resCh <- listenResult{tr, err}
 		}()
 		addr := <-addrCh
 		serveDone := make(chan error, 1)
 		go func() {
-			serveDone <- ServeTCP(addr, &echoClient{id: i}, stop)
+			serveDone <- ServeTCP(addr, &echoClient{id: i}, stop, WireOpts{})
 		}()
 		res := <-resCh
 		if res.err != nil {

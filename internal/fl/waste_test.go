@@ -52,7 +52,7 @@ func (c *captureRecorder) injections() map[string]int {
 // successful logical calls.
 func TestQuorumWasteAccounting(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}}
-	chaos := NewChaos(NewInProc(clients), 7)
+	chaos := NewChaos(NewInProcWire(clients, WireOpts{}), 7)
 	// Client 1 flaps twice before answering; bounded retry masks it.
 	chaos.SetFaults(1, ClientFaults{FailFirst: 2})
 	srv := NewServer(chaos)
@@ -79,17 +79,17 @@ func TestQuorumWasteAccounting(t *testing.T) {
 	if stats.WastedCalls != 2 {
 		t.Errorf("WastedCalls = %d, want 2 (two flapped attempts)", stats.WastedCalls)
 	}
-	wantWaste := 2 * req.PayloadSize()
+	wantWaste := 2 * losslessSize(req)
 	if stats.WastedBytes != wantWaste {
 		t.Errorf("WastedBytes = %d, want %d (request payload per failed attempt)", stats.WastedBytes, wantWaste)
 	}
-	if stats.BytesDown != 3*req.PayloadSize() {
-		t.Errorf("BytesDown = %d, want %d (successful deliveries only)", stats.BytesDown, 3*req.PayloadSize())
+	if stats.BytesDown != 3*losslessSize(req) {
+		t.Errorf("BytesDown = %d, want %d (successful deliveries only)", stats.BytesDown, 3*losslessSize(req))
 	}
 
 	// Sub must carry the waste fields too.
-	delta := srv.Stats().Sub(Stats{WastedCalls: 1, WastedBytes: req.PayloadSize()})
-	if delta.WastedCalls != 1 || delta.WastedBytes != req.PayloadSize() {
+	delta := srv.Stats().Sub(Stats{WastedCalls: 1, WastedBytes: losslessSize(req)})
+	if delta.WastedCalls != 1 || delta.WastedBytes != losslessSize(req) {
 		t.Errorf("Sub lost waste fields: %+v", delta)
 	}
 
@@ -112,11 +112,11 @@ func TestQuorumWasteAccounting(t *testing.T) {
 	}
 	// Failed attempts bill the request only; the success adds the
 	// response payload.
-	if c1[0].Bytes != req.PayloadSize() {
-		t.Errorf("failed attempt bytes = %d, want request-only %d", c1[0].Bytes, req.PayloadSize())
+	if c1[0].Bytes != losslessSize(req) {
+		t.Errorf("failed attempt bytes = %d, want request-only %d", c1[0].Bytes, losslessSize(req))
 	}
-	if c1[2].Bytes <= req.PayloadSize() {
-		t.Errorf("successful attempt bytes = %d, want > request %d (response included)", c1[2].Bytes, req.PayloadSize())
+	if c1[2].Bytes <= losslessSize(req) {
+		t.Errorf("successful attempt bytes = %d, want > request %d (response included)", c1[2].Bytes, losslessSize(req))
 	}
 
 	// The chaos layer reported its injections.
@@ -134,7 +134,7 @@ func TestQuorumWasteAccounting(t *testing.T) {
 // one attempt (fail-fast, no retries) and its payload.
 func TestQuorumDeadClientWaste(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}}
-	chaos := NewChaos(NewInProc(clients), 3)
+	chaos := NewChaos(NewInProcWire(clients, WireOpts{}), 3)
 	chaos.Kill(1)
 	srv := NewServer(chaos)
 	defer srv.Close()
@@ -152,8 +152,8 @@ func TestQuorumDeadClientWaste(t *testing.T) {
 	if stats.WastedCalls != 1 {
 		t.Errorf("WastedCalls = %d, want 1 (dead clients fail fast)", stats.WastedCalls)
 	}
-	if stats.WastedBytes != req.PayloadSize() {
-		t.Errorf("WastedBytes = %d, want %d", stats.WastedBytes, req.PayloadSize())
+	if stats.WastedBytes != losslessSize(req) {
+		t.Errorf("WastedBytes = %d, want %d", stats.WastedBytes, losslessSize(req))
 	}
 }
 

@@ -2,102 +2,55 @@ package fl
 
 import (
 	"fmt"
-	"strings"
 
 	"fedforecaster/internal/fl/codec"
 )
 
-// WireOpts selects the wire format a transport speaks: the framing
-// version plus the encoder-side payload tiers (quantization,
-// compression) for version ≥ 1. The zero value is the legacy v0 path:
-// gob framing on TCP, plain normalization in-process, PayloadSize
-// accounting — exactly the pre-codec behaviour.
+// WireOpts selects the payload tier of the v1 codec frames every
+// transport speaks. The zero value is lossless v1.
 type WireOpts struct {
-	// Version is the wire version this endpoint is willing to speak, at
-	// most codec.MaxVersion. TCP endpoints negotiate down to
-	// min(server, client) per connection; version 0 is gob.
-	Version int
-	// Quant is the lossy tier applied to eligible float vectors when
-	// Version ≥ 1. It is an encoder-side choice: any v1 decoder reads
-	// any quant mode, so the two ends of a connection may differ.
+	// Quant is the lossy tier applied to eligible float vectors. It is
+	// an encoder-side choice: any v1 decoder reads any quant mode, so
+	// the two ends of a connection may differ.
 	Quant codec.QuantMode
-	// Compress enables DEFLATE against the protocol preset dictionary
-	// when Version ≥ 1 (also encoder-side, and applied only when it
-	// shrinks the frame).
-	Compress bool
-}
-
-// codecOptions projects the encoder-side tiers for package codec.
-func (w WireOpts) codecOptions() codec.Options {
-	return codec.Options{Quant: w.Quant, Compress: w.Compress}
 }
 
 // Size returns the byte count communication accounting bills for one
-// message under these options: the exact encoded frame length for
-// version ≥ 1, the transport-independent PayloadSize estimate for v0
-// (keeping v0 accounting identical to the pre-codec releases).
+// message under these options: the exact encoded frame length.
 func (w WireOpts) Size(m Message) int64 {
-	if w.Version < codec.Version1 {
-		return m.PayloadSize()
-	}
-	return int64(codec.EncodedSize(m, w.codecOptions()))
+	return int64(codec.EncodedSize(m, w.Quant))
 }
 
 // String renders the options in the -wire flag syntax.
 func (w WireOpts) String() string {
-	if w.Version < codec.Version1 {
-		return "gob"
-	}
-	s := "v1"
 	switch w.Quant {
 	case codec.QuantInt8:
-		s += "+q8"
+		return "v1+q8"
 	case codec.QuantFloat16:
-		s += "+q16"
+		return "v1+q16"
+	default:
+		return "v1"
 	}
-	if w.Compress {
-		s += "+z"
-	}
-	return s
 }
 
-// ParseWireOpts parses the -wire flag syntax: "gob" (or "v0") for the
-// legacy path, else "v1" optionally followed by "+"-separated payload
-// tiers — "q8" (int8 quantization), "q16" (float16 quantization), "z"
-// (dictionary DEFLATE). Examples: "gob", "v1", "v1+z", "v1+q8+z".
+// ParseWireOpts parses the -wire flag syntax: "v1" (lossless), "v1+q8"
+// (int8 quantization) or "v1+q16" (float16 quantization).
 func ParseWireOpts(s string) (WireOpts, error) {
-	parts := strings.Split(s, "+")
-	var w WireOpts
-	switch parts[0] {
-	case "gob", "v0":
-		if len(parts) > 1 {
-			return WireOpts{}, fmt.Errorf("fl: wire %q: v0 takes no payload tiers", s)
-		}
-		return WireOpts{}, nil
+	switch s {
 	case "v1":
-		w.Version = codec.Version1
-	default:
-		return WireOpts{}, fmt.Errorf("fl: wire %q: unknown version %q (want gob, v0 or v1)", s, parts[0])
+		return WireOpts{}, nil
+	case "v1+q8":
+		return WireOpts{Quant: codec.QuantInt8}, nil
+	case "v1+q16":
+		return WireOpts{Quant: codec.QuantFloat16}, nil
 	}
-	for _, p := range parts[1:] {
-		switch p {
-		case "q8":
-			w.Quant = codec.QuantInt8
-		case "q16":
-			w.Quant = codec.QuantFloat16
-		case "z":
-			w.Compress = true
-		default:
-			return WireOpts{}, fmt.Errorf("fl: wire %q: unknown tier %q (want q8, q16 or z)", s, p)
-		}
-	}
-	return w, nil
+	return WireOpts{}, fmt.Errorf("fl: wire %q: want v1, v1+q8 or v1+q16", s)
 }
 
 // WireTransport is implemented by transports that know which wire
 // format they speak. NewServer consults it so communication accounting
 // matches the bytes the transport actually ships; transports without
-// it are billed as v0 (PayloadSize estimates).
+// it are billed as lossless v1.
 type WireTransport interface {
 	Transport
 	// Wire reports the transport's configured wire options.

@@ -1,8 +1,12 @@
 package fl
 
 import (
+	"errors"
+	"io"
 	"math"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,13 +74,13 @@ func equalWireMessages(a, b Message) bool {
 	return reflect.DeepEqual(a.Strings, b.Strings) && reflect.DeepEqual(a.Ints, b.Ints)
 }
 
-// wireMatrixOpts enumerates the codec dimension of the matrix.
+// wireMatrixOpts enumerates the codec dimension of the matrix: every
+// tier the -wire flag accepts.
 func wireMatrixOpts() map[string]WireOpts {
 	return map[string]WireOpts{
-		"gob-v0":     {},
-		"binary-v1":  {Version: codec.Version1},
-		"v1+quant":   {Version: codec.Version1, Quant: codec.QuantInt8},
-		"v1+quant+z": {Version: codec.Version1, Quant: codec.QuantFloat16, Compress: true},
+		"v1":     {},
+		"v1+q8":  {Quant: codec.QuantInt8},
+		"v1+q16": {Quant: codec.QuantFloat16},
 	}
 }
 
@@ -162,12 +166,12 @@ func startWireTCP(t *testing.T, server, client WireOpts) *TCPTransport {
 	addrCh := make(chan string, 1)
 	resCh := make(chan listenResult, 1)
 	go func() {
-		tr, err := ListenTCPWire("127.0.0.1:0", 1, 5*time.Second, addrCh, server)
+		tr, err := ListenTCP("127.0.0.1:0", 1, 5*time.Second, addrCh, server)
 		resCh <- listenResult{tr, err}
 	}()
 	addr := <-addrCh
 	stop := make(chan struct{})
-	go func() { _ = ServeTCPWire(addr, mirrorClient{}, stop, client) }()
+	go func() { _ = ServeTCP(addr, mirrorClient{}, stop, client) }()
 	res := <-resCh
 	if res.err != nil {
 		close(stop)
@@ -182,7 +186,7 @@ func startWireTCP(t *testing.T, server, client WireOpts) *TCPTransport {
 }
 
 // TestWireMatrixEquivalence drives every fixture through
-// {inproc, TCP} × {gob-v0, binary-v1, binary-v1+quant} and asserts the
+// {inproc, TCP} × {v1, v1+q8, v1+q16} and asserts the
 // same canonical result in every cell — the PR 4 nil-vs-empty parity
 // guarantee extended across wire formats.
 func TestWireMatrixEquivalence(t *testing.T) {
@@ -227,51 +231,116 @@ func TestWireMatrixCrossTransportAgreement(t *testing.T) {
 	}
 }
 
-// TestWireMixedVersions proves the negotiation fallback: any pairing
-// of v0 and v1 endpoints settles on the highest common version and
-// completes calls correctly.
-func TestWireMixedVersions(t *testing.T) {
-	v0 := WireOpts{}
-	v1 := WireOpts{Version: codec.Version1}
-	v1q := WireOpts{Version: codec.Version1, Quant: codec.QuantInt8, Compress: true}
-	cases := []struct {
-		name           string
-		server, client WireOpts
-	}{
-		{"v1-server/v0-client", v1, v0},
-		{"v0-server/v1-client", v0, v1},
-		{"v1q-server/v1-client", v1q, v1},
-		{"v1-server/v1q-client", v1, v1q},
-		{"v0-server/v0-client", v0, v0},
-	}
+// foreignFrame is a lossless codec frame of m whose version byte is
+// replaced by vers — what a peer speaking some other format sends.
+func foreignFrame(m Message, vers byte) []byte {
+	frame := codec.Encode(m, codec.QuantNone)
+	frame[0] = vers
+	return frame
+}
+
+// TestWireForeignPeer: a raw TCP peer whose frames carry a version byte
+// other than codec.Version1 (0x00, the byte a pre-codec peer leads
+// with, and 0x02, a future format) is rejected by the frame's own
+// version byte in both directions. As a client it makes the server's
+// call fail with ErrClientDead, and the next call fails fast; as a
+// server it makes ServeTCP return an error wrapping codec.ErrMalformed
+// and close the connection. Nothing panics.
+func TestWireForeignPeer(t *testing.T) {
 	fixture := wireFixtures()[1]
-	want := fixture
-	want.Normalize()
-	for _, c := range cases {
-		tr := startWireTCP(t, c.server, c.client)
-		got, err := tr.Call(0, fixture)
+	for _, vers := range []byte{0x00, 0x02} {
+		// Foreign client: answers the server's request with a frame of
+		// the wrong version.
+		type listenResult struct {
+			tr  *TCPTransport
+			err error
+		}
+		addrCh := make(chan string, 1)
+		resCh := make(chan listenResult, 1)
+		go func() {
+			tr, err := ListenTCP("127.0.0.1:0", 1, 5*time.Second, addrCh, WireOpts{})
+			resCh <- listenResult{tr, err}
+		}()
+		raw, err := net.Dial("tcp", <-addrCh)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatal(err)
 		}
-		// Every pairing here is lossless for this fixture (its only
-		// vector is below the quantization floor).
-		if !equalWireMessages(want, got) {
-			t.Errorf("%s: response diverged\nwant %#v\ngot  %#v", c.name, want, got)
+		res := <-resCh
+		if res.err != nil {
+			t.Fatal(res.err)
 		}
+		// Bounds the calls should the frame be accepted: the raw peer
+		// answers only once.
+		res.tr.SetCallTimeout(2 * time.Second)
+		peerErr := make(chan error, 1)
+		go func() {
+			if _, err := readFrame(raw); err != nil {
+				peerErr <- err
+				return
+			}
+			peerErr <- writeFrame(raw, append(append(newFrame(), statusOK), foreignFrame(fixture, vers)...))
+		}()
+		if _, err := res.tr.Call(0, fixture); !errors.Is(err, ErrClientDead) {
+			t.Errorf("version 0x%02x client: call err = %v, want ErrClientDead", vers, err)
+		}
+		if err := <-peerErr; err != nil {
+			t.Fatalf("version 0x%02x client: raw peer: %v", vers, err)
+		}
+		start := time.Now()
+		if _, err := res.tr.Call(0, fixture); !errors.Is(err, ErrClientDead) {
+			t.Errorf("version 0x%02x client: second call err = %v, want ErrClientDead", vers, err)
+		}
+		if since := time.Since(start); since > 50*time.Millisecond {
+			t.Errorf("version 0x%02x client: dead connection still waited %v", vers, since)
+		}
+		//lint:allow errdrop test teardown
+		res.tr.Close()
+		//lint:allow errdrop test teardown
+		raw.Close()
+
+		// Foreign server: sends a request frame of the wrong version.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- ServeTCP(ln.Addr().String(), mirrorClient{}, nil, WireOpts{}) }()
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, append(newFrame(), foreignFrame(fixture, vers)...)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-serveErr:
+			if !errors.Is(err, codec.ErrMalformed) {
+				t.Errorf("version 0x%02x server: serve err = %v, want codec.ErrMalformed", vers, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("version 0x%02x server: ServeTCP did not reject the frame", vers)
+		}
+		// The client hung up instead of replying.
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readFrame(conn); !errors.Is(err, io.EOF) {
+			t.Errorf("version 0x%02x server: read after rejection = %v, want EOF", vers, err)
+		}
+		//lint:allow errdrop test teardown
+		conn.Close()
+		//lint:allow errdrop test teardown
+		ln.Close()
 	}
 }
 
-// TestParseWireOpts covers the -wire flag syntax round trip.
+// TestParseWireOpts covers the -wire flag syntax round trip, and the
+// rejection of retired formats and conflicting or repeated tiers.
 func TestParseWireOpts(t *testing.T) {
 	good := map[string]WireOpts{
-		"gob":      {},
-		"v0":       {},
-		"v1":       {Version: 1},
-		"v1+q8":    {Version: 1, Quant: codec.QuantInt8},
-		"v1+q16":   {Version: 1, Quant: codec.QuantFloat16},
-		"v1+z":     {Version: 1, Compress: true},
-		"v1+q8+z":  {Version: 1, Quant: codec.QuantInt8, Compress: true},
-		"v1+q16+z": {Version: 1, Quant: codec.QuantFloat16, Compress: true},
+		"v1":     {},
+		"v1+q8":  {Quant: codec.QuantInt8},
+		"v1+q16": {Quant: codec.QuantFloat16},
 	}
 	for s, want := range good {
 		got, err := ParseWireOpts(s)
@@ -282,56 +351,66 @@ func TestParseWireOpts(t *testing.T) {
 		if got != want {
 			t.Errorf("ParseWireOpts(%q) = %+v, want %+v", s, got, want)
 		}
-		// String renders canonically ("gob" and "v0" both print "gob").
-		canon := s
-		if s == "v0" {
-			canon = "gob"
-		}
-		if got.String() != canon {
+		if got.String() != s {
 			t.Errorf("ParseWireOpts(%q).String() = %q", s, got.String())
 		}
 	}
-	for _, s := range []string{"", "v2", "v1+q7", "gob+z", "v1+", "q8"} {
-		if _, err := ParseWireOpts(s); err == nil {
+	for _, s := range []string{"", "v2", "v1+q7", "v1+", "q8",
+		"gob", "v0", "v1+z", "v1+q8+z", "v1+q8+q16", "v1+q8+q8"} {
+		_, err := ParseWireOpts(s)
+		if err == nil {
 			t.Errorf("ParseWireOpts(%q) accepted invalid input", s)
+			continue
+		}
+		if !strings.Contains(err.Error(), "v1, v1+q8 or v1+q16") {
+			t.Errorf("ParseWireOpts(%q) error %q does not name the accepted forms", s, err)
 		}
 	}
 }
 
-// TestWireAccounting: a server on a v1 transport bills the exact
-// encoded frame bytes; on v0 (or any Wire-less transport) it keeps the
-// PayloadSize estimate — so pre-codec accounting is untouched.
+// hiddenWire wraps a transport without forwarding Wire(), so the
+// server cannot learn its wire format.
+type hiddenWire struct{ Transport }
+
+// TestWireAccounting: a server bills the exact encoded frame bytes of
+// its transport's tier, and a transport that does not report its tier
+// is billed as lossless v1.
 func TestWireAccounting(t *testing.T) {
-	req := wireFixtures()[1]
+	req := wireFixtures()[2]
 	for name, w := range wireMatrixOpts() {
 		srv := NewServer(NewInProcWire([]Client{mirrorClient{}, mirrorClient{}}, w))
 		resps, err := srv.Broadcast(req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		wantDown := 2 * w.Size(req)
+		wantDown := 2 * int64(codec.EncodedSize(req, w.Quant))
 		var wantUp int64
 		for _, r := range resps {
-			wantUp += w.Size(r)
-		}
-		if w.Version >= codec.Version1 {
-			if exact := int64(codec.EncodedSize(req, codec.Options{Quant: w.Quant, Compress: w.Compress})); w.Size(req) != exact {
-				t.Errorf("%s: Size != EncodedSize (%d != %d)", name, w.Size(req), exact)
-			}
-		} else if w.Size(req) != req.PayloadSize() {
-			t.Errorf("%s: v0 Size != PayloadSize", name)
+			wantUp += int64(codec.EncodedSize(r, w.Quant))
 		}
 		st := srv.Stats()
 		if st.BytesDown != wantDown || st.BytesUp != wantUp {
 			t.Errorf("%s: stats down/up = %d/%d, want %d/%d", name, st.BytesDown, st.BytesUp, wantDown, wantUp)
 		}
 	}
+	q8 := NewInProcWire([]Client{mirrorClient{}}, WireOpts{Quant: codec.QuantInt8})
+	srv := NewServer(hiddenWire{q8})
+	if _, err := srv.Call(0, req); err != nil {
+		t.Fatal(err)
+	}
+	lossless, quant := int64(codec.EncodedSize(req, codec.QuantNone)), int64(codec.EncodedSize(req, codec.QuantInt8))
+	if lossless == quant {
+		t.Fatalf("fixture does not tell the tiers apart (%d bytes each)", lossless)
+	}
+	if st := srv.Stats(); st.BytesDown != lossless {
+		t.Errorf("wire-less transport BytesDown = %d, want lossless %d", st.BytesDown, lossless)
+	}
 }
 
 // TestChaosWireDelegation: wrapping a wire-aware transport in chaos
 // keeps the server's byte accounting identical.
 func TestChaosWireDelegation(t *testing.T) {
-	w := WireOpts{Version: codec.Version1, Compress: true}
+	w := WireOpts{Quant: codec.QuantFloat16}
 	inner := NewInProcWire([]Client{mirrorClient{}}, w)
 	chaos := NewChaos(inner, 1)
 	if got := chaos.Wire(); got != w {
@@ -345,9 +424,9 @@ func TestChaosWireDelegation(t *testing.T) {
 	if st := srv.Stats(); st.BytesDown != w.Size(req) {
 		t.Errorf("chaos-wrapped BytesDown = %d, want %d", st.BytesDown, w.Size(req))
 	}
-	// An inner transport with default (v0) wire degrades to v0
-	// accounting through the chaos wrapper too.
-	if got := NewChaos(NewInProc([]Client{mirrorClient{}}), 1).Wire(); got != (WireOpts{}) {
-		t.Errorf("v0 inner reported %+v", got)
+	// An inner transport that does not report its format reads as
+	// lossless v1 through the chaos wrapper too.
+	if got := NewChaos(hiddenWire{inner}, 1).Wire(); got != (WireOpts{}) {
+		t.Errorf("wire-less inner reported %+v", got)
 	}
 }

@@ -308,8 +308,6 @@ func DefaultConfig(modulePath string) Config {
 			// Bayesian optimization: propose/observe run every round, with
 			// a 256-candidate EI scan per search space inside.
 			"(*" + modulePath + "/internal/bayesopt.Optimizer).ProposeBatch": true,
-			"(*" + modulePath + "/internal/bayesopt.Optimizer).Propose":      true,
-			"(*" + modulePath + "/internal/bayesopt.Optimizer).Observe":      true,
 			"(*" + modulePath + "/internal/bayesopt.Optimizer).ObserveAll":   true,
 			// Dense linear-algebra and N-BEATS inner kernels.
 			"(*" + modulePath + "/internal/linalg.Matrix).Mul":     true,

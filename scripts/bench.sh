@@ -4,14 +4,14 @@
 #
 # BenchmarkEngineRounds runs a full seeded engine run at batch sizes
 # 1/4/8 and reports, per q: wall-clock ns/op, evaluation rounds,
-# total federated rounds, and estimated payload bytes both ways
+# total federated rounds, and exact lossless v1 payload bytes both ways
 # (Server.Stats). BenchmarkEngineWire repeats the q=8 workload across
-# wire formats (gob baseline, lossless binary v1 ± flate, quantized
-# tiers), so the bytes_down/bytes_up reduction of the v1 codec is
-# tracked per commit. BenchmarkRecorderOverhead runs the same workload
-# at q=4 with telemetry off (nil recorder), with the Prometheus
-# aggregator attached, and with a metrics+JSONL fan-out, so the
-# telemetry tax stays visible next to the protocol numbers.
+# the wire tiers (v1, v1+q8, v1+q16), so the bytes_down/bytes_up
+# reduction of the quantized tiers is tracked per commit.
+# BenchmarkRecorderOverhead runs the same workload at q=4 with
+# telemetry off (nil recorder), with the Prometheus aggregator
+# attached, and with a metrics+JSONL fan-out, so the telemetry tax
+# stays visible next to the protocol numbers.
 # BenchmarkPipelineDAG prices the graph executor's steady-state
 # candidate evaluation (the ClientNode hot path) for the degenerate
 # chain, a fully branched template graph, and the chain under 3-fold
@@ -27,6 +27,10 @@
 # bytes_per_op and allocs_per_op — the numbers the perflint retrofit
 # (hotalloc/bigcopy/prealloc/deferloop/iboxing) is accounted against.
 #
+# Every benchmark runs -count 5 times and each JSON field is the median
+# of its five samples, so one slow or lucky sample neither sets the
+# baseline nor trips the gate.
+#
 # The JSON is one object with six lists:
 #   {"engine_rounds": [...one object per q...],
 #    "wire_formats": [...one object per wire format, all at q=8...],
@@ -37,18 +41,19 @@
 #
 # Usage:
 #   scripts/bench.sh               # writes BENCH_engine.json in the repo root
-#   BENCHTIME=5x scripts/bench.sh  # more samples per benchmark
+#   BENCHTIME=5x scripts/bench.sh  # more iterations per sample
 #   scripts/bench.sh -gate         # regression gate: measure into a temp
 #                                  # file and fail (exit 1, offending rows
-#                                  # printed) when any section's ns_per_op
-#                                  # or allocs_per_op regressed >15% vs the
-#                                  # committed BENCH_engine.json
+#                                  # printed) when any section's median
+#                                  # ns_per_op or allocs_per_op regressed
+#                                  # >15% vs the committed BENCH_engine.json
 #   NS_TOL=0 scripts/bench.sh -gate    # gate allocs only (CI: wall-clock
 #   ALLOC_TOL=0.15                     # is too noisy on shared runners)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-1x}"
+count=5
 out="BENCH_engine.json"
 gate=0
 if [[ "${1:-}" == "-gate" ]]; then
@@ -57,120 +62,82 @@ if [[ "${1:-}" == "-gate" ]]; then
     trap 'rm -f "$out"' EXIT
 fi
 
-echo "==> go test -bench='EngineRounds|EngineWire|RecorderOverhead' -benchmem -benchtime=$benchtime ./internal/core/"
-raw="$(go test -bench='EngineRounds|EngineWire|RecorderOverhead' -benchmem -benchtime="$benchtime" -run '^$' ./internal/core/)"
+echo "==> go test -bench='EngineRounds|EngineWire|RecorderOverhead' -benchmem -benchtime=$benchtime -count $count ./internal/core/"
+raw="$(go test -bench='EngineRounds|EngineWire|RecorderOverhead' -benchmem -benchtime="$benchtime" -count "$count" -run '^$' ./internal/core/)"
 echo "$raw"
 
-echo "==> go test -bench=PipelineDAG -benchmem -benchtime=$benchtime ./internal/pipeline/"
-rawdag="$(go test -bench='PipelineDAG' -benchmem -benchtime="$benchtime" -run '^$' ./internal/pipeline/)"
+echo "==> go test -bench=PipelineDAG -benchmem -benchtime=$benchtime -count $count ./internal/pipeline/"
+rawdag="$(go test -bench='PipelineDAG' -benchmem -benchtime="$benchtime" -count "$count" -run '^$' ./internal/pipeline/)"
 echo "$rawdag"
 
-echo "==> go test -bench=TreeFits -benchmem -benchtime=$benchtime ./internal/ensemble/"
-rawtree="$(go test -bench='TreeFits' -benchmem -benchtime="$benchtime" -run '^$' ./internal/ensemble/)"
+echo "==> go test -bench=TreeFits -benchmem -benchtime=$benchtime -count $count ./internal/ensemble/"
+rawtree="$(go test -bench='TreeFits' -benchmem -benchtime="$benchtime" -count "$count" -run '^$' ./internal/ensemble/)"
 echo "$rawtree"
 
-echo "==> go test -bench=LinmodelFits -benchmem -benchtime=$benchtime ./internal/linmodel/"
-rawlin="$(go test -bench='LinmodelFits' -benchmem -benchtime="$benchtime" -run '^$' ./internal/linmodel/)"
+echo "==> go test -bench=LinmodelFits -benchmem -benchtime=$benchtime -count $count ./internal/linmodel/"
+rawlin="$(go test -bench='LinmodelFits' -benchmem -benchtime="$benchtime" -count "$count" -run '^$' ./internal/linmodel/)"
 echo "$rawlin"
 
 printf '%s\n%s\n%s\n%s\n' "$raw" "$rawdag" "$rawtree" "$rawlin" | awk '
-BEGIN { nr = 0; nw = 0; no = 0; nd = 0; nt = 0; nl = 0 }
-/^BenchmarkEngineRounds\// {
-    split($1, parts, "=")
-    sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
-    q = parts[2]
-    nsop = ""; evalrounds = ""; rounds = ""; bytesdown = ""; bytesup = ""; bop = ""; aop = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op")      nsop = $i
-        if ($(i+1) == "evalrounds") evalrounds = $i
-        if ($(i+1) == "rounds")     rounds = $i
-        if ($(i+1) == "bytesdown")  bytesdown = $i
-        if ($(i+1) == "bytesup")    bytesup = $i
-        if ($(i+1) == "B/op")       bop = $i
-        if ($(i+1) == "allocs/op")  aop = $i
-    }
-    rows[nr++] = sprintf("    {\"q\": %s, \"ns_per_op\": %s, \"eval_rounds\": %s, \"rounds\": %s, \"bytes_down\": %s, \"bytes_up\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-        q, nsop, evalrounds, rounds, bytesdown, bytesup, bop, aop)
+# Every benchmark line is one sample of one row. A row is keyed by its
+# identifying JSON ("q": 4, "wire": "v1+q8", ...); its fields are the
+# Go benchmark units named in unit[], and each is written as the median
+# of that field over the samples of the row.
+BEGIN {
+    unit["ns_per_op"] = "ns/op"; unit["eval_rounds"] = "evalrounds"
+    unit["rounds"] = "rounds"; unit["bytes_down"] = "bytesdown"
+    unit["bytes_up"] = "bytesup"; unit["folds"] = "folds"
+    unit["bytes_per_op"] = "B/op"; unit["allocs_per_op"] = "allocs/op"
+    engine = "ns_per_op eval_rounds rounds bytes_down bytes_up bytes_per_op allocs_per_op"
+    fit = "ns_per_op bytes_per_op allocs_per_op"
+    fields["engine_rounds"] = engine; fields["wire_formats"] = engine
+    fields["recorder_overhead"] = fit; fields["tree_fits"] = fit; fields["linmodel_fits"] = fit
+    fields["pipeline_dag"] = "ns_per_op folds bytes_per_op allocs_per_op"
+    nsec = split("engine_rounds wire_formats recorder_overhead pipeline_dag tree_fits linmodel_fits", secs, " ")
 }
-/^BenchmarkEngineWire\// {
-    split($1, parts, "=")
-    sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
-    wire = parts[2]
-    nsop = ""; evalrounds = ""; rounds = ""; bytesdown = ""; bytesup = ""; bop = ""; aop = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op")      nsop = $i
-        if ($(i+1) == "evalrounds") evalrounds = $i
-        if ($(i+1) == "rounds")     rounds = $i
-        if ($(i+1) == "bytesdown")  bytesdown = $i
-        if ($(i+1) == "bytesup")    bytesup = $i
-        if ($(i+1) == "B/op")       bop = $i
-        if ($(i+1) == "allocs/op")  aop = $i
-    }
-    wrows[nw++] = sprintf("    {\"q\": 8, \"wire\": \"%s\", \"ns_per_op\": %s, \"eval_rounds\": %s, \"rounds\": %s, \"bytes_down\": %s, \"bytes_up\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-        wire, nsop, evalrounds, rounds, bytesdown, bytesup, bop, aop)
+# name returns the sub-benchmark name after sep, without the
+# -GOMAXPROCS suffix.
+function name(sep,   parts) {
+    split($1, parts, sep)
+    sub(/-[0-9]+$/, "", parts[2])
+    return parts[2]
 }
-/^BenchmarkRecorderOverhead\// {
-    split($1, parts, "/")
-    sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
-    mode = parts[2]
-    nsop = ""; bop = ""; aop = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op")     nsop = $i
-        if ($(i+1) == "B/op")      bop = $i
-        if ($(i+1) == "allocs/op") aop = $i
-    }
-    orows[no++] = sprintf("    {\"recorder\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", mode, nsop, bop, aop)
+# sample records the current line as one sample of row head in sec.
+function sample(sec, head,   key, s, i) {
+    key = sec SUBSEP head
+    if (!(key in nsamp)) rows[sec, nrows[sec]++] = head
+    s = nsamp[key]++
+    for (i = 2; i < NF; i++) val[key, $(i+1), s] = $i
 }
-/^BenchmarkPipelineDAG\// {
-    split($1, parts, "=")
-    sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
-    graph = parts[2]
-    nsop = ""; folds = ""; bop = ""; aop = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op")     nsop = $i
-        if ($(i+1) == "folds")     folds = $i
-        if ($(i+1) == "B/op")      bop = $i
-        if ($(i+1) == "allocs/op") aop = $i
-    }
-    drows[nd++] = sprintf("    {\"graph\": \"%s\", \"ns_per_op\": %s, \"folds\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-        graph, nsop, folds, bop, aop)
+/^BenchmarkEngineRounds\// { sample("engine_rounds", "\"q\": " name("=")) }
+/^BenchmarkEngineWire\// { sample("wire_formats", "\"q\": 8, \"wire\": \"" name("=") "\"") }
+/^BenchmarkRecorderOverhead\// { sample("recorder_overhead", "\"recorder\": \"" name("/") "\"") }
+/^BenchmarkPipelineDAG\// { sample("pipeline_dag", "\"graph\": \"" name("=") "\"") }
+/^BenchmarkTreeFits\// { sample("tree_fits", "\"shape\": \"" name("=") "\"") }
+/^BenchmarkLinmodelFits\// { sample("linmodel_fits", "\"shape\": \"" name("=") "\"") }
+# median returns the middle sample of one field (the lower middle for
+# an even count), as the benchmark printed it.
+function median(key, u,   n, v, i, j, t) {
+    n = nsamp[key]
+    for (i = 0; i < n; i++) v[i] = val[key, u, i]
+    for (i = 1; i < n; i++)
+        for (j = i; j > 0 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+    return v[int((n - 1) / 2)]
 }
-# fitrow formats one BenchmarkTreeFits/BenchmarkLinmodelFits line,
-# keyed by the shape after "shape=".
-function fitrow(   parts, shape, nsop, bop, aop, i) {
-    split($1, parts, "=")
-    sub(/-[0-9]+$/, "", parts[2])   # strip the -GOMAXPROCS suffix
-    shape = parts[2]
-    nsop = ""; bop = ""; aop = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op")     nsop = $i
-        if ($(i+1) == "B/op")      bop = $i
-        if ($(i+1) == "allocs/op") aop = $i
-    }
-    return sprintf("    {\"shape\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", shape, nsop, bop, aop)
-}
-/^BenchmarkTreeFits\// { trows[nt++] = fitrow() }
-/^BenchmarkLinmodelFits\// { lrows[nl++] = fitrow() }
 END {
     print "{"
-    print "  \"engine_rounds\": ["
-    for (i = 0; i < nr; i++) printf "%s%s\n", rows[i], (i < nr-1 ? "," : "")
-    print "  ],"
-    print "  \"wire_formats\": ["
-    for (i = 0; i < nw; i++) printf "%s%s\n", wrows[i], (i < nw-1 ? "," : "")
-    print "  ],"
-    print "  \"recorder_overhead\": ["
-    for (i = 0; i < no; i++) printf "%s%s\n", orows[i], (i < no-1 ? "," : "")
-    print "  ],"
-    print "  \"pipeline_dag\": ["
-    for (i = 0; i < nd; i++) printf "%s%s\n", drows[i], (i < nd-1 ? "," : "")
-    print "  ],"
-    print "  \"tree_fits\": ["
-    for (i = 0; i < nt; i++) printf "%s%s\n", trows[i], (i < nt-1 ? "," : "")
-    print "  ],"
-    print "  \"linmodel_fits\": ["
-    for (i = 0; i < nl; i++) printf "%s%s\n", lrows[i], (i < nl-1 ? "," : "")
-    print "  ]"
+    for (si = 1; si <= nsec; si++) {
+        sec = secs[si]
+        printf "  \"%s\": [\n", sec
+        nf = split(fields[sec], names, " ")
+        for (r = 0; r < nrows[sec]; r++) {
+            head = rows[sec, r]
+            line = "    {" head
+            for (f = 1; f <= nf; f++) line = line ", \"" names[f] "\": " median(sec SUBSEP head, unit[names[f]])
+            printf "%s}%s\n", line, (r < nrows[sec] - 1 ? "," : "")
+        }
+        printf "  ]%s\n", (si < nsec ? "," : "")
+    }
     print "}"
 }
 ' > "$out"
