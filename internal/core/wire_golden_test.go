@@ -30,41 +30,43 @@ func wireRun(t testing.TB, batch int, wire string) *Result {
 // losslessGolden pins lossless v1 runs of the golden configuration at
 // q=4 and q=8: each history entry as "<config>|<Float64bits of the
 // global valid loss>", then the best valid loss and test MSE bits.
-// They were recorded over the gob framing that lossless v1 replaced,
-// so they also pin v1 to the results the gob-era engine produced; q=1
-// is pinned by goldenHistory.
+// The configs were recorded over the gob framing that lossless v1
+// replaced; the Lasso loss bits were re-pinned once when coordinate
+// descent moved to Gram form. q=1 is pinned by goldenHistory.
 var losslessGolden = map[int]struct {
 	history           []string
 	bestLoss, testMSE string
 }{
 	4: {[]string{
-		"Lasso alpha=0.259576 selection=random|3fd8b8b2f0fc74a3",
+		"Lasso alpha=0.259576 selection=random|3fd8b8b2f0fc743d",
 		"HuberRegressor alpha=0.606531 epsilon=1.35|3fe773046c9c338d",
 		"Lasso alpha=8.31738 selection=cyclic|4040caa831df24e2",
-		"Lasso alpha=0.00701849 selection=cyclic|3fcf87edb54d5241",
+		"Lasso alpha=0.00701849 selection=cyclic|3fcf87edb54d5197",
 		"HuberRegressor alpha=0.0613922 epsilon=1.0|3fd6514e9365bef4",
-		"Lasso alpha=0.0119635 selection=random|3fcfa054a2ec0321",
-		"Lasso alpha=0.110847 selection=random|3fd2ca1641f33ef5",
-		"Lasso alpha=0.547605 selection=random|3fe54080ae17f989",
-	}, "3fcf87edb54d5241", "3fce9594df34ef41"},
+		"Lasso alpha=0.0119635 selection=random|3fcfa054a2ec0203",
+		"Lasso alpha=0.110847 selection=random|3fd2ca1641f33f0a",
+		"Lasso alpha=0.547605 selection=random|3fe54080ae17f96d",
+	}, "3fcf87edb54d5197", "3fce9594df34eeca"},
 	8: {[]string{
-		"Lasso alpha=0.259576 selection=random|3fd8b8b2f0fc74a3",
+		"Lasso alpha=0.259576 selection=random|3fd8b8b2f0fc743d",
 		"HuberRegressor alpha=0.606531 epsilon=1.35|3fe773046c9c338d",
 		"Lasso alpha=8.31738 selection=cyclic|4040caa831df24e2",
-		"Lasso alpha=0.00701849 selection=cyclic|3fcf87edb54d5241",
+		"Lasso alpha=0.00701849 selection=cyclic|3fcf87edb54d5197",
 		"HuberRegressor alpha=0.0613922 epsilon=1.0|3fd6514e9365bef4",
 		"HuberRegressor alpha=7.15466 epsilon=1.5|4025686350e1bc5f",
 		"HuberRegressor alpha=4.68333 epsilon=1.0|401d471f32b60417",
 		"HuberRegressor alpha=0.0957617 epsilon=1.5|3fd6cfe8187797d2",
-	}, "3fcf87edb54d5241", "3fce9594df34ef41"},
+	}, "3fcf87edb54d5197", "3fce9594df34eeca"},
 }
 
 // losslessComms pins the exact lossless v1 frame bytes of the golden
-// configuration per batch size.
+// configuration per batch size. A lossless varfloat's length depends
+// on the loss's low mantissa bits, so BytesUp follows the loss bits
+// (the Gram-form re-pin moved it by +7, +4 and +1 B).
 var losslessComms = map[int]fl.Stats{
-	1: {Rounds: 13, Calls: 52, BytesDown: 2116, BytesUp: 3002},
-	4: {Rounds: 7, Calls: 28, BytesDown: 1608, BytesUp: 2594},
-	8: {Rounds: 6, Calls: 24, BytesDown: 1528, BytesUp: 2526},
+	1: {Rounds: 13, Calls: 52, BytesDown: 2116, BytesUp: 3009},
+	4: {Rounds: 7, Calls: 28, BytesDown: 1608, BytesUp: 2598},
+	8: {Rounds: 6, Calls: 24, BytesDown: 1528, BytesUp: 2527},
 }
 
 // TestWireLosslessGoldenIdentity pins the lossless tier's contract at
@@ -147,7 +149,7 @@ func TestWireQuantizedTolerance(t *testing.T) {
 // TestWireQuantCommsReduction: at BatchSize 8 the int8 tier ships
 // strictly fewer bytes than lossless v1 in each direction over the
 // identical round structure. The bounds sit just above the measured
-// ratios (1528→1076 bytes down, 0.70; 2526→920 up, 0.36): the requests
+// ratios (1528→1076 bytes down, 0.70; 2527→918 up, 0.36): the requests
 // are mostly interned strings the quantizer cannot shrink, while the
 // responses are mostly the loss vectors it does.
 func TestWireQuantCommsReduction(t *testing.T) {

@@ -52,11 +52,12 @@ func fitDigest(coef []float64, scalars ...float64) string {
 }
 
 // TestGoldenLinmodelDigests pins the coordinate-descent and Huber IRLS
-// fits bit for bit. The digests were recorded from the row-major
-// implementations that predate the column-major design and the
-// allocation-free IRLS loop; any change to the standardization, the
-// update order, the rng draws, the summation order or the median shows
-// up here.
+// fits bit for bit. The coordinate-descent digests were recorded from
+// the Gram-form solver; the residual-form solver they replaced lives on
+// in lasso_ref_test.go and still reproduces its own pins there. The
+// Huber digests predate the allocation-free IRLS loop. Any change to
+// the standardization, the update order, the rng draws, the summation
+// order or the median shows up here.
 func TestGoldenLinmodelDigests(t *testing.T) {
 	x, y := goldenData(180, 7, 0, 51)
 	xs, ys := goldenData(10, 5, 0, 52) // n < folds·4: ElasticNetCV drops to 2 folds
@@ -99,25 +100,25 @@ func TestGoldenLinmodelDigests(t *testing.T) {
 		got        func() string
 	}{
 		{"lasso/cyclic",
-			"4a4c07fa7b03da855511d20e338f992ad42eb96674a533b9f9677935ac258d31",
+			"0a8b4b7593b98730e00005cef6f01975cb6f092d4fd7da48e8551eef8963330a",
 			func() string { return lasso(0.02, SelectionCyclic, 0) }},
 		{"lasso/random",
-			"07e073b3b3713280ac23c47f111e0c78d7de82e10e7bfd9b90872d5ceddebf94",
+			"3265b9d736c4977d74a74d17a7de97883ab56eaf26f3ba95017e208f74a3c3e3",
 			func() string { return lasso(0.005, SelectionRandom, 17) }},
 		{"elasticnet/clamped-l1ratio",
-			"b5ba04aeee52a9a93509f1ef7b86f659ceceff1e3dba8cf2ac1732454e4da392",
+			"7db483c443a983e5c181f80e9c6523a19f3b7960447c1b9316e4af01d2ce0cc9",
 			func() string { return enet(0.03, 4.5, SelectionCyclic, 0) }},
 		{"elasticnet/random-mixed",
-			"84a57360774ae977b5f77e6bc4e99a42e1056857b51f100e3b1b990a24981db5",
+			"5fecbab725ad6a93b3a573cea318db17b0da385ff8e5dc186c794a9907cb4304",
 			func() string { return enet(0.01, 0.3, SelectionRandom, 23) }},
 		{"elasticnetcv/3-folds",
-			"61310977da24207384de31c47c85d291754e7d1f5341dbb67267f69d849fc804",
+			"76de86dd659f2cc42511b6dc3c63fdacb8b7e667206e542eb72a4fe601fbf632",
 			func() string { return enetCV(x, y, 0.7, SelectionCyclic, 0) }},
 		{"elasticnetcv/3-folds-random",
-			"036af1c42d7e51a666f484c00b3d43ef49ae3dfd8a356959bc05e56d782f16d3",
+			"c32f5c98a1433ec052cfc29602b2f71b6c5b301e308c4b418829bd8b94d519d1",
 			func() string { return enetCV(x, y, 0.4, SelectionRandom, 29) }},
 		{"elasticnetcv/2-folds",
-			"be939147196a97db1dbe5fe5a1680a88a4f20c740dc416ded482d00733f02537",
+			"da069f3a14599911236f741e90b6d0e5696cc197f6ac9ecf53970be57009ac78",
 			func() string { return enetCV(xs, ys, 0.5, SelectionRandom, 31) }},
 		{"huber/eps1-odd",
 			"e2b9125120fd1daea704f495992983fb4737254d8e507f36f77be71cffde9241",

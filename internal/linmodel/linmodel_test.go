@@ -346,6 +346,60 @@ func TestEmptyFitErrors(t *testing.T) {
 	}
 }
 
+// TestRaggedRowsError: every fit rejects a design whose rows differ in
+// length, whether a row is short (which used to bias the scaler's
+// means silently) or long (which used to panic with an index error),
+// and wherever the row sits — the last row lands in ElasticNetCV's
+// final validation block.
+func TestRaggedRowsError(t *testing.T) {
+	fits := []struct {
+		name string
+		fit  func(x [][]float64, y []float64) error
+	}{
+		{"Lasso", func(x [][]float64, y []float64) error { return NewLasso(0.1, SelectionCyclic).Fit(x, y) }},
+		{"ElasticNet", func(x [][]float64, y []float64) error { return NewElasticNet(0.1, 0.5, SelectionRandom).Fit(x, y) }},
+		{"ElasticNetCV", func(x [][]float64, y []float64) error { return NewElasticNetCV(0.5, SelectionCyclic).Fit(x, y) }},
+		{"Huber", func(x [][]float64, y []float64) error { return NewHuber(1.35, 0.001).Fit(x, y) }},
+		{"Quantile", func(x [][]float64, y []float64) error { return NewQuantile(0.5, 0.001).Fit(x, y) }},
+		{"LinearSVR", func(x [][]float64, y []float64) error { return NewLinearSVR(1, 0.1).Fit(x, y) }},
+		{"Ridge", func(x [][]float64, y []float64) error { return NewRidge(0.1).Fit(x, y) }},
+		{"Logistic", func(x [][]float64, y []float64) error {
+			labels := make([]string, len(y))
+			for i, v := range y {
+				labels[i] = "lo"
+				if v > 5 {
+					labels[i] = "hi"
+				}
+			}
+			return NewLogisticRegression(1).Fit(x, labels)
+		}},
+	}
+	for _, tc := range []struct {
+		name   string
+		row, p int
+	}{
+		{"short-middle", 7, 2},
+		{"long-middle", 7, 4},
+		{"short-last", 39, 2},
+		{"long-last", 39, 4},
+	} {
+		for _, f := range fits {
+			x, y := linearData(40, 0.1, 3)
+			x[tc.row] = append(x[tc.row][:0:0], make([]float64, tc.p)...)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s/%s: panicked: %v", tc.name, f.name, r)
+					}
+				}()
+				if err := f.fit(x, y); err == nil {
+					t.Errorf("%s/%s: ragged design accepted", tc.name, f.name)
+				}
+			}()
+		}
+	}
+}
+
 func TestPredictBeforeFitPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewLasso(0.1, SelectionCyclic).Predict([][]float64{{1}}) },
