@@ -94,7 +94,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 			}
 			bk := b.Row(k)
 			for j, bv := range bk {
-				oi[j] += mv * bv
+				oi[j] += float64(mv * bv)
 			}
 		}
 	}
@@ -135,7 +135,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -144,7 +144,7 @@ func Dot(a, b []float64) float64 {
 func Norm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -163,6 +163,6 @@ func AXPY(a float64, x, y []float64) {
 		panic(fmt.Sprintf("linalg: axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
 }
