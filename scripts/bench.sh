@@ -29,7 +29,10 @@
 #
 # Every benchmark runs -count 5 times and each JSON field is the median
 # of its five samples, so one slow or lucky sample neither sets the
-# baseline nor trips the gate.
+# baseline nor trips the gate. Next to each ns_per_op median the row
+# records ns_per_op_q1 and ns_per_op_q3, the second and fourth of the
+# five sorted samples: the gate lets a row's wall clock rise by its own
+# interquartile distance when that is wider than the tolerance.
 #
 # The JSON is one object with six lists:
 #   {"engine_rounds": [...one object per q...],
@@ -45,8 +48,10 @@
 #   scripts/bench.sh -gate         # regression gate: measure into a temp
 #                                  # file and fail (exit 1, offending rows
 #                                  # printed) when any section's median
-#                                  # ns_per_op or allocs_per_op regressed
-#                                  # >15% vs the committed BENCH_engine.json
+#                                  # ns_per_op regressed >15% and by more
+#                                  # than its baseline IQR, allocs_per_op
+#                                  # regressed >15%, or a committed row
+#                                  # was not measured
 #   NS_TOL=0 scripts/bench.sh -gate    # gate allocs only (CI: wall-clock
 #   ALLOC_TOL=0.15                     # is too noisy on shared runners)
 set -euo pipefail
@@ -81,18 +86,22 @@ echo "$rawlin"
 printf '%s\n%s\n%s\n%s\n' "$raw" "$rawdag" "$rawtree" "$rawlin" | awk '
 # Every benchmark line is one sample of one row. A row is keyed by its
 # identifying JSON ("q": 4, "wire": "v1+q8", ...); its fields are the
-# Go benchmark units named in unit[], and each is written as the median
-# of that field over the samples of the row.
+# Go benchmark units named in unit[], and each is written as the
+# quantile quant[] (the median unless set) of that field over the
+# samples of the row.
 BEGIN {
     unit["ns_per_op"] = "ns/op"; unit["eval_rounds"] = "evalrounds"
+    unit["ns_per_op_q1"] = "ns/op"; quant["ns_per_op_q1"] = 0.25
+    unit["ns_per_op_q3"] = "ns/op"; quant["ns_per_op_q3"] = 0.75
     unit["rounds"] = "rounds"; unit["bytes_down"] = "bytesdown"
     unit["bytes_up"] = "bytesup"; unit["folds"] = "folds"
     unit["bytes_per_op"] = "B/op"; unit["allocs_per_op"] = "allocs/op"
-    engine = "ns_per_op eval_rounds rounds bytes_down bytes_up bytes_per_op allocs_per_op"
-    fit = "ns_per_op bytes_per_op allocs_per_op"
+    ns = "ns_per_op ns_per_op_q1 ns_per_op_q3"
+    engine = ns " eval_rounds rounds bytes_down bytes_up bytes_per_op allocs_per_op"
+    fit = ns " bytes_per_op allocs_per_op"
     fields["engine_rounds"] = engine; fields["wire_formats"] = engine
     fields["recorder_overhead"] = fit; fields["tree_fits"] = fit; fields["linmodel_fits"] = fit
-    fields["pipeline_dag"] = "ns_per_op folds bytes_per_op allocs_per_op"
+    fields["pipeline_dag"] = ns " folds bytes_per_op allocs_per_op"
     nsec = split("engine_rounds wire_formats recorder_overhead pipeline_dag tree_fits linmodel_fits", secs, " ")
 }
 # name returns the sub-benchmark name after sep, without the
@@ -115,14 +124,16 @@ function sample(sec, head,   key, s, i) {
 /^BenchmarkPipelineDAG\// { sample("pipeline_dag", "\"graph\": \"" name("=") "\"") }
 /^BenchmarkTreeFits\// { sample("tree_fits", "\"shape\": \"" name("=") "\"") }
 /^BenchmarkLinmodelFits\// { sample("linmodel_fits", "\"shape\": \"" name("=") "\"") }
-# median returns the middle sample of one field (the lower middle for
-# an even count), as the benchmark printed it.
-function median(key, u,   n, v, i, j, t) {
+# pick returns the q-quantile sample of one field, as the benchmark
+# printed it: of the n sorted samples, the one at int(q·(n−1)), so the
+# median is the middle one (the lower middle for an even count) and, of
+# five, the quartiles are the second and the fourth.
+function pick(key, u, q,   n, v, i, j, t) {
     n = nsamp[key]
     for (i = 0; i < n; i++) v[i] = val[key, u, i]
     for (i = 1; i < n; i++)
         for (j = i; j > 0 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
-    return v[int((n - 1) / 2)]
+    return v[int(q * (n - 1))]
 }
 END {
     print "{"
@@ -133,7 +144,10 @@ END {
         for (r = 0; r < nrows[sec]; r++) {
             head = rows[sec, r]
             line = "    {" head
-            for (f = 1; f <= nf; f++) line = line ", \"" names[f] "\": " median(sec SUBSEP head, unit[names[f]])
+            for (f = 1; f <= nf; f++) {
+                q = (names[f] in quant) ? quant[names[f]] : 0.5
+                line = line ", \"" names[f] "\": " pick(sec SUBSEP head, unit[names[f]], q)
+            }
             printf "%s}%s\n", line, (r < nrows[sec] - 1 ? "," : "")
         }
         printf "  ]%s\n", (si < nsec ? "," : "")
