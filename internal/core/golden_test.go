@@ -13,13 +13,14 @@ import (
 // Round protocol v2 with BatchSize 1 must reproduce it byte-for-byte:
 // same GP draws, same candidate order, bit-identical losses. The
 // configs date from that loop; the Lasso loss bits were re-pinned
-// once when coordinate descent moved to Gram form, which changes the
-// rounding of Lasso fits and nothing else.
+// once when coordinate descent moved to Gram form, and the Huber loss
+// bits once when IRLS moved to a unit-weight base. Each changes the
+// rounding of its own fits and nothing else.
 var goldenHistory = []string{
 	"Lasso alpha=0.259576 selection=random|3fd8b8b2f0fc743d",
 	"HuberRegressor alpha=0.606531 epsilon=1.35|3fe773046c9c338d",
 	"Lasso alpha=8.31738 selection=cyclic|4040caa831df24e2",
-	"HuberRegressor alpha=0.0518098 epsilon=1.5|3fd573d97e6affb1",
+	"HuberRegressor alpha=0.0518098 epsilon=1.5|3fd573d97e6affc1",
 	"Lasso alpha=0.06989 selection=random|3fd15fbef576f82c",
 	"Lasso alpha=0.168782 selection=random|3fd4d7710bf80fa4",
 	"Lasso alpha=0.209617 selection=random|3fd684247c12e7c8",

@@ -108,6 +108,46 @@ func TestCholeskySolve(t *testing.T) {
 	}
 }
 
+// TestSolveSPDReusesStorage checks that SolveSPD into caller-owned
+// storage gives CholeskySolve's bits whatever l held before, and that
+// a solve that factors on the first attempt allocates nothing.
+func TestSolveSPDReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	n := 6
+	b := NewMatrix(n, n)
+	for i := range b.Data {
+		b.Data[i] = rng.NormFloat64()
+	}
+	a := b.T().Mul(b).AddScaledIdentity(0.5)
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	ref, err := Cholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CholeskySolve(ref, rhs)
+	l, x := NewMatrix(n, n), make([]float64, n)
+	for i := range l.Data {
+		l.Data[i] = math.NaN()
+	}
+	if err := SolveSPD(l, x, a, rhs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("x[%d] = %v, want %v", i, x[i], want[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = SolveSPD(l, x, a, rhs) }); allocs != 0 {
+		t.Errorf("SolveSPD allocated %v times per solve, want 0", allocs)
+	}
+	if err := SolveSPD(l, x[:n-1], a, rhs); err == nil {
+		t.Error("SolveSPD accepted a short x")
+	}
+}
+
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, -1}})
 	if _, err := Cholesky(a); err == nil {
@@ -222,8 +262,8 @@ func TestAXPYAndScale(t *testing.T) {
 func TestSolveSPDJitterRecovery(t *testing.T) {
 	// A barely-PSD matrix: rank deficient, SolveSPD should succeed via jitter.
 	a := FromRows([][]float64{{1, 1}, {1, 1}})
-	x, err := SolveSPD(a, []float64{2, 2})
-	if err != nil {
+	x := make([]float64, 2)
+	if err := SolveSPD(NewMatrix(2, 2), x, a, []float64{2, 2}); err != nil {
 		t.Fatalf("SolveSPD: %v", err)
 	}
 	// x should satisfy the system approximately: x0 + x1 ≈ 2.

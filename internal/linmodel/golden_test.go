@@ -55,7 +55,9 @@ func fitDigest(coef []float64, scalars ...float64) string {
 // fits bit for bit. The coordinate-descent digests were recorded from
 // the Gram-form solver; the residual-form solver they replaced lives on
 // in lasso_ref_test.go and still reproduces its own pins there. The
-// Huber digests predate the allocation-free IRLS loop. Any change to
+// Huber digests were recorded with the unit-weight base; the
+// full-rebuild loop it replaced lives on in huber_ref_test.go and
+// still reproduces the earlier Huber pins there. Any change to
 // the standardization, the update order, the rng draws, the summation
 // order or the median shows up here.
 func TestGoldenLinmodelDigests(t *testing.T) {
@@ -121,22 +123,22 @@ func TestGoldenLinmodelDigests(t *testing.T) {
 			"da069f3a14599911236f741e90b6d0e5696cc197f6ac9ecf53970be57009ac78",
 			func() string { return enetCV(xs, ys, 0.5, SelectionRandom, 31) }},
 		{"huber/eps1-odd",
-			"e2b9125120fd1daea704f495992983fb4737254d8e507f36f77be71cffde9241",
+			"1f02c74d90592e19ca2b2cb96f60fd18f22c1d569744a3682ea4c431ab386d51",
 			func() string { return huber(121, 1) }},
 		{"huber/eps1-even",
-			"4d0c3ce13fe62daa5d51c19bd87582d6d805c7dac38ab9125b9c41f38c439882",
+			"9a77861a9ec58a17eca3afa33eb84a5939ae1e85dd6f65d540fe3385df1ece1e",
 			func() string { return huber(120, 1) }},
 		{"huber/eps1.35-odd",
-			"45f9472648547b02309d1fbaee392f8326958885372b263707ed985f154d14ac",
+			"de883f8f5d68f89e3c03528c4a497becfd73b212dd0bf2b56b3116f53ef0d832",
 			func() string { return huber(97, 1.35) }},
 		{"huber/eps1.35-even",
-			"87c4f6e15da571d43595304079d14080d08117d1d7576296643c87df8fc48548",
+			"4ed8ec68141aaba1667d29db56bc5bc5a840b19fa296984125b2392586cf8e34",
 			func() string { return huber(96, 1.35) }},
 		{"huber/eps1.5-odd",
-			"bf3b6ffcb529841934bed040eb54068e27fafa9f179c55a534465db777314fd6",
+			"5f0786be107761a6f3786ddff8a96c8d2cfe085913c14ba731c8d557d426a6b1",
 			func() string { return huber(201, 1.5) }},
 		{"huber/eps1.5-even",
-			"1a89b878cd189b3725060711c699f5de81dfe9f7818c1325e20003a8be910913",
+			"690de08bb43a1aae41a22939a384a60a87805a4d566c3f44b0e13bdb94a758e3",
 			func() string { return huber(200, 1.5) }},
 	}
 	for _, c := range cases {

@@ -35,39 +35,81 @@ func NewHuber(epsilon, alpha float64) *HuberRegressor {
 
 // Fit trains the model by IRLS.
 func (m *HuberRegressor) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errEmptyTraining
-	}
-	if err := m.scaler.fit(x); err != nil {
+	xs, yc, err := m.design(x, y)
+	if err != nil {
 		return err
 	}
+	w, _, err := m.irls(xs, yc)
+	if err != nil {
+		return err
+	}
+	p := len(w)
+	m.Coef = w[: p-1 : p-1]
+	m.Intercept = m.center.mean + w[p-1]
+	m.fitted = true
+	return nil
+}
+
+// design fits the scaler and the centerer and returns the standardized
+// design with an intercept column appended, and the centred target.
+// The bias is re-estimated robustly through that column: with outliers
+// the contaminated target mean alone would leave a large systematic
+// offset.
+func (m *HuberRegressor) design(x [][]float64, y []float64) ([][]float64, []float64, error) {
+	if len(x) == 0 || len(x) != len(y) {
+		return nil, nil, errEmptyTraining
+	}
+	if err := m.scaler.fit(x); err != nil {
+		return nil, nil, err
+	}
 	yc := m.center.fit(y)
-	n := len(x)
-	// Augment with an intercept column so the bias is re-estimated
-	// robustly: with outliers the contaminated target mean alone would
-	// leave a large systematic offset.
 	p := len(m.scaler.mean) + 1
 	xs := m.scaler.transformPadded(x, 1)
 	for _, row := range xs {
 		row[p-1] = 1
 	}
+	return xs, yc, nil
+}
 
-	w := make([]float64, p)
-	weights := make([]float64, n)
-	for i := range weights {
+// irls runs the IRLS iterations on the augmented design xs and the
+// centred target yc, and returns the coefficients (intercept last) and
+// the final row weights.
+//
+// A row inside the threshold has weight exactly 1, so XᵀWX is the
+// unit-weight Gram XᵀX plus (wᵢ − 1)·xᵢxᵢᵀ for the down-weighted rows
+// alone, and XᵀWy likewise. The unit-weight upper triangle and Xᵀy are
+// built once; each iteration copies them and adds only those
+// corrections before mirroring and solving.
+func (m *HuberRegressor) irls(xs [][]float64, yc []float64) (w, weights []float64, err error) {
+	n, p := len(xs), len(xs[0])
+	// One slab for the base and working systems, the factor and the
+	// per-row vectors; the coefficients live apart so Coef does not
+	// keep the slab alive.
+	buf := make([]float64, 3*p*p+2*p+3*n)
+	take := func(k int) []float64 {
+		v := buf[:k:k]
+		buf = buf[k:]
+		return v
+	}
+	base, baseY := take(p*p), take(p)
+	xtx, xty := &linalg.Matrix{Rows: p, Cols: p, Data: take(p * p)}, take(p)
+	l := &linalg.Matrix{Rows: p, Cols: p, Data: take(p * p)}
+	abs, scratch, weights := take(n), take(n), take(n)
+	coef := make([]float64, 2*p)
+	w, newW := coef[:p:p], coef[p:]
+
+	for i, row := range xs {
+		addOuter(base, baseY, row, 1, yc[i])
 		weights[i] = 1
 	}
-	// IRLS scratch, reused by every iteration.
-	xtx := linalg.NewMatrix(p, p)
-	xty := make([]float64, p)
-	abs := make([]float64, n)
-	scratch := make([]float64, n)
 	for iter := 0; iter < m.MaxIter; iter++ {
 		// Weighted ridge solve: (XᵀWX + αI)w = XᵀWy (bias unregularized).
-		clear(xtx.Data)
-		clear(xty)
-		for i, row := range xs {
-			addOuter(xtx.Data, xty, row, weights[i], yc[i])
+		copy(xtx.Data, base)
+		copy(xty, baseY)
+		for i, wi := range weights {
+			if wi != 1 {
+				addOuter(xtx.Data, xty, xs[i], wi-1, yc[i])
+			}
 		}
 		mirrorUpper(xtx.Data, p)
 		for j := 0; j < p; j++ {
@@ -77,15 +119,14 @@ func (m *HuberRegressor) Fit(x [][]float64, y []float64) error {
 			}
 			xtx.Set(j, j, xtx.At(j, j)+reg)
 		}
-		newW, err := linalg.SolveSPD(xtx, xty)
-		if err != nil {
-			return err
+		if err := linalg.SolveSPD(l, newW, xtx, xty); err != nil {
+			return nil, nil, err
 		}
 		var delta float64
 		for j := range w {
 			delta += math.Abs(newW[j] - w[j])
 		}
-		w = newW
+		w, newW = newW, w
 		// Robust scale estimate (MAD) of residuals.
 		for i, row := range xs {
 			abs[i] = math.Abs(yc[i] - linalg.Dot(row, w))
@@ -106,10 +147,7 @@ func (m *HuberRegressor) Fit(x [][]float64, y []float64) error {
 			break
 		}
 	}
-	m.Coef = w[:p-1]
-	m.Intercept = m.center.mean + w[p-1]
-	m.fitted = true
-	return nil
+	return w, weights, nil
 }
 
 // Predict returns predictions for the given rows.
