@@ -18,7 +18,7 @@
 # path, so the two layers are complementary, not redundant.
 #
 # The fmacheck step cross-compiles the gated packages (today
-# internal/linmodel) for arm64 and fails on any fused multiply-add
+# internal/linalg and internal/linmodel) for arm64 and fails on any fused multiply-add
 # (scripts/fmacheck.sh): same-seed bit identity must not depend on the
 # architecture.
 #
@@ -48,7 +48,7 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
-echo "==> fmacheck (arm64: no fused multiply-add in ./internal/linmodel)"
+echo "==> fmacheck (arm64: no fused multiply-add in ./internal/linalg ./internal/linmodel)"
 scripts/fmacheck.sh
 
 echo "==> fedlint ./internal/obs (telemetry: no stray wall-clock reads)"
