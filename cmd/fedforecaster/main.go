@@ -114,11 +114,10 @@ func main() {
 	}
 	// -quiet silences only the human-readable trace; typed telemetry
 	// sinks (-obs-addr, -trace-out) observe the run either way.
-	if !*quiet {
-		opts.Trace = func(ev string) { fmt.Println("  [trace]", ev) }
-	}
-
 	var recorders []fedforecaster.Recorder
+	if !*quiet {
+		recorders = append(recorders, traceLines{})
+	}
 	var jsonl *obs.JSONL
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -197,6 +196,24 @@ func main() {
 		if err := jsonl.Close(); err != nil {
 			log.Fatalf("trace sink: %v", err)
 		}
+	}
+}
+
+// traceLines prints the human-readable run trace: each engine phase as
+// it starts, and each client dropped from a quorum round. Both events
+// come from the engine's own goroutine (drops after the round's
+// barrier), so lines never interleave.
+type traceLines struct{}
+
+// Record implements obs.Recorder.
+func (traceLines) Record(ev obs.Event) {
+	switch e := ev.(type) {
+	case obs.SpanStart:
+		if e.Kind == obs.SpanPhase {
+			fmt.Println("  [trace] phase", e.Name)
+		}
+	case obs.ClientDropped:
+		fmt.Printf("  [trace] client %d dropped from %s round: %s\n", e.Client, e.Kind, e.Reason)
 	}
 }
 

@@ -4,8 +4,7 @@
 // partitioned chronologically into 5 clients; FedForecaster then
 // automates the whole pipeline — meta-features, feature engineering,
 // algorithm selection, Bayesian hyper-parameter tuning — and reports
-// the selected configuration and its held-out test MSE. The phase
-// trace printed along the way follows Figure 1 of the paper.
+// the selected configuration and its held-out test MSE.
 //
 //	go run ./examples/quickstart
 package main
@@ -39,7 +38,6 @@ func main() {
 	result, err := fedforecaster.Run(clients, fedforecaster.Options{
 		Iterations: 10,
 		Seed:       1,
-		Trace:      func(ev string) { fmt.Println("  [phase]", ev) },
 	})
 	if err != nil {
 		log.Fatal(err)

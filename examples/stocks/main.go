@@ -73,7 +73,6 @@ func main() {
 	cfg := core.DefaultEngineConfig()
 	cfg.Iterations = 8
 	cfg.Seed = 3
-	cfg.Trace = func(ev string) { fmt.Println("  [phase]", ev) }
 	engine := core.NewEngine(nil, cfg)
 	res, err := engine.RunWithServer(srv)
 	if err != nil {

@@ -132,11 +132,8 @@ type Options struct {
 	// for lossless frames, "v1+q8" or "v1+q16" for int8/float16 payload
 	// quantization. Invalid strings make Run fail fast.
 	Wire string
-	// Trace receives phase events when non-nil (a human-readable
-	// rendering of the typed event stream; see Recorder).
-	Trace func(string)
-	// Recorder receives the full typed telemetry stream (run/phase/round
-	// spans, per-attempt client calls, BO iterations) when non-nil.
+	// Recorder receives the typed telemetry stream (run, phase, round,
+	// call and attempt spans, client drops, BO iterations) when non-nil.
 	// Combine sinks with obs-style fan-out before setting it; nil
 	// disables telemetry with zero overhead.
 	Recorder Recorder
@@ -183,7 +180,6 @@ func (o Options) engineConfig() (core.EngineConfig, error) {
 	if o.BatchSize > 0 {
 		cfg.BatchSize = o.BatchSize
 	}
-	cfg.Trace = o.Trace
 	cfg.Recorder = o.Recorder
 	return cfg, nil
 }

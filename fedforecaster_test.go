@@ -126,18 +126,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestTraceThroughPublicAPI(t *testing.T) {
-	clients := demoClients(t, 9)
-	var events []string
-	_, err := Run(clients, Options{Iterations: 2, Seed: 10, Trace: func(ev string) { events = append(events, ev) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) < 4 {
-		t.Errorf("trace events = %v", events)
-	}
-}
-
 func TestPublicExogChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	total := 1200

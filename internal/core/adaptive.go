@@ -64,7 +64,7 @@ func (a *AdaptiveRunner) Check(clients []*timeseries.Series) (retuned bool, curr
 
 	// Rebuild the feature schema on the *current* data so the check
 	// reflects what a fresh deployment would see.
-	agg, err := a.Engine.collectMetaFeatures(srv, a.Engine.recorder(), nil)
+	agg, err := a.Engine.collectMetaFeatures(srv, a.Engine.Cfg.Recorder, nil)
 	if err != nil {
 		return false, 0, err
 	}

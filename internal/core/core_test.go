@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"fedforecaster/internal/fl"
 	"fedforecaster/internal/metalearn"
 	"fedforecaster/internal/nbeats"
+	"fedforecaster/internal/obs"
 	"fedforecaster/internal/pipeline"
 	"fedforecaster/internal/search"
 	"fedforecaster/internal/timeseries"
@@ -51,8 +53,12 @@ func smallEngineConfig(seed int64) EngineConfig {
 func TestEngineRunEndToEnd(t *testing.T) {
 	clients := fedDataset(t, 1500, 3, 1)
 	eng := NewEngine(nil, smallEngineConfig(2))
-	var events []string
-	eng.Cfg.Trace = func(ev string) { events = append(events, ev) }
+	var phases []string
+	eng.Cfg.Recorder = recorderFunc(func(ev obs.Event) {
+		if e, ok := ev.(obs.SpanStart); ok && e.Kind == obs.SpanPhase {
+			phases = append(phases, e.Name)
+		}
+	})
 	res, err := eng.Run(clients)
 	if err != nil {
 		t.Fatal(err)
@@ -79,11 +85,18 @@ func TestEngineRunEndToEnd(t *testing.T) {
 	if math.Abs(minLoss-res.BestValidLoss) > 1e-12 {
 		t.Errorf("best loss %v != history min %v", res.BestValidLoss, minLoss)
 	}
-	// All four Figure-1 phases traced.
-	if len(events) < 4 {
-		t.Errorf("phase trace = %v", events)
+	// All four Figure-1 phases traced, Phase III as its two halves.
+	if got, want := fmt.Sprint(phases), "[meta-features recommend feature-select optimize final-fit]"; got != want {
+		t.Errorf("phase spans = %s, want %s", got, want)
 	}
 }
+
+// recorderFunc adapts a function to obs.Recorder. Spans of concurrent
+// client calls reach it from several goroutines at once.
+type recorderFunc func(obs.Event)
+
+// Record implements obs.Recorder.
+func (f recorderFunc) Record(ev obs.Event) { f(ev) }
 
 func TestEngineMetaModelRestrictsSpace(t *testing.T) {
 	clients := fedDataset(t, 1200, 3, 3)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime/pprof"
 	"time"
 
@@ -89,18 +88,10 @@ type EngineConfig struct {
 	// full-participation semantics: any client failing its call — after
 	// retries — aborts the run.
 	MinClientFraction float64
-	// Trace receives phase events (Figure 1's I-IV) when non-nil, plus
-	// resilience events ("client N dropped from <kind> round: ...") for
-	// clients excluded from a quorum round and a final communication
-	// summary. It is a thin legacy adapter over the typed event stream:
-	// internally it becomes an obs.Recorder (obs.LegacyTrace) that
-	// renders Note and ClientDropped events in the historical format.
-	Trace func(event string)
-	// Recorder receives the full typed telemetry stream (run/phase/round
-	// spans, per-attempt client calls, BO iterations, client cache and
-	// candidate-eval records) when non-nil. Nil disables telemetry with
-	// zero allocation at every instrumentation site. Trace and Recorder
-	// compose: both may be set, and both observe the same run.
+	// Recorder receives the typed telemetry stream (run, phase, round,
+	// call and attempt spans, client drops, BO iterations, client cache
+	// and candidate-eval records) when non-nil. Nil disables telemetry
+	// with zero allocation at every instrumentation site.
 	Recorder obs.Recorder
 }
 
@@ -176,7 +167,7 @@ func NewEngine(meta *metalearn.MetaModel, cfg EngineConfig) *Engine {
 // Run executes Algorithm 1 against in-process clients built from the
 // given private splits.
 func (e *Engine) Run(clients []*timeseries.Series) (*Result, error) {
-	rec := e.recorder()
+	rec := e.Cfg.Recorder
 	nodes := make([]fl.Client, len(clients))
 	for i, s := range clients {
 		node := NewClientNode(s, e.Cfg.Seed+int64(i)*101)
@@ -205,14 +196,13 @@ func (e *Engine) Run(clients []*timeseries.Series) (*Result, error) {
 type roundContext struct {
 	engine *Engine
 	srv    *fl.Server
-	// rec is the run's telemetry recorder — the engine's Recorder and
-	// the legacy Trace adapter fanned together (nil when both are off).
-	// Derived at run start so tests may install Cfg.Trace/Cfg.Recorder
-	// after NewEngine.
+	// rec is the run's telemetry recorder (nil when off), read from the
+	// config at run start so tests may install Cfg.Recorder after
+	// NewEngine.
 	rec   obs.Recorder
 	start time.Time
-	// startNS anchors RunEnd/PhaseEnd durations; captured through
-	// obs.NowNanos, the walltime-allowlisted telemetry clock.
+	// startNS is the run span's start; captured through obs.NowNanos,
+	// the walltime-allowlisted telemetry clock.
 	startNS int64
 
 	// statsBase scopes communication accounting to this run: the server
@@ -279,7 +269,7 @@ func (e *Engine) newRoundContext(srv *fl.Server) *roundContext {
 	rc := &roundContext{
 		engine: e,
 		srv:    srv,
-		rec:    e.recorder(),
+		rec:    e.Cfg.Recorder,
 		//lint:allow walltime TimeBudget is a wall-clock contract with the user (Algorithm 1's T)
 		start:     time.Now(),
 		startNS:   obs.NowNanos(),
@@ -293,28 +283,12 @@ func (e *Engine) newRoundContext(srv *fl.Server) *roundContext {
 	return rc
 }
 
-// note emits a human-readable annotation; the legacy Trace callback
-// receives it verbatim through the adapter.
-func (rc *roundContext) note(s string) {
-	if rc.rec != nil {
-		rc.rec.Record(obs.Note{Text: s})
-	}
-}
-
-// errString renders an error for telemetry fields ("" for nil).
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
 // RunWithServer executes Algorithm 1 over an arbitrary transport (the
 // TCP deployment path uses this directly): the five phases run in
-// order over one shared roundContext, each wrapped in a
-// PhaseStart/PhaseEnd span, with the whole run bracketed by
-// RunStart/RunEnd. The server carries the run's recorder for its
-// duration so the quorum layer can emit per-attempt ClientCall events.
+// order over one shared roundContext, each wrapped in a phase span,
+// with the whole run under one run span. The server carries the run's
+// recorder for its duration so the quorum layer can emit call and
+// attempt spans.
 // Each phase runs under a pprof "phase" label on a context without
 // labels, so the calling goroutine ends the run with no profiler
 // labels; RunWithServerContext keeps the caller's.
@@ -331,40 +305,35 @@ func (e *Engine) RunWithServerContext(ctx context.Context, srv *fl.Server) (*Res
 		return nil, errors.New("core: no clients connected")
 	}
 	rc := e.newRoundContext(srv)
+	var run obs.SpanStart
 	if rc.rec != nil {
 		srv.SetRecorder(rc.rec)
 		defer srv.SetRecorder(nil)
-		rc.rec.Record(obs.RunStart{
-			Clients:    srv.NumClients(),
-			Iterations: e.Cfg.Iterations,
-			BatchSize:  e.Cfg.BatchSize,
-			Seed:       e.Cfg.Seed,
-		})
-		rc.rec.Record(obs.SpanStart{
+		run = obs.SpanStart{
 			Trace:   obs.HexID(rc.tracer.trace),
 			Span:    obs.HexID(rc.tracer.runSpan),
 			Kind:    obs.SpanRun,
 			Name:    obs.SpanRun,
 			Client:  -1,
 			StartNS: rc.startNS,
-		})
+		}
+		rc.rec.Record(run)
 	}
 	for i, ph := range enginePhases() {
-		var phaseStartNS int64
+		var phase obs.SpanStart
 		if rc.rec != nil {
-			phaseStartNS = obs.NowNanos()
-			rc.rec.Record(obs.PhaseStart{Phase: ph.name})
 			rc.tracer.phaseSpan = obs.DeriveSpan(rc.tracer.runSpan, obs.SpanPhase, i)
-			rc.rec.Record(obs.SpanStart{
-				Trace:   obs.HexID(rc.tracer.trace),
+			phase = obs.SpanStart{
+				Trace:   run.Trace,
 				Span:    obs.HexID(rc.tracer.phaseSpan),
-				Parent:  obs.HexID(rc.tracer.runSpan),
+				Parent:  run.Span,
 				Kind:    obs.SpanPhase,
 				Name:    ph.name,
 				Seq:     i,
 				Client:  -1,
-				StartNS: phaseStartNS,
-			})
+				StartNS: obs.NowNanos(),
+			}
+			rc.rec.Record(phase)
 		}
 		// The phase label splits CPU profiles by phase
 		// (go tool pprof -tagfocus phase=optimize); goroutines the
@@ -375,35 +344,16 @@ func (e *Engine) RunWithServerContext(ctx context.Context, srv *fl.Server) (*Res
 			err = ph.run(rc)
 		})
 		if rc.rec != nil {
-			rc.rec.Record(obs.SpanEnd{
-				Trace: obs.HexID(rc.tracer.trace),
-				Span:  obs.HexID(rc.tracer.phaseSpan),
-				EndNS: obs.NowNanos(),
-				Err:   errString(err),
-			})
-			rc.rec.Record(obs.PhaseEnd{
-				Phase:      ph.name,
-				DurationNS: obs.NowNanos() - phaseStartNS,
-				Err:        errString(err),
-			})
+			rc.rec.Record(phase.End(obs.NowNanos(), err))
 		}
 		if err != nil {
 			if rc.rec != nil {
-				rc.closeRunSpan(err)
-				rc.rec.Record(obs.RunEnd{
-					DurationNS: obs.NowNanos() - rc.startNS,
-					Iterations: len(rc.result.History),
-					EvalRounds: rc.result.EvalRounds,
-					Err:        err.Error(),
-				})
+				rc.rec.Record(run.End(obs.NowNanos(), err))
 			}
 			return nil, err
 		}
 	}
 	rc.result.Comms = srv.Stats().Sub(rc.statsBase)
-	rc.note(fmt.Sprintf("comms: %d rounds, %d calls, %d B down, %d B up",
-		rc.result.Comms.Rounds, rc.result.Comms.Calls,
-		rc.result.Comms.BytesDown, rc.result.Comms.BytesUp))
 	if rc.rec != nil {
 		c := rc.result.Comms
 		rc.rec.Record(obs.CommsSummary{
@@ -414,32 +364,15 @@ func (e *Engine) RunWithServerContext(ctx context.Context, srv *fl.Server) (*Res
 			WastedCalls: c.WastedCalls,
 			WastedBytes: c.WastedBytes,
 		})
-		rc.closeRunSpan(nil)
-		rc.rec.Record(obs.RunEnd{
-			DurationNS: obs.NowNanos() - rc.startNS,
-			Iterations: rc.result.Iterations,
-			EvalRounds: rc.result.EvalRounds,
-		})
+		rc.rec.Record(run.End(obs.NowNanos(), nil))
 	}
 	return rc.result, nil
-}
-
-// closeRunSpan ends the run's root span. Only called when a recorder
-// (and with it the tracer) is live.
-func (rc *roundContext) closeRunSpan(err error) {
-	rc.rec.Record(obs.SpanEnd{
-		Trace: obs.HexID(rc.tracer.trace),
-		Span:  obs.HexID(rc.tracer.runSpan),
-		EndNS: obs.NowNanos(),
-		Err:   errString(err),
-	})
 }
 
 // runPhaseMetaFeatures is Phase I: meta-features computed on each
 // client, aggregated on the server (Figure 1-I, Algorithm 1 lines
 // 3-8).
 func runPhaseMetaFeatures(rc *roundContext) error {
-	rc.note("phase I: collecting meta-features")
 	agg, err := rc.engine.collectMetaFeatures(rc.srv, rc.rec, rc.tracer)
 	if err != nil {
 		return err
@@ -469,15 +402,11 @@ func runPhaseRecommend(rc *roundContext) error {
 			spaces = restricted
 		}
 		rc.result.Recommended = recommended
-		rc.note(fmt.Sprintf("phase II: meta-model recommends %v", recommended))
-	} else {
-		rc.note("phase II: no meta-model, searching the full space")
 	}
 	if e.Cfg.StructureSearch {
 		// Widen after the meta-model restriction so structure dimensions
 		// ride on whichever algorithm families were recommended.
 		spaces = search.WithStructure(spaces)
-		rc.note("phase II: structure search over pipeline graphs enabled")
 	}
 	rc.spaces = spaces
 	return nil
@@ -493,7 +422,6 @@ func runPhaseFeatureSelect(rc *roundContext) error {
 	eng.ExogNames = append([]string(nil), e.Cfg.ExogChannels...)
 	rc.result.NumFeatures = len(eng.FeatureNames())
 	if e.Cfg.FeatureSelection {
-		rc.note("phase III: federated feature selection")
 		kept, err := e.selectFeatures(rc.srv, eng, rc.rec, rc.tracer)
 		if err != nil {
 			return err
@@ -515,7 +443,6 @@ func runPhaseFeatureSelect(rc *roundContext) error {
 // loop exactly.
 func runPhaseOptimize(rc *roundContext) error {
 	e := rc.engine
-	rc.note("phase III: Bayesian optimization")
 	opt := bayesopt.New(rc.spaces, e.Cfg.Seed)
 	if e.Cfg.WarmStart {
 		maxDim := 0
@@ -609,7 +536,6 @@ func runPhaseOptimize(rc *roundContext) error {
 // same cached matrices (test phase built on first use).
 func runPhaseFinalFit(rc *roundContext) error {
 	best := rc.result.BestConfig
-	rc.note(fmt.Sprintf("phase IV: final fit of %s", best.Algorithm))
 	losses, err := rc.evalConfigs([]search.Config{best}, kindFitFinal)
 	if err != nil {
 		return err
@@ -647,7 +573,6 @@ func (rc *roundContext) evalConfigs(cfgs []search.Config, kind string) ([]float6
 		return nil, roundTripError(kind, err)
 	}
 	if needPrepare(resps) {
-		rc.note(fmt.Sprintf("healing %s round: re-sending prepare to clients without the schema", kind))
 		if err := rc.prepareEval(); err != nil {
 			return nil, err
 		}
@@ -700,18 +625,9 @@ func aggregateBatchLosses(resps []fl.Message, k int) ([]float64, error) {
 	return out, nil
 }
 
-// recorder derives the run's telemetry recorder: the configured typed
-// Recorder fanned together with the legacy Trace adapter. Derived per
-// run (not cached at NewEngine) so callers may install either after
-// construction. Nil when both are unset — telemetry fully disabled.
-func (e *Engine) recorder() obs.Recorder {
-	return obs.Multi(e.Cfg.Recorder, obs.LegacyTrace(e.Cfg.Trace))
-}
-
 // quorum builds the round policy from the engine's resilience knobs.
 // MinClientFraction = 0 maps to full participation (fraction 1.0).
-// Dropped clients are reported as typed ClientDropped events; the
-// legacy adapter renders them in the historical string form.
+// Dropped clients are reported as typed ClientDropped events.
 func (e *Engine) quorum(kind string, rec obs.Recorder) fl.QuorumConfig {
 	frac := e.Cfg.MinClientFraction
 	if frac <= 0 {
@@ -736,64 +652,48 @@ func (e *Engine) quorum(kind string, rec obs.Recorder) fl.QuorumConfig {
 // broadcast runs one protocol round under the engine's resilience
 // policy, returning the survivors' responses and client indices. It is
 // the path for rounds driven outside a run context (the adaptive
-// runner's drift checks); rounds inside a run go through
+// runner's drift checks): such rounds open no span, so only their
+// client drops reach the recorder. Rounds inside a run go through
 // roundContext.broadcast so span telemetry attaches to the run.
 func (e *Engine) broadcast(srv *fl.Server, req fl.Message) ([]fl.Message, []int, error) {
-	return e.broadcastObs(srv, req, e.recorder(), nil, 0)
+	return e.broadcastObs(srv, req, e.Cfg.Recorder, nil, 0)
 }
 
-// broadcastObs drives one quorum round wrapped in RoundStart/RoundEnd
-// span events (when a recorder is live). Batch is the candidate count
+// broadcastObs drives one quorum round. Batch is the candidate count
 // for evaluation rounds, 0 for metadata rounds. With a live tracer,
-// the round opens a span under the current phase, ships its packed
-// context to the clients inside the request (keyTrace), and hands the
-// quorum layer the context it derives per-client call and attempt
-// spans from. A round driven twice (the need_prepare healing path
-// re-broadcasts the same request) gets a fresh round span each time —
-// two rounds happened on the wire, so two spans exist in the trace.
+// the round opens a span under the current phase carrying the batch
+// and the addressed client count (its end carries the survivors),
+// ships its packed context to the clients inside the request
+// (keyTrace), and hands the quorum layer the context it derives
+// per-client call and attempt spans from. A round driven twice (the
+// need_prepare healing path re-broadcasts the same request) gets a
+// fresh round span each time — two rounds happened on the wire, so
+// two spans exist in the trace.
 func (e *Engine) broadcastObs(srv *fl.Server, req fl.Message, rec obs.Recorder, tr *roundTracer, batch int) ([]fl.Message, []int, error) {
-	if rec == nil {
-		return srv.BroadcastQuorum(req, e.quorum(req.Kind, nil))
-	}
 	q := e.quorum(req.Kind, rec)
-	var roundSpan uint64
-	if tr != nil {
-		roundSpan = obs.DeriveSpan(tr.phaseSpan, obs.SpanRound, tr.seq)
-		ctx := obs.SpanContext{Trace: tr.trace, Span: roundSpan}
-		req.Strings[keyTrace] = obs.PackSpanContext(ctx)
-		q.Span = ctx
+	if rec == nil || tr == nil {
+		return srv.BroadcastQuorum(req, q)
 	}
-	rec.Record(obs.RoundStart{Kind: req.Kind, Batch: batch, Clients: srv.NumClients()})
-	startNS := obs.NowNanos()
-	if tr != nil {
-		rec.Record(obs.SpanStart{
-			Trace:   obs.HexID(tr.trace),
-			Span:    obs.HexID(roundSpan),
-			Parent:  obs.HexID(tr.phaseSpan),
-			Kind:    obs.SpanRound,
-			Name:    req.Kind,
-			Seq:     tr.seq,
-			Client:  -1,
-			StartNS: startNS,
-		})
-		tr.seq++
+	q.Span = obs.SpanContext{Trace: tr.trace, Span: obs.DeriveSpan(tr.phaseSpan, obs.SpanRound, tr.seq)}
+	req.Strings[keyTrace] = obs.PackSpanContext(q.Span)
+	round := obs.SpanStart{
+		Trace:   obs.HexID(tr.trace),
+		Span:    obs.HexID(q.Span.Span),
+		Parent:  obs.HexID(tr.phaseSpan),
+		Kind:    obs.SpanRound,
+		Name:    req.Kind,
+		Seq:     tr.seq,
+		Client:  -1,
+		StartNS: obs.NowNanos(),
+		Batch:   batch,
+		Clients: srv.NumClients(),
 	}
+	tr.seq++
+	rec.Record(round)
 	msgs, idx, err := srv.BroadcastQuorum(req, q)
-	if tr != nil {
-		rec.Record(obs.SpanEnd{
-			Trace: obs.HexID(tr.trace),
-			Span:  obs.HexID(roundSpan),
-			EndNS: obs.NowNanos(),
-			Err:   errString(err),
-		})
-	}
-	rec.Record(obs.RoundEnd{
-		Kind:       req.Kind,
-		Batch:      batch,
-		Survivors:  len(idx),
-		DurationNS: obs.NowNanos() - startNS,
-		Err:        errString(err),
-	})
+	end := round.End(obs.NowNanos(), err)
+	end.Survivors = len(idx)
+	rec.Record(end)
 	return msgs, idx, err
 }
 

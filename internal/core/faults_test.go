@@ -3,12 +3,12 @@ package core
 import (
 	"errors"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fedforecaster/internal/fl"
+	"fedforecaster/internal/obs"
 	"fedforecaster/internal/search"
 	"fedforecaster/internal/timeseries"
 )
@@ -34,9 +34,19 @@ func resilientConfig(seed int64, minFraction float64, retries int) EngineConfig 
 	return cfg
 }
 
+// droppedClient reports whether client c was dropped from any round.
+func droppedClient(drops []obs.ClientDropped, c int) bool {
+	for _, d := range drops {
+		if d.Client == c {
+			return true
+		}
+	}
+	return false
+}
+
 // runUnderChaos builds a 4-client dataset, applies the fault schedule,
-// and runs the engine, returning the result and the trace.
-func runUnderChaos(t *testing.T, cfg EngineConfig, faults map[int]fl.ClientFaults) (*Result, []string, error) {
+// and runs the engine, returning the result and its client drops.
+func runUnderChaos(t *testing.T, cfg EngineConfig, faults map[int]fl.ClientFaults) (*Result, []obs.ClientDropped, error) {
 	t.Helper()
 	clients := fedDataset(t, 1600, 4, 11)
 	srv, chaos := chaosServer(clients, cfg.Seed)
@@ -45,15 +55,17 @@ func runUnderChaos(t *testing.T, cfg EngineConfig, faults map[int]fl.ClientFault
 		chaos.SetFaults(i, f)
 	}
 	var mu sync.Mutex
-	var events []string
-	cfg.Trace = func(ev string) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}
+	var drops []obs.ClientDropped
+	cfg.Recorder = recorderFunc(func(ev obs.Event) {
+		if e, ok := ev.(obs.ClientDropped); ok {
+			mu.Lock()
+			drops = append(drops, e)
+			mu.Unlock()
+		}
+	})
 	eng := NewEngine(nil, cfg)
 	res, err := eng.RunWithServer(srv)
-	return res, events, err
+	return res, drops, err
 }
 
 // TestEngineRunSurvivesClientDeath is the acceptance scenario: 1 of 4
@@ -65,16 +77,16 @@ func TestEngineRunSurvivesClientDeath(t *testing.T) {
 	// optimization loop.
 	faults := map[int]fl.ClientFaults{2: {DieAfter: 3}}
 
-	run := func() (*Result, []string) {
+	run := func() (*Result, []obs.ClientDropped) {
 		cfg := resilientConfig(5, 0.5, 0)
-		res, events, err := runUnderChaos(t, cfg, faults)
+		res, drops, err := runUnderChaos(t, cfg, faults)
 		if err != nil {
 			t.Fatalf("run with dead client failed: %v", err)
 		}
-		return res, events
+		return res, drops
 	}
 
-	res1, events := run()
+	res1, drops := run()
 	if res1.Iterations != 4 {
 		t.Errorf("iterations = %d, want 4", res1.Iterations)
 	}
@@ -82,15 +94,8 @@ func TestEngineRunSurvivesClientDeath(t *testing.T) {
 		t.Errorf("degenerate result: %+v", res1)
 	}
 	// The drop is observable in the trace.
-	dropped := false
-	for _, ev := range events {
-		if strings.Contains(ev, "client 2 dropped") {
-			dropped = true
-			break
-		}
-	}
-	if !dropped {
-		t.Errorf("no drop trace event for client 2; trace = %q", events)
+	if !droppedClient(drops, 2) {
+		t.Errorf("no drop event for client 2; drops = %+v", drops)
 	}
 
 	// Determinism: an identical run produces the identical result.
@@ -151,7 +156,7 @@ func TestEngineRunDelayedClientWithinDeadline(t *testing.T) {
 	cfg := resilientConfig(13, 0.5, 0)
 	cfg.CallTimeout = 5 * time.Second
 	cfg.Iterations = 2
-	res, events, err := runUnderChaos(t, cfg, map[int]fl.ClientFaults{
+	res, drops, err := runUnderChaos(t, cfg, map[int]fl.ClientFaults{
 		1: {Delay: 3 * time.Millisecond, DelayProb: 1},
 	})
 	if err != nil {
@@ -160,10 +165,8 @@ func TestEngineRunDelayedClientWithinDeadline(t *testing.T) {
 	if res.BestConfig.Algorithm == "" {
 		t.Error("no best config")
 	}
-	for _, ev := range events {
-		if strings.Contains(ev, "dropped") {
-			t.Errorf("straggler within deadline was dropped: %q", ev)
-		}
+	for _, d := range drops {
+		t.Errorf("straggler within deadline was dropped: %+v", d)
 	}
 }
 
@@ -204,17 +207,17 @@ func TestEngineRunFullParticipationStillAborts(t *testing.T) {
 func TestEngineBatchedRunSurvivesClientDeath(t *testing.T) {
 	faults := map[int]fl.ClientFaults{2: {DieAfter: 3}}
 
-	run := func() (*Result, []string) {
+	run := func() (*Result, []obs.ClientDropped) {
 		cfg := resilientConfig(5, 0.5, 0)
 		cfg.BatchSize = 4
-		res, events, err := runUnderChaos(t, cfg, faults)
+		res, drops, err := runUnderChaos(t, cfg, faults)
 		if err != nil {
 			t.Fatalf("batched run with dead client failed: %v", err)
 		}
-		return res, events
+		return res, drops
 	}
 
-	res1, events := run()
+	res1, drops := run()
 	if res1.Iterations != 4 {
 		t.Errorf("iterations = %d, want 4", res1.Iterations)
 	}
@@ -224,15 +227,8 @@ func TestEngineBatchedRunSurvivesClientDeath(t *testing.T) {
 	if res1.BestConfig.Algorithm == "" || math.IsNaN(res1.TestMSE) || res1.TestMSE <= 0 {
 		t.Errorf("degenerate result: %+v", res1)
 	}
-	dropped := false
-	for _, ev := range events {
-		if strings.Contains(ev, "client 2 dropped") {
-			dropped = true
-			break
-		}
-	}
-	if !dropped {
-		t.Errorf("no drop trace event for client 2; trace = %q", events)
+	if !droppedClient(drops, 2) {
+		t.Errorf("no drop event for client 2; drops = %+v", drops)
 	}
 
 	res2, _ := run()
@@ -264,13 +260,6 @@ func TestEngineBatchedHealsMissedPrepare(t *testing.T) {
 
 	cfg := resilientConfig(5, 0.5, 0)
 	cfg.BatchSize = 4
-	var mu sync.Mutex
-	var events []string
-	cfg.Trace = func(ev string) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}
 	// Simulate the missed prepare: drop client 1's cache right after
 	// the prepare round would have installed it, by clearing it on the
 	// first eval round via a pre-run hook. Easiest deterministic probe:

@@ -70,8 +70,9 @@ func TestNilRecorderRunIdentical(t *testing.T) {
 
 // TestTraceOutCoversAllPhases drives a run into a JSONL sink and
 // checks the stream's shape: one run span, all five phase spans in
-// order, round spans, per-attempt client calls, BO iterations matching
-// the budget, and client-side cache records.
+// order, balanced round spans, one attempt span per delivered call at
+// least, BO iterations matching the budget, client-side cache records,
+// and none of the flat records spans replaced.
 func TestTraceOutCoversAllPhases(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
@@ -105,14 +106,19 @@ func TestTraceOutCoversAllPhases(t *testing.T) {
 			t.Fatalf("line %q missing timestamp", line)
 		}
 		counts[env.Event]++
-		if env.Event == "phase_start" {
-			var d struct {
-				Phase string `json:"phase"`
-			}
-			if err := json.Unmarshal(env.Data, &d); err != nil {
-				t.Fatal(err)
-			}
-			phaseStarts = append(phaseStarts, d.Phase)
+		if env.Event != "span_start" && env.Event != "span_end" {
+			continue
+		}
+		var d struct {
+			Kind string `json:"kind"`
+			Name string `json:"name"`
+		}
+		if err := json.Unmarshal(env.Data, &d); err != nil {
+			t.Fatal(err)
+		}
+		counts[env.Event+"/"+d.Kind]++
+		if env.Event == "span_start" && d.Kind == obs.SpanPhase {
+			phaseStarts = append(phaseStarts, d.Name)
 		}
 	}
 
@@ -120,20 +126,20 @@ func TestTraceOutCoversAllPhases(t *testing.T) {
 	if fmt.Sprint(phaseStarts) != fmt.Sprint(wantPhases) {
 		t.Errorf("phase spans = %v, want %v", phaseStarts, wantPhases)
 	}
-	if counts["phase_end"] != len(wantPhases) {
-		t.Errorf("phase_end count = %d, want %d", counts["phase_end"], len(wantPhases))
+	if counts["span_end/phase"] != len(wantPhases) {
+		t.Errorf("phase span ends = %d, want %d", counts["span_end/phase"], len(wantPhases))
 	}
-	if counts["run_start"] != 1 || counts["run_end"] != 1 {
-		t.Errorf("run span = %d starts / %d ends, want 1/1", counts["run_start"], counts["run_end"])
+	if counts["span_start/run"] != 1 || counts["span_end/run"] != 1 {
+		t.Errorf("run span = %d starts / %d ends, want 1/1", counts["span_start/run"], counts["span_end/run"])
 	}
-	if counts["round_start"] == 0 || counts["round_start"] != counts["round_end"] {
-		t.Errorf("round spans unbalanced: %d starts, %d ends", counts["round_start"], counts["round_end"])
+	if counts["span_start/round"] == 0 || counts["span_start/round"] != counts["span_end/round"] {
+		t.Errorf("round spans unbalanced: %d starts, %d ends", counts["span_start/round"], counts["span_end/round"])
 	}
 	if counts["bo_iteration"] != res.Iterations {
 		t.Errorf("bo_iteration count = %d, want %d", counts["bo_iteration"], res.Iterations)
 	}
-	if counts["client_call"] < res.Comms.Calls {
-		t.Errorf("client_call count = %d, want >= %d successful calls", counts["client_call"], res.Comms.Calls)
+	if counts["span_end/attempt"] < res.Comms.Calls {
+		t.Errorf("attempt spans = %d, want >= %d successful calls", counts["span_end/attempt"], res.Comms.Calls)
 	}
 	if counts["client_cache"] == 0 {
 		t.Error("no client_cache events: the v2 matrix cache went unobserved")
@@ -141,8 +147,10 @@ func TestTraceOutCoversAllPhases(t *testing.T) {
 	if counts["candidate_eval"] == 0 {
 		t.Error("no candidate_eval events")
 	}
-	if counts["note"] == 0 {
-		t.Error("no note events: the legacy trace strings should ride the stream")
+	for _, flat := range []string{"run_start", "run_end", "phase_start", "phase_end", "round_start", "round_end", "client_call", "note"} {
+		if counts[flat] != 0 {
+			t.Errorf("%d %s events: spans are the only timing record", counts[flat], flat)
+		}
 	}
 	// Causal spans: every opened span closes (no faults in this run),
 	// and there are strictly more spans than rounds — run + phases +
@@ -150,8 +158,8 @@ func TestTraceOutCoversAllPhases(t *testing.T) {
 	if counts["span_start"] == 0 || counts["span_start"] != counts["span_end"] {
 		t.Errorf("span events unbalanced: %d starts, %d ends", counts["span_start"], counts["span_end"])
 	}
-	if counts["span_start"] <= counts["round_start"] {
-		t.Errorf("span_start count = %d, want more than the %d rounds", counts["span_start"], counts["round_start"])
+	if counts["span_start"] <= counts["span_start/round"] {
+		t.Errorf("span_start count = %d, want more than the %d rounds", counts["span_start"], counts["span_start/round"])
 	}
 	if counts["comms_summary"] != 1 {
 		t.Errorf("comms_summary count = %d, want 1", counts["comms_summary"])
@@ -260,33 +268,125 @@ func TestTelemetryRaceBatchedChaosRun(t *testing.T) {
 	}
 }
 
-// TestLegacyTraceStillObservesRuns: Cfg.Trace set after NewEngine (the
-// documented pattern in older tests) keeps receiving the phase strings
-// even though it now rides the typed event stream.
-func TestLegacyTraceStillObservesRuns(t *testing.T) {
-	clients := fedDataset(t, 1200, 3, 9)
-	eng := NewEngine(nil, smallEngineConfig(4))
-	eng.Cfg.Iterations = 2
-	var mu sync.Mutex
-	var events []string
-	eng.Cfg.Trace = func(ev string) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
+// parentChaosCounts is every counter and every histogram or summary
+// count metricsChaosRun exposes, as the engine produced them while it
+// also recorded flat run, phase, round and client_call events beside
+// the spans. Spans alone must yield the same figures.
+const parentChaosCounts = `fedforecaster_runs_started_total 1
+fedforecaster_runs_ended_total 1
+fedforecaster_bo_iterations_total 6
+fedforecaster_rounds_started_total{kind="eval/config"} 3
+fedforecaster_rounds_started_total{kind="eval/prepare"} 1
+fedforecaster_rounds_started_total{kind="fit/final"} 1
+fedforecaster_rounds_started_total{kind="props/importances"} 1
+fedforecaster_rounds_started_total{kind="props/metafeatures"} 1
+fedforecaster_rounds_started_total{kind="props/range"} 1
+fedforecaster_rounds_completed_total{kind="eval/config"} 3
+fedforecaster_rounds_completed_total{kind="eval/prepare"} 1
+fedforecaster_rounds_completed_total{kind="fit/final"} 1
+fedforecaster_rounds_completed_total{kind="props/importances"} 1
+fedforecaster_rounds_completed_total{kind="props/metafeatures"} 1
+fedforecaster_rounds_completed_total{kind="props/range"} 1
+fedforecaster_rounds_failed_total{kind="eval/config"} 0
+fedforecaster_rounds_failed_total{kind="eval/prepare"} 0
+fedforecaster_rounds_failed_total{kind="fit/final"} 0
+fedforecaster_rounds_failed_total{kind="props/importances"} 0
+fedforecaster_rounds_failed_total{kind="props/metafeatures"} 0
+fedforecaster_rounds_failed_total{kind="props/range"} 0
+fedforecaster_round_survivors_total{kind="eval/config"} 10
+fedforecaster_round_survivors_total{kind="eval/prepare"} 4
+fedforecaster_round_survivors_total{kind="fit/final"} 3
+fedforecaster_round_survivors_total{kind="props/importances"} 4
+fedforecaster_round_survivors_total{kind="props/metafeatures"} 4
+fedforecaster_round_survivors_total{kind="props/range"} 4
+fedforecaster_round_seconds_count{kind="eval/config"} 3
+fedforecaster_round_seconds_count{kind="eval/prepare"} 1
+fedforecaster_round_seconds_count{kind="fit/final"} 1
+fedforecaster_round_seconds_count{kind="props/importances"} 1
+fedforecaster_round_seconds_count{kind="props/metafeatures"} 1
+fedforecaster_round_seconds_count{kind="props/range"} 1
+fedforecaster_phase_seconds_count{phase="feature-select"} 1
+fedforecaster_phase_seconds_count{phase="final-fit"} 1
+fedforecaster_phase_seconds_count{phase="meta-features"} 1
+fedforecaster_phase_seconds_count{phase="optimize"} 1
+fedforecaster_phase_seconds_count{phase="recommend"} 1
+fedforecaster_client_calls_total{client="0",outcome="ok"} 8
+fedforecaster_client_calls_total{client="1",outcome="ok"} 8
+fedforecaster_client_calls_total{client="1",outcome="transient"} 2
+fedforecaster_client_calls_total{client="2",outcome="ok"} 5
+fedforecaster_client_calls_total{client="2",outcome="dead"} 3
+fedforecaster_client_calls_total{client="3",outcome="ok"} 8
+fedforecaster_client_retries_total{client="0"} 0
+fedforecaster_client_retries_total{client="1"} 2
+fedforecaster_client_retries_total{client="2"} 0
+fedforecaster_client_retries_total{client="3"} 0
+fedforecaster_client_drops_total{client="0"} 0
+fedforecaster_client_drops_total{client="1"} 0
+fedforecaster_client_drops_total{client="2"} 3
+fedforecaster_client_drops_total{client="3"} 0
+fedforecaster_client_call_seconds_count{client="0"} 8
+fedforecaster_client_call_seconds_count{client="1"} 10
+fedforecaster_client_call_seconds_count{client="2"} 8
+fedforecaster_client_call_seconds_count{client="3"} 8
+fedforecaster_client_cache_hits_total{client="0"} 2
+fedforecaster_client_cache_hits_total{client="1"} 2
+fedforecaster_client_cache_hits_total{client="2"} 0
+fedforecaster_client_cache_hits_total{client="3"} 2
+fedforecaster_client_cache_misses_total{client="0"} 2
+fedforecaster_client_cache_misses_total{client="1"} 2
+fedforecaster_client_cache_misses_total{client="2"} 1
+fedforecaster_client_cache_misses_total{client="3"} 2
+fedforecaster_candidate_eval_seconds_count{client="0"} 7
+fedforecaster_candidate_eval_seconds_count{client="1"} 7
+fedforecaster_candidate_eval_seconds_count{client="2"} 2
+fedforecaster_candidate_eval_seconds_count{client="3"} 7
+fedforecaster_chaos_injections_total{fault="dead"} 2
+fedforecaster_chaos_injections_total{fault="die"} 1
+fedforecaster_chaos_injections_total{fault="transient"} 2
+`
+
+// TestMetricsParityChaosRun: on a seeded chaos run — client 1 flaps
+// twice (FailFirst), client 2 dies after five calls (DieAfter) — every
+// _total counter and every _count series in the Prometheus exposition
+// equals the figure recorded before spans became the only timing
+// record. The fault schedule and the quorum are deterministic, so the
+// counts are too.
+func TestMetricsParityChaosRun(t *testing.T) {
+	clients := fedDataset(t, 1600, 4, 11)
+	cfg := resilientConfig(5, 0.5, 2)
+	cfg.BatchSize = 2
+	cfg.Iterations = 6
+	metrics := obs.NewMetrics()
+	cfg.Recorder = metrics
+	nodes := make([]fl.Client, len(clients))
+	for i, s := range clients {
+		nodes[i] = NewClientNode(s, cfg.Seed+int64(i)*101).WithObs(metrics, i)
 	}
-	if _, err := eng.Run(clients); err != nil {
+	chaos := fl.NewChaos(fl.NewInProcWire(nodes, fl.WireOpts{}), cfg.Seed)
+	chaos.SetRecorder(metrics)
+	chaos.SetFaults(1, fl.ClientFaults{FailFirst: 2})
+	chaos.SetFaults(2, fl.ClientFaults{DieAfter: 5})
+	srv := fl.NewServer(chaos)
+	defer srv.Close()
+	if _, err := NewEngine(nil, cfg).RunWithServer(srv); err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(events, "\n")
-	for _, want := range []string{
-		"phase I: collecting meta-features",
-		"phase III: Bayesian optimization",
-		"phase IV: final fit",
-		"comms:",
-	} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("legacy trace missing %q in:\n%s", want, joined)
+
+	var b strings.Builder
+	if err := metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		if strings.HasPrefix(line, "#") || !(strings.HasSuffix(name, "_total") || strings.HasSuffix(name, "_count")) {
+			continue
 		}
+		got.WriteString(line + "\n")
+	}
+	if got.String() != parentChaosCounts {
+		t.Errorf("counts differ from the recorded ones\n--- got ---\n%s--- want ---\n%s", got.String(), parentChaosCounts)
 	}
 }
 

@@ -52,8 +52,7 @@ type Round struct {
 	DurationNS int64  `json:"duration_ns"`
 	Bytes      int64  `json:"bytes"`
 	Err        string `json:"err,omitempty"`
-	// CriticalClient is -1 when the round span carried no call spans
-	// (trace recorded without span context).
+	// CriticalClient is -1 when the round span holds no call spans.
 	CriticalClient int      `json:"critical_client"`
 	CriticalNS     int64    `json:"critical_ns"`
 	CriticalShare  float64  `json:"critical_share"`
@@ -100,10 +99,12 @@ type Waste struct {
 	WastedBytes int64 `json:"wasted_bytes"`
 }
 
-// Analyze reconstructs the span forest and computes the report. The
-// event slice is an emission-ordered stream (rounds are sequential in
-// the engine, so stream order associates client calls with rounds; the
-// span forest supplies the causal tree and the critical paths).
+// Analyze reconstructs the span forest and computes the report from
+// it: each run span's phases, the rounds under each phase, the call
+// and attempt spans under each round. Drops, chaos injections and the
+// waste summary are facts without a duration and come from their own
+// events. The error result is always nil — a forest is analyzable
+// however partial — and stays so existing callers need not change.
 func Analyze(events []obs.Event) (*Report, error) {
 	r := &Report{Forest: obs.BuildSpanForest(events)}
 
@@ -117,61 +118,8 @@ func Analyze(events []obs.Event) (*Report, error) {
 		return cs
 	}
 
-	var curPhase *Phase
-	var curRound *Round
 	for _, raw := range events {
 		switch ev := deref(raw).(type) {
-		case obs.RunEnd:
-			r.RunDurationNS = ev.DurationNS
-			r.RunErr = ev.Err
-		case obs.PhaseStart:
-			r.Phases = append(r.Phases, Phase{Name: ev.Phase})
-			curPhase = &r.Phases[len(r.Phases)-1]
-		case obs.PhaseEnd:
-			if curPhase != nil {
-				curPhase.DurationNS = ev.DurationNS
-				curPhase.Err = ev.Err
-				curPhase = nil
-			}
-		case obs.RoundStart:
-			rd := Round{
-				Index:          len(r.Rounds),
-				Kind:           ev.Kind,
-				Batch:          ev.Batch,
-				Clients:        ev.Clients,
-				CriticalClient: -1,
-			}
-			if curPhase != nil {
-				rd.Phase = curPhase.Name
-				curPhase.Rounds++
-			}
-			r.Rounds = append(r.Rounds, rd)
-			curRound = &r.Rounds[len(r.Rounds)-1]
-		case obs.RoundEnd:
-			if curRound != nil {
-				curRound.Survivors = ev.Survivors
-				curRound.DurationNS = ev.DurationNS
-				curRound.Err = ev.Err
-				curRound = nil
-			}
-		case obs.ClientCall:
-			cs := client(ev.Client)
-			cs.Attempts++
-			cs.Bytes += ev.Bytes
-			if ev.Outcome == "ok" {
-				cs.Calls++
-			}
-			if ev.Attempt > 1 {
-				cs.Retries++
-			}
-			if curRound != nil {
-				curRound.Attempts++
-				curRound.Bytes += ev.Bytes
-			}
-			if curPhase != nil {
-				curPhase.Attempts++
-				curPhase.Bytes += ev.Bytes
-			}
 		case obs.ClientDropped:
 			client(ev.Client).Drops++
 		case obs.ChaosInject:
@@ -192,57 +140,76 @@ func Analyze(events []obs.Event) (*Report, error) {
 		}
 	}
 
-	// Walk the forest: run root → phase spans → round spans. Round
-	// spans carry a run-global Seq, so phase order concatenation is
-	// emission order — matched to the scanned rounds by index.
-	var roundSpans []*obs.SpanNode
+	// Walk the forest: run root → phase spans → round spans → call
+	// spans → attempt spans. Siblings are ordered by their
+	// deterministic sequence numbers, and round spans carry a run-global
+	// one, so the walk visits rounds in the order they ran.
 	for _, root := range r.Forest {
 		if root.Kind != obs.SpanRun {
 			continue
 		}
 		r.TraceID = obs.HexID(root.Trace)
-		for _, ph := range root.Children {
-			if ph.Kind != obs.SpanPhase {
+		r.RunDurationNS = root.DurationNS()
+		r.RunErr = root.Err
+		for _, phSpan := range root.Children {
+			if phSpan.Kind != obs.SpanPhase {
 				continue
 			}
-			for _, rd := range ph.Children {
-				if rd.Kind == obs.SpanRound {
-					roundSpans = append(roundSpans, rd)
+			ph := Phase{Name: phSpan.Name, DurationNS: phSpan.DurationNS(), Err: phSpan.Err}
+			for _, span := range phSpan.Children {
+				if span.Kind != obs.SpanRound {
+					continue
 				}
-			}
-		}
-	}
-	for i := range r.Rounds {
-		if i >= len(roundSpans) {
-			break
-		}
-		rd, span := &r.Rounds[i], roundSpans[i]
-		if span.Name != rd.Kind {
-			return nil, fmt.Errorf("fedtrace: round %d span kind %q does not match stream kind %q", i, span.Name, rd.Kind)
-		}
-		attributeCriticalPath(rd, span)
-		if rd.CriticalClient >= 0 {
-			cs := client(rd.CriticalClient)
-			cs.CriticalRounds++
-			cs.CriticalNS += rd.CriticalNS
-		}
-	}
-
-	// Server-observed busy time and client-reported compute time come
-	// from the call and client-op spans.
-	for _, span := range roundSpans {
-		for _, call := range span.Children {
-			if call.Kind != obs.SpanCall {
-				continue
-			}
-			client(call.Client).BusyNS += call.DurationNS()
-			for _, att := range call.Children {
-				for _, op := range att.Children {
-					if op.Kind == obs.SpanClient {
-						client(op.Client).ComputeNS += op.DurationNS()
+				rd := Round{
+					Index:          len(r.Rounds),
+					Phase:          ph.Name,
+					Kind:           span.Name,
+					Batch:          span.Batch,
+					Clients:        span.Clients,
+					Survivors:      span.Survivors,
+					DurationNS:     span.DurationNS(),
+					Err:            span.Err,
+					CriticalClient: -1,
+				}
+				for _, call := range span.Children {
+					if call.Kind != obs.SpanCall {
+						continue
+					}
+					cs := client(call.Client)
+					cs.BusyNS += call.DurationNS()
+					for _, att := range call.Children {
+						if att.Kind != obs.SpanAttempt {
+							continue
+						}
+						cs.Attempts++
+						cs.Bytes += att.Bytes
+						if att.Outcome == obs.OutcomeOK {
+							cs.Calls++
+						}
+						if att.Seq > 1 {
+							cs.Retries++
+						}
+						rd.Attempts++
+						rd.Bytes += att.Bytes
+						for _, op := range att.Children {
+							if op.Kind == obs.SpanClient {
+								client(op.Client).ComputeNS += op.DurationNS()
+							}
+						}
 					}
 				}
+				attributeCriticalPath(&rd, span)
+				if rd.CriticalClient >= 0 {
+					cs := client(rd.CriticalClient)
+					cs.CriticalRounds++
+					cs.CriticalNS += rd.CriticalNS
+				}
+				ph.Rounds++
+				ph.Attempts += rd.Attempts
+				ph.Bytes += rd.Bytes
+				r.Rounds = append(r.Rounds, rd)
 			}
+			r.Phases = append(r.Phases, ph)
 		}
 	}
 

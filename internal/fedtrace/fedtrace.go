@@ -46,10 +46,12 @@ func (c *Collector) Events() []obs.Event {
 }
 
 // ReadEvents parses a JSONL telemetry stream (the -trace-out format)
-// back into typed events. Unknown event names are skipped — the
-// schema is append-only, so an older analyzer reading a newer trace
-// sees the events it knows. Blank lines are tolerated; a malformed
-// line is an error (the trace is corrupt, not newer).
+// back into typed events. Unknown event names are skipped, so an older
+// analyzer reading a newer trace sees the events it knows. A trace
+// written while flat round and attempt records ran beside the spans
+// reads as a new one: those records are folded into the span
+// attributes (legacyLift). Blank lines are tolerated; a malformed line
+// is an error (the trace is corrupt, not newer).
 func ReadEvents(r io.Reader) ([]obs.Event, error) {
 	type envelope struct {
 		TS    int64           `json:"ts"`
@@ -57,6 +59,7 @@ func ReadEvents(r io.Reader) ([]obs.Event, error) {
 		Data  json.RawMessage `json:"data"`
 	}
 	var out []obs.Event
+	var lift legacyLift
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	lineNo := 0
@@ -70,11 +73,19 @@ func ReadEvents(r io.Reader) ([]obs.Event, error) {
 		if err := json.Unmarshal(line, &env); err != nil {
 			return nil, fmt.Errorf("fedtrace: line %d: %w", lineNo, err)
 		}
+		flat, err := lift.record(env.Event, env.Data)
+		if err != nil {
+			return nil, fmt.Errorf("fedtrace: line %d: %w", lineNo, err)
+		}
+		if flat {
+			continue
+		}
 		ev, err := obs.DecodeEvent(env.Event, env.Data)
 		if err != nil {
 			return nil, fmt.Errorf("fedtrace: line %d: %w", lineNo, err)
 		}
 		if ev != nil {
+			lift.span(ev)
 			out = append(out, ev)
 		}
 	}
@@ -84,25 +95,11 @@ func ReadEvents(r io.Reader) ([]obs.Event, error) {
 	return out, nil
 }
 
-// deref normalizes an event to its value form: live recorders see
+// deref normalizes a fact event to its value form: live recorders see
 // events by value, DecodeEvent yields pointers; analysis handles one
 // shape. Span events pass through — obs.BuildSpanForest accepts both.
 func deref(ev obs.Event) obs.Event {
 	switch e := ev.(type) {
-	case *obs.RunStart:
-		return *e
-	case *obs.RunEnd:
-		return *e
-	case *obs.PhaseStart:
-		return *e
-	case *obs.PhaseEnd:
-		return *e
-	case *obs.RoundStart:
-		return *e
-	case *obs.RoundEnd:
-		return *e
-	case *obs.ClientCall:
-		return *e
 	case *obs.ClientDropped:
 		return *e
 	case *obs.ChaosInject:

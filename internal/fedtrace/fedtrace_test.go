@@ -2,8 +2,11 @@ package fedtrace_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -103,10 +106,12 @@ func TestAnalyzeChaosRun(t *testing.T) {
 	var calls, okCalls, drops int
 	for _, ev := range events {
 		switch e := ev.(type) {
-		case obs.ClientCall:
-			calls++
-			if e.Outcome == "ok" {
-				okCalls++
+		case obs.SpanEnd:
+			if e.Kind == obs.SpanAttempt {
+				calls++
+				if e.Outcome == obs.OutcomeOK {
+					okCalls++
+				}
 			}
 		case obs.ClientDropped:
 			drops++
@@ -161,7 +166,7 @@ func TestAnalyzeChaosRun(t *testing.T) {
 		walk(root)
 	}
 	if attemptSpans != calls {
-		t.Errorf("attempt spans = %d, want one per client_call event (%d)", attemptSpans, calls)
+		t.Errorf("attempt spans in the forest = %d, want one per attempt span_end (%d)", attemptSpans, calls)
 	}
 	if opSpans != okCalls {
 		t.Errorf("client op spans = %d, want one per delivered call (%d)", opSpans, okCalls)
@@ -171,16 +176,15 @@ func TestAnalyzeChaosRun(t *testing.T) {
 	}
 
 	// Client-local spans align with the server-side attempt that
-	// carried them: the op window nests inside the attempt window
-	// (small slack — the attempt window is reconstructed from the
-	// hook's end-minus-latency, a hair later than the call itself).
-	const slack = int64(5 * time.Millisecond)
+	// carried them: the op window nests inside the attempt window, with
+	// no slack — the attempt window is the pair of clock reads around
+	// the transport call that ran the op.
 	for _, root := range rep.Forest {
 		var walk func(n *obs.SpanNode)
 		walk = func(n *obs.SpanNode) {
 			if n.Kind == obs.SpanAttempt {
 				for _, op := range n.Children {
-					if op.StartNS < n.StartNS-slack || op.StartNS+op.DurationNS() > n.EndNS+slack {
+					if op.StartNS < n.StartNS || op.StartNS+op.DurationNS() > n.EndNS {
 						t.Errorf("client op %q [%d,%d] escapes attempt window [%d,%d]",
 							op.Name, op.StartNS, op.StartNS+op.DurationNS(), n.StartNS, n.EndNS)
 					}
@@ -312,5 +316,94 @@ func TestRenderersOnChaosRun(t *testing.T) {
 	}
 	if rows := strings.Count(wf.String(), "\n"); rows != spans {
 		t.Errorf("waterfall rows = %d, want one per span (%d)", rows, spans)
+	}
+}
+
+// TestAnalyzePreSpanAttributeTrace: a trace recorded while flat round
+// and client_call records still ran beside the spans (checked in with
+// the report fedtrace -json gave for it then) analyzes to the same
+// report. Every count, kind, phase name, round attribute, byte total,
+// waste field, critical client and path and the straggler ranking
+// match exactly; durations now come from the spans and differ from the
+// flat records' only by the gap between two clock reads, bounded here
+// by 100 µs per span, and the critical shares follow them.
+func TestAnalyzePreSpanAttributeTrace(t *testing.T) {
+	f, err := os.Open("testdata/pre_span_attrs.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := fedtrace.ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fedtrace.Analyze(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := rep.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	wantRaw, err := os.ReadFile("testdata/pre_span_attrs.report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotTree, wantTree any
+	if err := json.Unmarshal(got.Bytes(), &gotTree); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(wantRaw, &wantTree); err != nil {
+		t.Fatal(err)
+	}
+	var durations int
+	var compare func(path string, g, w any)
+	compare = func(path string, g, w any) {
+		switch w := w.(type) {
+		case map[string]any:
+			gm, ok := g.(map[string]any)
+			if !ok || len(gm) != len(w) {
+				t.Errorf("%s = %v, want %v", path, g, w)
+				return
+			}
+			for k, wv := range w {
+				compare(path+"."+k, gm[k], wv)
+			}
+		case []any:
+			gs, ok := g.([]any)
+			if !ok || len(gs) != len(w) {
+				t.Errorf("%s = %v, want %v", path, g, w)
+				return
+			}
+			for i := range w {
+				compare(fmt.Sprintf("%s[%d]", path, i), gs[i], w[i])
+			}
+		case float64:
+			gv, ok := g.(float64)
+			switch {
+			case !ok:
+				t.Errorf("%s = %v, want %v", path, g, w)
+			case strings.HasSuffix(path, "duration_ns"):
+				durations++
+				if math.Abs(gv-w) > 100e3 {
+					t.Errorf("%s = %.0f, want within 100 µs of %.0f", path, gv, w)
+				}
+			case strings.HasSuffix(path, "critical_share"):
+				if math.Abs(gv-w) > 0.005 {
+					t.Errorf("%s = %v, want within 0.005 of %v", path, gv, w)
+				}
+			case gv != w:
+				t.Errorf("%s = %v, want %v", path, gv, w)
+			}
+		default:
+			if g != w {
+				t.Errorf("%s = %v, want %v", path, g, w)
+			}
+		}
+	}
+	compare("report", gotTree, wantTree)
+	// The run, its five phases and its seven rounds.
+	if durations != 13 {
+		t.Errorf("compared %d durations, want 13", durations)
 	}
 }

@@ -173,7 +173,7 @@ func stripTrace(m Message) Message {
 }
 
 // SetRecorder installs (or, with nil, removes) the telemetry recorder
-// the server's quorum layer emits per-attempt ClientCall events to.
+// the server's quorum layer emits call and attempt spans to.
 // Safe to call between rounds; the engine installs its recorder for
 // the duration of a run and clears it afterwards.
 func (s *Server) SetRecorder(r obs.Recorder) {

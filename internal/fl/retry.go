@@ -137,11 +137,12 @@ func callOnce(t Transport, i int, req Message, timeout time.Duration) (Message, 
 }
 
 // attemptHook observes one per-attempt outcome inside a policied call:
-// the client index, the 1-based attempt number, the attempt's wall
-// latency, the response (zero on failure), and the attempt's error.
-// Hooks run on the calling goroutine of the attempt, so a hook used
-// from a concurrent round must be safe for concurrent invocation.
-type attemptHook func(client, attempt int, latencyNS int64, resp Message, err error)
+// the client index, the 1-based attempt number, the telemetry clock
+// (obs.NowNanos) read right before and right after the transport call,
+// the response (zero on failure), and the attempt's error. Hooks run
+// on the calling goroutine of the attempt, so a hook used from a
+// concurrent round must be safe for concurrent invocation.
+type attemptHook func(client, attempt int, startNS, endNS int64, resp Message, err error)
 
 // CallWithPolicy performs one logical call to client i under the
 // policy: each attempt is deadline-bounded, failed attempts are retried
@@ -160,10 +161,13 @@ func callWithPolicy(t Transport, i int, req Message, p RetryPolicy, hook attempt
 		if attempt > 0 {
 			time.Sleep(p.backoff(attempt))
 		}
-		start := time.Now()
+		var startNS int64
+		if hook != nil {
+			startNS = obs.NowNanos()
+		}
 		msg, err := callOnce(t, i, req, p.Timeout)
 		if hook != nil {
-			hook(i, attempt+1, time.Since(start).Nanoseconds(), msg, err)
+			hook(i, attempt+1, startNS, obs.NowNanos(), msg, err)
 		}
 		if err == nil {
 			return msg, nil
@@ -240,33 +244,24 @@ func (s *Server) CallSubsetQuorum(clients []int, req Message, q QuorumConfig) ([
 	out := make([]Message, n)
 	errs := make([]error, n)
 	// The per-attempt hook bills waste (request payloads shipped on
-	// failed attempts) and emits typed ClientCall telemetry. It runs on
-	// concurrent per-client goroutines; accountWaste locks internally
-	// and Recorders are concurrent-safe by contract.
+	// failed attempts) and, in a traced round, emits the attempt span.
+	// It runs on concurrent per-client goroutines; accountWaste locks
+	// internally and Recorders are concurrent-safe by contract.
 	rec := s.recorder()
 	reqBytes := s.size(req)
 	traced := rec != nil && q.Span.Valid()
-	hook := func(client, attempt int, latencyNS int64, resp Message, err error) {
-		bytes := reqBytes
+	hook := func(client, attempt int, startNS, endNS int64, resp Message, err error) {
 		if err != nil {
 			s.accountWaste(1, reqBytes)
-		} else {
-			bytes += s.size(resp)
 		}
-		if rec == nil {
+		if !traced {
 			return
 		}
-		rec.Record(obs.ClientCall{
-			Kind:      req.Kind,
-			Client:    client,
-			Attempt:   attempt,
-			LatencyNS: latencyNS,
-			Bytes:     bytes,
-			Outcome:   outcomeOf(err),
-		})
-		if traced {
-			emitAttemptSpans(rec, q.Span, client, attempt, latencyNS, resp, err)
+		bytes := reqBytes
+		if err == nil {
+			bytes += s.size(resp)
 		}
+		emitAttemptSpans(rec, q.Span, client, attempt, startNS, endNS, bytes, resp, err)
 	}
 	var wg sync.WaitGroup
 	for i, c := range clients {
@@ -274,28 +269,23 @@ func (s *Server) CallSubsetQuorum(clients []int, req Message, q QuorumConfig) ([
 		//lint:allow hotalloc federated fan-out is one goroutine per client per round by design
 		go func(i, c int) {
 			defer wg.Done()
-			var callSpan uint64
+			var call obs.SpanStart
 			if traced {
-				callSpan = obs.DeriveSpan(q.Span.Span, obs.SpanCall, c)
-				rec.Record(obs.SpanStart{
+				call = obs.SpanStart{
 					Trace:   obs.HexID(q.Span.Trace),
-					Span:    obs.HexID(callSpan),
+					Span:    obs.HexID(obs.DeriveSpan(q.Span.Span, obs.SpanCall, c)),
 					Parent:  obs.HexID(q.Span.Span),
 					Kind:    obs.SpanCall,
 					Name:    obs.SpanCall,
 					Seq:     c,
 					Client:  c,
 					StartNS: obs.NowNanos(),
-				})
+				}
+				rec.Record(call)
 			}
 			out[i], errs[i] = callWithPolicy(s.transport, c, req, q.Retry, hook)
 			if traced {
-				rec.Record(obs.SpanEnd{
-					Trace: obs.HexID(q.Span.Trace),
-					Span:  obs.HexID(callSpan),
-					EndNS: obs.NowNanos(),
-					Err:   errString(errs[i]),
-				})
+				rec.Record(call.End(obs.NowNanos(), errs[i]))
 			}
 		}(i, c)
 	}
@@ -325,59 +315,51 @@ func (s *Server) CallSubsetQuorum(clients []int, req Message, q QuorumConfig) ([
 	return msgs, idx, nil
 }
 
-// emitAttemptSpans reports one attempt's span — and, for an attempt
-// that delivered, the client-local operation spans its response
-// shipped back — after the fact: the attempt's start is reconstructed
-// from its observed latency, so the span brackets the transport call
-// without a second clock read inside it. Span IDs are derived from
-// position (round span → call → attempt → op group), never counters,
-// so concurrent emission order cannot perturb identity. The shipped
-// span triples are consumed here: the key is deleted so client-local
-// timings never reach the engine's protocol handling. Runs on the
-// attempt's own goroutine; the response maps are exclusively its
-// client's until the round barrier.
-func emitAttemptSpans(rec obs.Recorder, round obs.SpanContext, client, attempt int, latencyNS int64, resp Message, err error) {
-	trace := obs.HexID(round.Trace)
+// emitAttemptSpans reports one attempt's span — carrying the bytes it
+// moved and its outcome — and, for an attempt that delivered, the
+// client-local operation spans its response shipped back. The attempt
+// window is the pair of clock reads callWithPolicy took around the
+// transport call, so a client op the call contains lies inside it.
+// Span IDs are derived from position (round span → call → attempt →
+// op group), never counters, so concurrent emission order cannot
+// perturb identity. The shipped span triples are consumed here: the
+// key is deleted so client-local timings never reach the engine's
+// protocol handling. Runs on the attempt's own goroutine; the
+// response maps are exclusively its client's until the round barrier.
+func emitAttemptSpans(rec obs.Recorder, round obs.SpanContext, client, attempt int, startNS, endNS, bytes int64, resp Message, err error) {
 	callID := obs.DeriveSpan(round.Span, obs.SpanCall, client)
 	attemptID := obs.DeriveSpan(callID, obs.SpanAttempt, attempt)
-	endNS := obs.NowNanos()
-	rec.Record(obs.SpanStart{
-		Trace:   trace,
+	att := obs.SpanStart{
+		Trace:   obs.HexID(round.Trace),
 		Span:    obs.HexID(attemptID),
 		Parent:  obs.HexID(callID),
 		Kind:    obs.SpanAttempt,
 		Name:    obs.SpanAttempt,
 		Seq:     attempt,
 		Client:  client,
-		StartNS: endNS - latencyNS,
-	})
-	rec.Record(obs.SpanEnd{Trace: trace, Span: obs.HexID(attemptID), EndNS: endNS, Err: errString(err)})
+		StartNS: startNS,
+	}
+	rec.Record(att)
+	end := att.End(endNS, err)
+	end.Bytes, end.Outcome = bytes, outcomeOf(err)
+	rec.Record(end)
 	if err != nil {
 		return
 	}
 	spans := resp.Ints[codec.SpansKey]
 	for g := 0; g+2 < len(spans); g += 3 {
-		opID := obs.DeriveSpan(attemptID, obs.SpanClient, g/3)
-		startNS := int64(spans[g+1])
-		rec.Record(obs.SpanStart{
-			Trace:   trace,
-			Span:    obs.HexID(opID),
-			Parent:  obs.HexID(attemptID),
+		op := obs.SpanStart{
+			Trace:   att.Trace,
+			Span:    obs.HexID(obs.DeriveSpan(attemptID, obs.SpanClient, g/3)),
+			Parent:  att.Span,
 			Kind:    obs.SpanClient,
 			Name:    obs.ClientOpName(spans[g]),
 			Seq:     g / 3,
 			Client:  client,
-			StartNS: startNS,
-		})
-		rec.Record(obs.SpanEnd{Trace: trace, Span: obs.HexID(opID), EndNS: startNS + int64(spans[g+2])})
+			StartNS: int64(spans[g+1]),
+		}
+		rec.Record(op)
+		rec.Record(op.End(op.StartNS+int64(spans[g+2]), nil))
 	}
 	delete(resp.Ints, codec.SpansKey)
-}
-
-// errString renders an error for a span's Err field ("" for nil).
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }

@@ -20,14 +20,27 @@ func (c *captureRecorder) Record(ev obs.Event) {
 	c.mu.Unlock()
 }
 
-// calls returns the recorded ClientCall events for one client.
-func (c *captureRecorder) calls(client int) []obs.ClientCall {
+// attempt pairs one attempt span's start and end.
+type attempt struct {
+	start obs.SpanStart
+	end   obs.SpanEnd
+}
+
+// attempts returns one client's attempt spans in attempt order (a
+// client's attempts run one after another on its goroutine).
+func (c *captureRecorder) attempts(client int) []attempt {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []obs.ClientCall
+	ends := map[string]obs.SpanEnd{}
 	for _, ev := range c.events {
-		if cc, ok := ev.(obs.ClientCall); ok && cc.Client == client {
-			out = append(out, cc)
+		if e, ok := ev.(obs.SpanEnd); ok && e.Kind == obs.SpanAttempt {
+			ends[e.Span] = e
+		}
+	}
+	var out []attempt
+	for _, ev := range c.events {
+		if s, ok := ev.(obs.SpanStart); ok && s.Kind == obs.SpanAttempt && s.Client == client {
+			out = append(out, attempt{s, ends[s.Span]})
 		}
 	}
 	return out
@@ -64,7 +77,8 @@ func TestQuorumWasteAccounting(t *testing.T) {
 
 	req := NewMessage("fit/waste")
 	req.Scalars["offset"] = 1 // non-empty payload so waste is non-zero
-	resps, idx, err := srv.BroadcastQuorum(req, QuorumConfig{Retry: RetryPolicy{MaxRetries: 3}})
+	round := obs.SpanContext{Trace: 1, Span: 2}
+	resps, idx, err := srv.BroadcastQuorum(req, QuorumConfig{Retry: RetryPolicy{MaxRetries: 3}, Span: round})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,29 +108,31 @@ func TestQuorumWasteAccounting(t *testing.T) {
 	}
 
 	// Per-attempt telemetry: client 1 saw two transient attempts then a
-	// success, with 1-based attempt numbers and outcome labels.
-	c1 := rec.calls(1)
+	// success, with 1-based attempt numbers and outcome labels, each
+	// under client 1's call span in the round.
+	c1 := rec.attempts(1)
 	if len(c1) != 3 {
-		t.Fatalf("client 1 emitted %d ClientCall events, want 3", len(c1))
+		t.Fatalf("client 1 emitted %d attempt spans, want 3", len(c1))
 	}
+	call1 := obs.HexID(obs.DeriveSpan(round.Span, obs.SpanCall, 1))
 	for i, want := range []string{obs.OutcomeTransient, obs.OutcomeTransient, obs.OutcomeOK} {
-		if c1[i].Outcome != want {
-			t.Errorf("client 1 attempt %d outcome = %q, want %q", i+1, c1[i].Outcome, want)
+		if c1[i].end.Outcome != want {
+			t.Errorf("client 1 attempt %d outcome = %q, want %q", i+1, c1[i].end.Outcome, want)
 		}
-		if c1[i].Attempt != i+1 {
-			t.Errorf("client 1 event %d attempt = %d, want %d", i, c1[i].Attempt, i+1)
+		if c1[i].start.Seq != i+1 {
+			t.Errorf("client 1 span %d attempt = %d, want %d", i, c1[i].start.Seq, i+1)
 		}
-		if c1[i].Kind != "fit/waste" {
-			t.Errorf("client 1 event %d kind = %q", i, c1[i].Kind)
+		if c1[i].start.Parent != call1 {
+			t.Errorf("client 1 attempt %d parent = %s, want its call span %s", i+1, c1[i].start.Parent, call1)
 		}
 	}
 	// Failed attempts bill the request only; the success adds the
 	// response payload.
-	if c1[0].Bytes != losslessSize(req) {
-		t.Errorf("failed attempt bytes = %d, want request-only %d", c1[0].Bytes, losslessSize(req))
+	if c1[0].end.Bytes != losslessSize(req) {
+		t.Errorf("failed attempt bytes = %d, want request-only %d", c1[0].end.Bytes, losslessSize(req))
 	}
-	if c1[2].Bytes <= losslessSize(req) {
-		t.Errorf("successful attempt bytes = %d, want > request %d (response included)", c1[2].Bytes, losslessSize(req))
+	if c1[2].end.Bytes <= losslessSize(req) {
+		t.Errorf("successful attempt bytes = %d, want > request %d (response included)", c1[2].end.Bytes, losslessSize(req))
 	}
 
 	// The chaos layer reported its injections.
@@ -125,8 +141,8 @@ func TestQuorumWasteAccounting(t *testing.T) {
 	}
 
 	// Clients that never failed waste nothing and emit one ok attempt.
-	if c0 := rec.calls(0); len(c0) != 1 || c0[0].Outcome != obs.OutcomeOK || c0[0].Attempt != 1 {
-		t.Errorf("client 0 events = %+v, want one first-attempt ok", c0)
+	if c0 := rec.attempts(0); len(c0) != 1 || c0[0].end.Outcome != obs.OutcomeOK || c0[0].start.Seq != 1 {
+		t.Errorf("client 0 attempt spans = %+v, want one first-attempt ok", c0)
 	}
 }
 

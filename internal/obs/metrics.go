@@ -102,8 +102,8 @@ type Metrics struct {
 	activeRuns   atomic.Int64
 	boIterations atomic.Int64
 	// lastActivityNS is the Unix-nanosecond timestamp of the most
-	// recent run/round event — the liveness signal /healthz compares
-	// against its stall threshold.
+	// recent run or round span event — the liveness signal /healthz
+	// compares against its stall threshold.
 	lastActivityNS atomic.Int64
 
 	mu      sync.RWMutex
@@ -201,40 +201,50 @@ func (m *Metrics) touch() {
 	m.lastActivityNS.Store(NowNanos())
 }
 
-// Record implements Recorder.
+// Record implements Recorder. Spans drive the run, phase, round and
+// attempt families, each update from a single event: a start counts
+// what began, a self-describing end what finished and how long it
+// took. Run and round spans refresh the liveness timestamp.
 func (m *Metrics) Record(ev Event) {
 	switch e := ev.(type) {
-	case RunStart:
-		m.runsStarted.Add(1)
-		m.activeRuns.Add(1)
-		m.touch()
-	case RunEnd:
-		m.runsEnded.Add(1)
-		m.activeRuns.Add(-1)
-		m.touch()
-	case PhaseEnd:
-		p := m.phase(e.Phase)
-		p.count.Add(1)
-		p.sumNS.Add(e.DurationNS)
-	case RoundStart:
-		m.round(e.Kind).started.Add(1)
-		m.touch()
-	case RoundEnd:
-		r := m.round(e.Kind)
-		if e.Err == "" {
-			r.completed.Add(1)
-			r.survivors.Add(int64(e.Survivors))
-		} else {
-			r.failed.Add(1)
+	case SpanStart:
+		switch e.Kind {
+		case SpanRun:
+			m.runsStarted.Add(1)
+			m.activeRuns.Add(1)
+			m.touch()
+		case SpanRound:
+			m.round(e.Name).started.Add(1)
+			m.touch()
+		case SpanAttempt:
+			if e.Seq > 1 {
+				m.client(e.Client).retries.Add(1)
+			}
 		}
-		r.duration.observeNS(e.DurationNS)
-		m.touch()
-	case ClientCall:
-		c := m.client(e.Client)
-		c.outcomes[outcomeIndex(e.Outcome)].Add(1)
-		c.latency.observeNS(e.LatencyNS)
-		if e.Attempt > 1 {
-			c.retries.Add(1)
+	case SpanEnd:
+		switch e.Kind {
+		case SpanRun:
+			m.runsEnded.Add(1)
+			m.activeRuns.Add(-1)
+			m.touch()
+		case SpanPhase:
+			p := m.phase(e.Name)
+			p.count.Add(1)
+			p.sumNS.Add(e.DurationNS)
+		case SpanRound:
+			r := m.round(e.Name)
+			if e.Err == "" {
+				r.completed.Add(1)
+				r.survivors.Add(int64(e.Survivors))
+			} else {
+				r.failed.Add(1)
+			}
+			r.duration.observeNS(e.DurationNS)
+			m.touch()
+		case SpanAttempt:
+			c := m.client(e.Client)
+			c.outcomes[outcomeIndex(e.Outcome)].Add(1)
+			c.latency.observeNS(e.DurationNS)
 		}
 	case ClientDropped:
 		m.client(e.Client).drops.Add(1)
@@ -256,12 +266,11 @@ func (m *Metrics) Record(ev Event) {
 	}
 }
 
-// ActiveRuns reports how many runs are currently between RunStart and
-// RunEnd.
+// ActiveRuns reports how many run spans are currently open.
 func (m *Metrics) ActiveRuns() int64 { return m.activeRuns.Load() }
 
 // LastActivityNanos reports the Unix-nanosecond timestamp of the most
-// recent run/round event (0 = none yet).
+// recent run or round span event (0 = none yet).
 func (m *Metrics) LastActivityNanos() int64 { return m.lastActivityNS.Load() }
 
 // fnum renders a float in the shortest exact form Prometheus accepts.

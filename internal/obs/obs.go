@@ -1,10 +1,10 @@
 // Package obs is the structured-telemetry subsystem of the
 // reproduction: typed events describing a federated run (spans for the
-// five engine phases, per-round and per-client call records, Bayesian
-// optimization iterations), recorders that consume them (Prometheus
-// metrics, a JSON-lines trace sink, the legacy human-readable trace
-// adapter), and an opt-in HTTP server exposing /metrics, /healthz, and
-// net/http/pprof.
+// run, its five engine phases, its rounds, per-client calls and their
+// attempts; facts without a duration such as drops, chaos injections
+// and Bayesian-optimization iterations), recorders that consume them
+// (Prometheus metrics, a JSON-lines trace sink), and an opt-in HTTP
+// server exposing /metrics, /healthz, and net/http/pprof.
 //
 // Design contract:
 //
@@ -12,7 +12,8 @@
 //     site guards with `if rec != nil`, so the disabled path allocates
 //     nothing (BenchmarkRecorderOverhead pins this).
 //   - Recorders are safe for concurrent Record calls — quorum
-//     broadcasts emit client-call events from one goroutine per client.
+//     broadcasts emit call and attempt spans from one goroutine per
+//     client.
 //   - Event payloads are deterministic functions of the run; wall-clock
 //     readings appear only in timestamp and duration/latency fields.
 //     All wall-clock capture inside this package funnels through
@@ -49,7 +50,7 @@ func NowNanos() int64 {
 	return time.Now().UnixNano()
 }
 
-// Outcome labels for ClientCall events.
+// Outcome labels an attempt span carries at its end.
 const (
 	OutcomeOK        = "ok"        // the attempt returned a response
 	OutcomeTransient = "transient" // retryable injected/transport fault
@@ -57,87 +58,6 @@ const (
 	OutcomeDead      = "dead"      // the client is permanently gone
 	OutcomeError     = "error"     // any other failure
 )
-
-// RunStart opens one engine run.
-type RunStart struct {
-	Clients    int   `json:"clients"`
-	Iterations int   `json:"iterations"`
-	BatchSize  int   `json:"batch_size"`
-	Seed       int64 `json:"seed"`
-}
-
-// EventName implements Event.
-func (RunStart) EventName() string { return "run_start" }
-
-// RunEnd closes one engine run.
-type RunEnd struct {
-	DurationNS int64  `json:"duration_ns"`
-	Iterations int    `json:"iterations"`
-	EvalRounds int    `json:"eval_rounds"`
-	Err        string `json:"err,omitempty"`
-}
-
-// EventName implements Event.
-func (RunEnd) EventName() string { return "run_end" }
-
-// PhaseStart opens one of the five engine phases (Figure 1's I-IV,
-// with Phase III split into feature-select and optimize).
-type PhaseStart struct {
-	Phase string `json:"phase"`
-}
-
-// EventName implements Event.
-func (PhaseStart) EventName() string { return "phase_start" }
-
-// PhaseEnd closes a phase span.
-type PhaseEnd struct {
-	Phase      string `json:"phase"`
-	DurationNS int64  `json:"duration_ns"`
-	Err        string `json:"err,omitempty"`
-}
-
-// EventName implements Event.
-func (PhaseEnd) EventName() string { return "phase_end" }
-
-// RoundStart opens one federated protocol round. Batch is the
-// candidate count for evaluation rounds (0 for metadata rounds).
-type RoundStart struct {
-	Kind    string `json:"kind"`
-	Batch   int    `json:"batch"`
-	Clients int    `json:"clients"`
-}
-
-// EventName implements Event.
-func (RoundStart) EventName() string { return "round_start" }
-
-// RoundEnd closes a round span with its survivor count.
-type RoundEnd struct {
-	Kind       string `json:"kind"`
-	Batch      int    `json:"batch"`
-	Survivors  int    `json:"survivors"`
-	DurationNS int64  `json:"duration_ns"`
-	Err        string `json:"err,omitempty"`
-}
-
-// EventName implements Event.
-func (RoundEnd) EventName() string { return "round_end" }
-
-// ClientCall records one attempt of one logical client call: which
-// round kind, which client, which attempt (1 = first, >1 = retries),
-// how long the attempt took, the estimated payload bytes it moved
-// (request only on failure; request + response on success), and its
-// outcome.
-type ClientCall struct {
-	Kind      string `json:"kind"`
-	Client    int    `json:"client"`
-	Attempt   int    `json:"attempt"`
-	LatencyNS int64  `json:"latency_ns"`
-	Bytes     int64  `json:"bytes"`
-	Outcome   string `json:"outcome"`
-}
-
-// EventName implements Event.
-func (ClientCall) EventName() string { return "client_call" }
 
 // ClientDropped records a client excluded from a quorum round after
 // its logical call (including retries) failed.
@@ -196,15 +116,6 @@ type ChaosInject struct {
 
 // EventName implements Event.
 func (ChaosInject) EventName() string { return "chaos_inject" }
-
-// Note is a free-form human-readable annotation — the event the legacy
-// EngineConfig.Trace strings ride through.
-type Note struct {
-	Text string `json:"text"`
-}
-
-// EventName implements Event.
-func (Note) EventName() string { return "note" }
 
 // multi fans one event out to several recorders in order.
 type multi []Recorder

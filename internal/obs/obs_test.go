@@ -41,54 +41,19 @@ func TestMultiDropsNils(t *testing.T) {
 	}
 	b := &captureRecorder{}
 	fan := Multi(a, nil, b)
-	fan.Record(Note{Text: "x"})
+	fan.Record(BOIteration{Index: 0})
 	if len(a.names()) != 1 || len(b.names()) != 1 {
 		t.Errorf("fan-out delivered a=%d b=%d events, want 1 each", len(a.names()), len(b.names()))
 	}
 }
 
-func TestLegacyTraceRendersCompatStrings(t *testing.T) {
-	if LegacyTrace(nil) != nil {
-		t.Fatal("LegacyTrace(nil) should be nil (telemetry disabled)")
-	}
-	var lines []string
-	rec := LegacyTrace(func(s string) { lines = append(lines, s) })
-
-	rec.Record(Note{Text: "phase I: collecting meta-features"})
-	rec.Record(ClientDropped{Kind: "eval/config", Client: 2, Reason: "fl: transient fault"})
-	// Typed events that were never strings must stay silent.
-	rec.Record(RoundStart{Kind: "eval/config"})
-	rec.Record(ClientCall{Client: 1, Outcome: OutcomeOK})
-
-	want := []string{
-		"phase I: collecting meta-features",
-		"client 2 dropped from eval/config round: fl: transient fault",
-	}
-	if len(lines) != len(want) {
-		t.Fatalf("adapter emitted %d lines %q, want %d", len(lines), lines, len(want))
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d = %q, want %q", i, lines[i], want[i])
-		}
-	}
-}
-
 func TestEventNamesAreStableSnakeCase(t *testing.T) {
 	events := map[Event]string{
-		RunStart{}:      "run_start",
-		RunEnd{}:        "run_end",
-		PhaseStart{}:    "phase_start",
-		PhaseEnd{}:      "phase_end",
-		RoundStart{}:    "round_start",
-		RoundEnd{}:      "round_end",
-		ClientCall{}:    "client_call",
 		ClientDropped{}: "client_dropped",
 		BOIteration{}:   "bo_iteration",
 		ClientCache{}:   "client_cache",
 		CandidateEval{}: "candidate_eval",
 		ChaosInject{}:   "chaos_inject",
-		Note{}:          "note",
 		SpanStart{}:     "span_start",
 		SpanEnd{}:       "span_end",
 		CommsSummary{}:  "comms_summary",
@@ -102,27 +67,33 @@ func TestEventNamesAreStableSnakeCase(t *testing.T) {
 
 func TestMetricsAggregation(t *testing.T) {
 	m := NewMetrics()
-	m.Record(RunStart{Clients: 3, Iterations: 8, BatchSize: 2, Seed: 42})
+	m.Record(SpanStart{Kind: SpanRun, Name: SpanRun, Client: -1})
 	if m.ActiveRuns() != 1 {
-		t.Errorf("ActiveRuns = %d after RunStart, want 1", m.ActiveRuns())
+		t.Errorf("ActiveRuns = %d after the run span opened, want 1", m.ActiveRuns())
 	}
-	m.Record(RoundStart{Kind: "metafeatures", Clients: 3})
-	m.Record(RoundEnd{Kind: "metafeatures", Survivors: 3, DurationNS: 2_000_000})
-	m.Record(RoundStart{Kind: "eval/config", Batch: 2, Clients: 3})
-	m.Record(RoundEnd{Kind: "eval/config", Batch: 2, DurationNS: 5_000_000, Err: "fl: quorum not met"})
-	m.Record(ClientCall{Kind: "eval/config", Client: 0, Attempt: 1, LatencyNS: 800_000, Bytes: 64, Outcome: OutcomeOK})
-	m.Record(ClientCall{Kind: "eval/config", Client: 1, Attempt: 1, LatencyNS: 400_000, Bytes: 64, Outcome: OutcomeTransient})
-	m.Record(ClientCall{Kind: "eval/config", Client: 1, Attempt: 2, LatencyNS: 300_000, Bytes: 128, Outcome: OutcomeOK})
+	m.Record(SpanStart{Kind: SpanRound, Name: "metafeatures", Client: -1, Clients: 3})
+	m.Record(SpanEnd{Kind: SpanRound, Name: "metafeatures", Client: -1, Survivors: 3, DurationNS: 2_000_000})
+	m.Record(SpanStart{Kind: SpanRound, Name: "eval/config", Client: -1, Batch: 2, Clients: 3})
+	m.Record(SpanEnd{Kind: SpanRound, Name: "eval/config", Client: -1, DurationNS: 5_000_000, Err: "fl: quorum not met"})
+	m.Record(SpanStart{Kind: SpanAttempt, Name: SpanAttempt, Seq: 1, Client: 0})
+	m.Record(SpanEnd{Kind: SpanAttempt, Name: SpanAttempt, Client: 0, DurationNS: 800_000, Bytes: 64, Outcome: OutcomeOK})
+	m.Record(SpanStart{Kind: SpanAttempt, Name: SpanAttempt, Seq: 1, Client: 1})
+	m.Record(SpanEnd{Kind: SpanAttempt, Name: SpanAttempt, Client: 1, DurationNS: 400_000, Bytes: 64, Outcome: OutcomeTransient})
+	m.Record(SpanStart{Kind: SpanAttempt, Name: SpanAttempt, Seq: 2, Client: 1})
+	m.Record(SpanEnd{Kind: SpanAttempt, Name: SpanAttempt, Client: 1, DurationNS: 300_000, Bytes: 128, Outcome: OutcomeOK})
+	// A call span ends around its attempts; it counts nothing itself.
+	m.Record(SpanEnd{Kind: SpanCall, Name: SpanCall, Client: 1, DurationNS: 750_000})
+	m.Record(SpanEnd{Kind: SpanPhase, Name: "optimize", Client: -1, DurationNS: 7_000_000})
 	m.Record(ClientDropped{Kind: "eval/config", Client: 2, Reason: "dead"})
 	m.Record(ClientCache{Client: 0, Phase: "valid", Hit: false, BuildNS: 1000})
 	m.Record(ClientCache{Client: 0, Phase: "valid", Hit: true})
 	m.Record(CandidateEval{Client: 0, Index: 1, EvalNS: 5000, Loss: 0.25})
 	m.Record(BOIteration{Index: 0, Config: "Lasso{}", Loss: 0.5})
 	m.Record(ChaosInject{Client: 1, Fault: "transient"})
-	m.Record(RunEnd{DurationNS: 9_000_000, Iterations: 8, EvalRounds: 4})
+	m.Record(SpanEnd{Kind: SpanRun, Name: SpanRun, Client: -1, DurationNS: 9_000_000})
 
 	if m.ActiveRuns() != 0 {
-		t.Errorf("ActiveRuns = %d after RunEnd, want 0", m.ActiveRuns())
+		t.Errorf("ActiveRuns = %d after the run span closed, want 0", m.ActiveRuns())
 	}
 	if m.LastActivityNanos() == 0 {
 		t.Error("LastActivityNanos = 0, want a refreshed liveness timestamp")
@@ -153,6 +124,10 @@ func TestMetricsAggregation(t *testing.T) {
 		`fedforecaster_chaos_injections_total{fault="transient"} 1`,
 		`fedforecaster_client_call_seconds_bucket{client="0",le="0.001"} 1`,
 		`fedforecaster_client_call_seconds_count{client="0"} 1`,
+		`fedforecaster_client_call_seconds_count{client="1"} 2`,
+		`fedforecaster_round_seconds_count{kind="eval/config"} 1`,
+		`fedforecaster_phase_seconds_sum{phase="optimize"} 0.007`,
+		`fedforecaster_phase_seconds_count{phase="optimize"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -195,8 +170,8 @@ func TestMetricsConcurrentRecordAndScrape(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				m.Record(ClientCall{Kind: "eval/config", Client: g % 3, Attempt: 1, LatencyNS: int64(i), Outcome: OutcomeOK})
-				m.Record(RoundEnd{Kind: "eval/config", Survivors: 3, DurationNS: int64(i)})
+				m.Record(SpanEnd{Kind: SpanAttempt, Name: SpanAttempt, Client: g % 3, DurationNS: int64(i), Outcome: OutcomeOK})
+				m.Record(SpanEnd{Kind: SpanRound, Name: "eval/config", Client: -1, Survivors: 3, DurationNS: int64(i)})
 			}
 		}(g)
 	}

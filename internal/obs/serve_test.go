@@ -27,7 +27,7 @@ func get(t *testing.T, srv *HTTPServer, path string) (int, string) {
 
 func TestServeMetricsAndPprof(t *testing.T) {
 	m := NewMetrics()
-	m.Record(RunStart{Clients: 2})
+	m.Record(SpanStart{Kind: SpanRun, Name: SpanRun, Client: -1})
 	srv, err := Serve("127.0.0.1:0", ServeOptions{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
@@ -60,26 +60,26 @@ func TestHealthzStallDetection(t *testing.T) {
 	}
 
 	// Active run with fresh activity: healthy.
-	m.Record(RunStart{Clients: 2})
+	m.Record(SpanStart{Kind: SpanRun, Name: SpanRun, Client: -1})
 	if code, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Errorf("fresh-run healthz = %d, want 200", code)
 	}
 
-	// Let the run outlive the stall threshold with no round events.
+	// Let the run outlive the stall threshold with no round spans.
 	time.Sleep(120 * time.Millisecond)
 	code, body := get(t, srv, "/healthz")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"status":"stalled"`) {
 		t.Errorf("stalled healthz = %d %s, want 503 stalled", code, body)
 	}
 
-	// A round event revives liveness.
-	m.Record(RoundEnd{Kind: "eval/config", Survivors: 2})
+	// A round span revives liveness.
+	m.Record(SpanEnd{Kind: SpanRound, Name: "eval/config", Client: -1, Survivors: 2})
 	if code, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Errorf("revived healthz = %d, want 200", code)
 	}
 
 	// Run ends: healthy again even as time passes.
-	m.Record(RunEnd{})
+	m.Record(SpanEnd{Kind: SpanRun, Name: SpanRun, Client: -1})
 	time.Sleep(120 * time.Millisecond)
 	if code, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Errorf("post-run healthz = %d, want 200", code)
@@ -100,7 +100,7 @@ func TestServeConcurrentScrapesDuringLiveRun(t *testing.T) {
 	}
 	defer srv.Close()
 
-	m.Record(RunStart{Clients: 4})
+	m.Record(SpanStart{Kind: SpanRun, Name: SpanRun, Client: -1})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -117,11 +117,12 @@ func TestServeConcurrentScrapesDuringLiveRun(t *testing.T) {
 					return
 				default:
 				}
-				m.Record(ClientCall{Kind: "eval/config", Client: g, Attempt: 1 + i%2, LatencyNS: 1000, Bytes: 64, Outcome: "ok"})
+				m.Record(SpanStart{Kind: SpanAttempt, Name: SpanAttempt, Seq: 1 + i%2, Client: g})
+				m.Record(SpanEnd{Kind: SpanAttempt, Name: SpanAttempt, Client: g, DurationNS: 1000, Bytes: 64, Outcome: OutcomeOK})
 				m.Record(ChaosInject{Client: g, Fault: "delay"})
 				if i%3 == 0 {
 					m.Record(ClientDropped{Kind: "eval/config", Client: g, Reason: "dead"})
-					m.Record(RoundEnd{Kind: "eval/config", Survivors: 3})
+					m.Record(SpanEnd{Kind: SpanRound, Name: "eval/config", Client: -1, Survivors: 3})
 				}
 				time.Sleep(time.Millisecond)
 			}

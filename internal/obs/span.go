@@ -135,7 +135,9 @@ func parseHexID(s string) uint64 {
 // index (phase order, per-run round sequence, client index, attempt
 // number, client-op group index) — reconstructors order siblings by
 // it, never by timestamps. Client is the client index a call/client
-// span belongs to, -1 for server-side spans.
+// span belongs to, -1 for server-side spans. A round span carries the
+// round's candidate count (Batch, 0 for metadata rounds) and the
+// number of clients it addresses.
 type SpanStart struct {
 	Trace   string `json:"trace"`
 	Span    string `json:"span"`
@@ -145,22 +147,56 @@ type SpanStart struct {
 	Seq     int    `json:"seq"`
 	Client  int    `json:"client"`
 	StartNS int64  `json:"start_ns"`
+	Batch   int    `json:"batch,omitempty"`
+	Clients int    `json:"clients,omitempty"`
 }
 
 // EventName implements Event.
 func (SpanStart) EventName() string { return "span_start" }
 
 // SpanEnd closes a span, carrying the only other wall-clock reading
-// (EndNS) and the outcome.
+// (EndNS) and the outcome. It repeats the span's kind, name and client
+// and carries its duration, so a consumer that aggregates spans (the
+// Prometheus recorder) updates from this one event without joining it
+// to its start. A round span ends with its survivor count; an attempt
+// span with the bytes it moved (request only on failure, request and
+// response on success) and its outcome label.
 type SpanEnd struct {
-	Trace string `json:"trace"`
-	Span  string `json:"span"`
-	EndNS int64  `json:"end_ns"`
-	Err   string `json:"err,omitempty"`
+	Trace      string `json:"trace"`
+	Span       string `json:"span"`
+	Kind       string `json:"kind"`
+	Name       string `json:"name"`
+	Client     int    `json:"client"`
+	EndNS      int64  `json:"end_ns"`
+	DurationNS int64  `json:"duration_ns"`
+	Err        string `json:"err,omitempty"`
+	Survivors  int    `json:"survivors,omitempty"`
+	Bytes      int64  `json:"bytes,omitempty"`
+	Outcome    string `json:"outcome,omitempty"`
 }
 
 // EventName implements Event.
 func (SpanEnd) EventName() string { return "span_end" }
+
+// End returns the event closing s at endNS with err's text (none for
+// nil): the identity fields repeated, the duration measured from
+// s.StartNS. Callers set a round's or an attempt's end attributes on
+// the result.
+func (s SpanStart) End(endNS int64, err error) SpanEnd {
+	e := SpanEnd{
+		Trace:      s.Trace,
+		Span:       s.Span,
+		Kind:       s.Kind,
+		Name:       s.Name,
+		Client:     s.Client,
+		EndNS:      endNS,
+		DurationNS: endNS - s.StartNS,
+	}
+	if err != nil {
+		e.Err = err.Error()
+	}
+	return e
+}
 
 // CommsSummary is the run's final communication accounting mirrored
 // into the event stream (the fields of fl.Stats, as plain integers so
@@ -180,25 +216,12 @@ func (CommsSummary) EventName() string { return "comms_summary" }
 // DecodeEvent parses one JSONL "data" payload back into its typed
 // event by the envelope's event name — the read side of the JSONL
 // schema, used by offline analyzers (cmd/fedtrace). Unknown names
-// return (nil, nil): the schema is append-only, so an older reader
-// skipping a newer event is correct, not an error.
+// return (nil, nil): an older reader skips a newer event, and a trace
+// written before spans were the only timing record still decodes, its
+// flat run/phase/round/client_call/note records skipped.
 func DecodeEvent(name string, data []byte) (Event, error) {
 	var ev Event
 	switch name {
-	case "run_start":
-		ev = &RunStart{}
-	case "run_end":
-		ev = &RunEnd{}
-	case "phase_start":
-		ev = &PhaseStart{}
-	case "phase_end":
-		ev = &PhaseEnd{}
-	case "round_start":
-		ev = &RoundStart{}
-	case "round_end":
-		ev = &RoundEnd{}
-	case "client_call":
-		ev = &ClientCall{}
 	case "client_dropped":
 		ev = &ClientDropped{}
 	case "bo_iteration":
@@ -209,8 +232,6 @@ func DecodeEvent(name string, data []byte) (Event, error) {
 		ev = &CandidateEval{}
 	case "chaos_inject":
 		ev = &ChaosInject{}
-	case "note":
-		ev = &Note{}
 	case "span_start":
 		ev = &SpanStart{}
 	case "span_end":

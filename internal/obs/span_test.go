@@ -70,7 +70,7 @@ func TestClientOpNames(t *testing.T) {
 // TestBuildSpanForest covers the reconstructor's contract: children
 // under parents, deterministic (Seq, Name, ID) sibling order
 // regardless of emission order, orphans surfaced as roots, unclosed
-// spans kept open.
+// spans kept open, and span attributes carried from both events.
 func TestBuildSpanForest(t *testing.T) {
 	tr := DeriveTrace(1)
 	run := DeriveSpan(tr, SpanRun, 0)
@@ -86,11 +86,12 @@ func TestBuildSpanForest(t *testing.T) {
 		// Emitted out of order, as concurrent per-client goroutines do.
 		SpanStart{Trace: th, Span: HexID(callB), Parent: HexID(phase), Kind: SpanCall, Name: "call", Seq: 1, Client: 1, StartNS: 130},
 		SpanStart{Trace: th, Span: HexID(callA), Parent: HexID(phase), Kind: SpanCall, Name: "call", Seq: 0, Client: 0, StartNS: 120},
-		SpanEnd{Trace: th, Span: HexID(callA), EndNS: 150},
+		SpanEnd{Trace: th, Span: HexID(callA), EndNS: 150, Bytes: 42, Outcome: OutcomeOK},
 		SpanEnd{Trace: th, Span: HexID(callB), EndNS: 160, Err: "fl: client dead"},
 		SpanEnd{Trace: th, Span: HexID(phase), EndNS: 170},
 		// The run span never closes; a crashed process leaves exactly this.
-		SpanStart{Trace: th, Span: HexID(orphan), Parent: HexID(DeriveSpan(12345, "nope", 9)), Kind: SpanRound, Name: "stray", Seq: 0, Client: -1, StartNS: 500},
+		SpanStart{Trace: th, Span: HexID(orphan), Parent: HexID(DeriveSpan(12345, "nope", 9)), Kind: SpanRound, Name: "stray", Seq: 0, Client: -1, StartNS: 500, Batch: 2, Clients: 4},
+		SpanEnd{Trace: th, Span: HexID(orphan), EndNS: 600, Survivors: 3},
 	}
 
 	roots := BuildSpanForest(events)
@@ -111,7 +112,12 @@ func TestBuildSpanForest(t *testing.T) {
 	if calls[0].DurationNS() != 30 || calls[1].Err != "fl: client dead" {
 		t.Errorf("call spans lost end state: %+v, %+v", calls[0], calls[1])
 	}
-	if roots[1].Name != "stray" {
-		t.Errorf("orphan span should surface as a root, got %+v", roots[1])
+	if calls[0].Bytes != 42 || calls[0].Outcome != OutcomeOK {
+		t.Errorf("call span lost its end attributes: %+v", calls[0])
+	}
+	if o := roots[1]; o.Name != "stray" {
+		t.Errorf("orphan span should surface as a root, got %+v", o)
+	} else if o.Batch != 2 || o.Clients != 4 || o.Survivors != 3 {
+		t.Errorf("round span attributes = batch %d, clients %d, survivors %d; want 2, 4, 3", o.Batch, o.Clients, o.Survivors)
 	}
 }

@@ -4,19 +4,26 @@ import "sort"
 
 // SpanNode is one reconstructed span in a trace forest. EndNS is 0
 // and Err empty while (or if) the span never closed — an unclosed
-// span is evidence, not an error, so reconstruction keeps it.
+// span is evidence, not an error, so reconstruction keeps it. Batch
+// and Clients come from a round span's start, Survivors from its end;
+// Bytes and Outcome from an attempt span's end.
 type SpanNode struct {
-	Trace    uint64
-	ID       uint64
-	Parent   uint64
-	Kind     string
-	Name     string
-	Seq      int
-	Client   int
-	StartNS  int64
-	EndNS    int64
-	Err      string
-	Children []*SpanNode
+	Trace     uint64
+	ID        uint64
+	Parent    uint64
+	Kind      string
+	Name      string
+	Seq       int
+	Client    int
+	StartNS   int64
+	EndNS     int64
+	Err       string
+	Batch     int
+	Clients   int
+	Survivors int
+	Bytes     int64
+	Outcome   string
+	Children  []*SpanNode
 }
 
 // DurationNS is the span's closed duration, 0 while open.
@@ -49,6 +56,8 @@ func BuildSpanForest(events []Event) []*SpanNode {
 				Seq:     start.Seq,
 				Client:  start.Client,
 				StartNS: start.StartNS,
+				Batch:   start.Batch,
+				Clients: start.Clients,
 			}
 			if _, dup := byID[n.ID]; !dup {
 				byID[n.ID] = n
@@ -60,6 +69,9 @@ func BuildSpanForest(events []Event) []*SpanNode {
 			if n := byID[parseHexID(end.Span)]; n != nil {
 				n.EndNS = end.EndNS
 				n.Err = end.Err
+				n.Survivors = end.Survivors
+				n.Bytes = end.Bytes
+				n.Outcome = end.Outcome
 			}
 		}
 	}

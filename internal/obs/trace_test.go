@@ -7,31 +7,27 @@ import (
 )
 
 // TestJSONLGoldenSchema pins the JSON-lines envelope and the field
-// names of every event type: offline analyzers parse this stream, so
-// changes must be append-only. A fixed injected clock makes the output
-// byte-for-byte deterministic.
+// names of every event type, span attributes included: offline
+// analyzers parse this stream, so extending it is append-only. A fixed
+// injected clock makes the output byte-for-byte deterministic.
 func TestJSONLGoldenSchema(t *testing.T) {
 	var b strings.Builder
 	j := NewJSONL(&b)
 	j.now = func() int64 { return 1700000000000000000 }
 
 	for _, ev := range []Event{
-		RunStart{Clients: 4, Iterations: 8, BatchSize: 2, Seed: 42},
-		PhaseStart{Phase: "meta-features"},
-		RoundStart{Kind: "metafeatures", Batch: 0, Clients: 4},
-		ClientCall{Kind: "metafeatures", Client: 1, Attempt: 1, LatencyNS: 1000, Bytes: 96, Outcome: "ok"},
-		ClientDropped{Kind: "metafeatures", Client: 3, Reason: "fl: client dead"},
-		RoundEnd{Kind: "metafeatures", Batch: 0, Survivors: 3, DurationNS: 5000},
-		PhaseEnd{Phase: "meta-features", DurationNS: 9000},
+		SpanStart{Trace: "00000000000000aa", Span: "00000000000000dd", Kind: "run", Name: "run", Client: -1, StartNS: 10000},
+		SpanStart{Trace: "00000000000000aa", Span: "00000000000000bb", Parent: "00000000000000cc", Kind: "round", Name: "eval/config", Seq: 3, Client: -1, StartNS: 12000, Batch: 2, Clients: 4},
+		SpanStart{Trace: "00000000000000aa", Span: "00000000000000ee", Parent: "00000000000000ff", Kind: "attempt", Name: "attempt", Seq: 1, Client: 1, StartNS: 13000},
+		SpanEnd{Trace: "00000000000000aa", Span: "00000000000000ee", Kind: "attempt", Name: "attempt", Client: 1, EndNS: 14000, DurationNS: 1000, Bytes: 96, Outcome: "ok"},
+		ClientDropped{Kind: "eval/config", Client: 3, Reason: "fl: client dead"},
+		SpanEnd{Trace: "00000000000000aa", Span: "00000000000000bb", Kind: "round", Name: "eval/config", Client: -1, EndNS: 17000, DurationNS: 5000, Survivors: 3},
 		BOIteration{Index: 0, Config: "Lasso{alpha: 0.1}", Loss: 0.5},
 		ClientCache{Client: 1, Phase: "valid", Hit: false, BuildNS: 700},
 		CandidateEval{Client: 1, Index: 0, EvalNS: 300, Loss: 0.5},
 		ChaosInject{Client: 2, Fault: "transient"},
-		Note{Text: "phase I: collecting meta-features"},
-		SpanStart{Trace: "00000000000000aa", Span: "00000000000000bb", Parent: "00000000000000cc", Kind: "round", Name: "eval/config", Seq: 3, Client: -1, StartNS: 12000},
-		SpanEnd{Trace: "00000000000000aa", Span: "00000000000000bb", EndNS: 17000, Err: "fl: quorum not met"},
 		CommsSummary{Rounds: 9, Calls: 36, BytesDown: 4096, BytesUp: 2048, WastedCalls: 2, WastedBytes: 128},
-		RunEnd{DurationNS: 99, Iterations: 8, EvalRounds: 4, Err: "boom"},
+		SpanEnd{Trace: "00000000000000aa", Span: "00000000000000dd", Kind: "run", Name: "run", Client: -1, EndNS: 99000, DurationNS: 89000, Err: "boom"},
 	} {
 		j.Record(ev)
 	}
@@ -39,22 +35,18 @@ func TestJSONLGoldenSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const golden = `{"ts":1700000000000000000,"event":"run_start","data":{"clients":4,"iterations":8,"batch_size":2,"seed":42}}
-{"ts":1700000000000000000,"event":"phase_start","data":{"phase":"meta-features"}}
-{"ts":1700000000000000000,"event":"round_start","data":{"kind":"metafeatures","batch":0,"clients":4}}
-{"ts":1700000000000000000,"event":"client_call","data":{"kind":"metafeatures","client":1,"attempt":1,"latency_ns":1000,"bytes":96,"outcome":"ok"}}
-{"ts":1700000000000000000,"event":"client_dropped","data":{"kind":"metafeatures","client":3,"reason":"fl: client dead"}}
-{"ts":1700000000000000000,"event":"round_end","data":{"kind":"metafeatures","batch":0,"survivors":3,"duration_ns":5000}}
-{"ts":1700000000000000000,"event":"phase_end","data":{"phase":"meta-features","duration_ns":9000}}
+	const golden = `{"ts":1700000000000000000,"event":"span_start","data":{"trace":"00000000000000aa","span":"00000000000000dd","kind":"run","name":"run","seq":0,"client":-1,"start_ns":10000}}
+{"ts":1700000000000000000,"event":"span_start","data":{"trace":"00000000000000aa","span":"00000000000000bb","parent":"00000000000000cc","kind":"round","name":"eval/config","seq":3,"client":-1,"start_ns":12000,"batch":2,"clients":4}}
+{"ts":1700000000000000000,"event":"span_start","data":{"trace":"00000000000000aa","span":"00000000000000ee","parent":"00000000000000ff","kind":"attempt","name":"attempt","seq":1,"client":1,"start_ns":13000}}
+{"ts":1700000000000000000,"event":"span_end","data":{"trace":"00000000000000aa","span":"00000000000000ee","kind":"attempt","name":"attempt","client":1,"end_ns":14000,"duration_ns":1000,"bytes":96,"outcome":"ok"}}
+{"ts":1700000000000000000,"event":"client_dropped","data":{"kind":"eval/config","client":3,"reason":"fl: client dead"}}
+{"ts":1700000000000000000,"event":"span_end","data":{"trace":"00000000000000aa","span":"00000000000000bb","kind":"round","name":"eval/config","client":-1,"end_ns":17000,"duration_ns":5000,"survivors":3}}
 {"ts":1700000000000000000,"event":"bo_iteration","data":{"index":0,"config":"Lasso{alpha: 0.1}","loss":0.5}}
 {"ts":1700000000000000000,"event":"client_cache","data":{"client":1,"phase":"valid","hit":false,"build_ns":700}}
 {"ts":1700000000000000000,"event":"candidate_eval","data":{"client":1,"index":0,"eval_ns":300,"loss":0.5}}
 {"ts":1700000000000000000,"event":"chaos_inject","data":{"client":2,"fault":"transient"}}
-{"ts":1700000000000000000,"event":"note","data":{"text":"phase I: collecting meta-features"}}
-{"ts":1700000000000000000,"event":"span_start","data":{"trace":"00000000000000aa","span":"00000000000000bb","parent":"00000000000000cc","kind":"round","name":"eval/config","seq":3,"client":-1,"start_ns":12000}}
-{"ts":1700000000000000000,"event":"span_end","data":{"trace":"00000000000000aa","span":"00000000000000bb","end_ns":17000,"err":"fl: quorum not met"}}
 {"ts":1700000000000000000,"event":"comms_summary","data":{"rounds":9,"calls":36,"bytes_down":4096,"bytes_up":2048,"wasted_calls":2,"wasted_bytes":128}}
-{"ts":1700000000000000000,"event":"run_end","data":{"duration_ns":99,"iterations":8,"eval_rounds":4,"err":"boom"}}
+{"ts":1700000000000000000,"event":"span_end","data":{"trace":"00000000000000aa","span":"00000000000000dd","kind":"run","name":"run","client":-1,"end_ns":99000,"duration_ns":89000,"err":"boom"}}
 `
 	if got := b.String(); got != golden {
 		t.Errorf("JSONL output diverged from the golden schema.\ngot:\n%s\nwant:\n%s", got, golden)
@@ -97,7 +89,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 // without Close surfacing the flush error.
 func TestJSONLCloseSurfacesFlushError(t *testing.T) {
 	j := NewJSONL(&failWriter{n: 0})
-	j.Record(Note{Text: "a"})
+	j.Record(BOIteration{Config: "a"})
 	if err := j.Err(); err != nil {
 		t.Fatalf("buffered record must not touch the writer, got %v", err)
 	}
@@ -107,7 +99,7 @@ func TestJSONLCloseSurfacesFlushError(t *testing.T) {
 	}
 	// The error sticks: later events are dropped, Close stays
 	// idempotent and keeps reporting the first failure.
-	j.Record(Note{Text: "b"})
+	j.Record(BOIteration{Config: "b"})
 	if got := j.Close(); got != err {
 		t.Errorf("second Close = %v, want retained %v", got, err)
 	}
@@ -121,14 +113,14 @@ func TestJSONLCloseSurfacesFlushError(t *testing.T) {
 func TestJSONLRetainsFirstError(t *testing.T) {
 	j := NewJSONL(&failWriter{n: 0})
 	// Overflow the buffer so Record itself hits the writer.
-	big := Note{Text: strings.Repeat("x", jsonlBufferSize)}
+	big := BOIteration{Config: strings.Repeat("x", jsonlBufferSize)}
 	j.Record(big)
 	j.Record(big)
 	err := j.Err()
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Err = %v, want the retained write error", err)
 	}
-	j.Record(Note{Text: "c"})
+	j.Record(BOIteration{Config: "c"})
 	if got := j.Close(); got != err {
 		t.Errorf("Close changed the retained error: %v", got)
 	}
