@@ -3,9 +3,10 @@
 // maporder), numeric safety (floateq), error hygiene (errdrop,
 // panicfree), concurrency discipline (lockguard, goroleak,
 // deadlineflow), wire-format coverage (codeccover), the
-// interprocedural privacy-boundary check (privacyflow), and the
+// interprocedural privacy-boundary check (privacyflow), the
 // hot-path performance policy (hotalloc, bigcopy, prealloc,
-// deferloop, iboxing).
+// deferloop, iboxing), and exported code only tests reach
+// (deadexport).
 //
 // Usage:
 //
@@ -22,7 +23,8 @@
 //
 // The whole module is always loaded and type-checked (analyzers need
 // full type information); patterns restrict which packages are
-// analyzed. Exit status: 0 clean, 1 findings, 2 usage or load error.
+// analyzed. deadexport needs every package's references, so it reports
+// only on a run over the whole module. Exit status: 0 clean, 1 findings, 2 usage or load error.
 //
 // Suppress a deliberate violation on its line (or the line above):
 //
@@ -85,24 +87,28 @@ func main() {
 		os.Exit(runFixture(os.Stdout, *fixture, analyzers, mode, *graph))
 	}
 
-	fset, pkgs, modPath, err := lint.LoadModule(*root)
+	os.Exit(runModule(os.Stdout, *root, flag.Args(), analyzers, mode, *graph))
+}
+
+// runModule loads the module at root, lints the packages the patterns
+// select under the repository policy (lint.DefaultConfig), and returns
+// the process exit code (0 clean, 1 findings, 2 usage or load error).
+func runModule(w io.Writer, root string, patterns []string, analyzers []*lint.Analyzer, mode outMode, graph bool) int {
+	fset, pkgs, modPath, err := lint.LoadModule(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedlint:", err)
-		os.Exit(2)
+		return 2
 	}
-
-	selected, err := selectPackages(pkgs, modPath, flag.Args())
+	selected, err := selectPackages(pkgs, modPath, patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedlint:", err)
-		os.Exit(2)
+		return 2
 	}
-
-	if *graph {
-		os.Exit(emitGraph(os.Stdout, fset, selected))
+	if graph {
+		return emitGraph(w, fset, selected)
 	}
-
 	findings := lint.Run(fset, selected, analyzers, lint.DefaultConfig(modPath))
-	os.Exit(report(os.Stdout, findings, analyzers, mode))
+	return report(w, findings, analyzers, mode)
 }
 
 // outMode selects the findings renderer.

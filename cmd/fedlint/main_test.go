@@ -327,3 +327,28 @@ func TestTextAndJSONAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestSubsetRunNoDeadExport: a subset run of the real module (the
+// check.sh telemetry step, fedlint ./internal/obs) sees none of obs's
+// callers, so deadexport must stay silent rather than report every obs
+// export. The same rule over the whole fixture module does report.
+func TestSubsetRunNoDeadExport(t *testing.T) {
+	only, err := selectAnalyzers(lint.Analyzers(), "deadexport")
+	if err != nil {
+		t.Fatalf("selectAnalyzers: %v", err)
+	}
+	var buf bytes.Buffer
+	if code := runModule(&buf, "../..", []string{"./internal/obs"}, only, modeText, false); code != 0 || buf.Len() != 0 {
+		t.Errorf("fedlint -only deadexport ./internal/obs: exit %d, output:\n%s", code, buf.String())
+	}
+
+	const fixtureModule = "../../internal/lint/testdata/src/deadexport"
+	buf.Reset()
+	if code := runModule(&buf, fixtureModule, []string{"./..."}, only, modeText, false); code != 1 || !strings.Contains(buf.String(), "deadexport: exported func lib.Dead ") {
+		t.Errorf("fedlint -only deadexport over the fixture module: exit %d, want 1 with lib.Dead flagged; output:\n%s", code, buf.String())
+	}
+	buf.Reset()
+	if code := runModule(&buf, fixtureModule, []string{"./lib"}, only, modeText, false); code != 0 || buf.Len() != 0 {
+		t.Errorf("fedlint -only deadexport ./lib over the fixture module: exit %d, output:\n%s", code, buf.String())
+	}
+}

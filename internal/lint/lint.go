@@ -26,6 +26,7 @@
 //	prealloc     append-in-loop with statically derivable capacity
 //	deferloop    no defer inside loops in hot functions
 //	iboxing      no numeric→interface boxing inside hot loops
+//	deadexport   no exported production code that only tests reach
 //
 // The intraprocedural rules (seededrand through goroleak) run per
 // package. The rest are interprocedural: they share a module-wide call
@@ -79,6 +80,9 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
+	// module lists every package LoadModule loaded with this one; nil
+	// for a package loaded on its own (LoadDir) or built by hand.
+	module []*Package
 }
 
 // Config carries the project policy the analyzers enforce. The zero
@@ -221,7 +225,6 @@ func DefaultConfig(modulePath string) Config {
 		},
 		PrivacySinkFuncs: map[string]bool{
 			"(" + modulePath + "/internal/fl.Transport).Call": true,
-			"(*encoding/gob.Encoder).Encode":                  true,
 			modulePath + "/internal/fl/codec.Encode":          true,
 			modulePath + "/internal/fl/codec.AppendEncode":    true,
 		},
@@ -272,7 +275,6 @@ func DefaultConfig(modulePath string) Config {
 			// backoff, quorum accounting (see DESIGN.md "Concurrency
 			// policy as code" for why these — and only these — may touch
 			// the transport from engine code).
-			modulePath + "/internal/fl.CallWithPolicy":                  true,
 			modulePath + "/internal/fl.callWithPolicy":                  true,
 			"(*" + modulePath + "/internal/fl.Server).BroadcastQuorum":  true,
 			"(*" + modulePath + "/internal/fl.Server).CallSubsetQuorum": true,
@@ -310,8 +312,6 @@ func DefaultConfig(modulePath string) Config {
 			"(*" + modulePath + "/internal/bayesopt.Optimizer).ProposeBatch": true,
 			"(*" + modulePath + "/internal/bayesopt.Optimizer).ObserveAll":   true,
 			// Dense linear-algebra and N-BEATS inner kernels.
-			"(*" + modulePath + "/internal/linalg.Matrix).Mul":     true,
-			"(*" + modulePath + "/internal/linalg.Matrix).MulVec":  true,
 			modulePath + "/internal/linalg.Dot":                    true,
 			modulePath + "/internal/linalg.Cholesky":               true,
 			modulePath + "/internal/linalg.CholeskySolve":          true,
@@ -468,7 +468,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		SeededRand, FloatEq, ErrDrop, PanicFree, Walltime, MapOrder, GoroLeak,
 		PrivacyFlow, LockGuard, DeadlineFlow, CodecCover,
-		HotAlloc, BigCopy, Prealloc, DeferLoop, IBoxing,
+		HotAlloc, BigCopy, Prealloc, DeferLoop, IBoxing, DeadExport,
 	}
 }
 

@@ -73,6 +73,9 @@ func LoadModule(root string) (*token.FileSet, []*Package, string, error) {
 	for _, ip := range paths {
 		pkgs = append(pkgs, byPath[ip])
 	}
+	for _, pkg := range pkgs {
+		pkg.module = pkgs
+	}
 	return fset, pkgs, modPath, nil
 }
 

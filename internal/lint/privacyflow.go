@@ -6,7 +6,7 @@ package lint
 // a value of a configured source type such as timeseries.Series —
 // reaches the federated boundary: a field of a configured sink type
 // (fl.Message), or an argument of a configured sink function
-// (fl.Transport.Call, gob.Encoder.Encode). Flows that pass through an
+// (fl.Transport.Call, codec.Encode). Flows that pass through an
 // allowlisted aggregating sanitizer (metafeat.ExtractClient, loss
 // reductions, ...) are accepted: aggregation is precisely the privacy
 // mechanism the paper claims.
