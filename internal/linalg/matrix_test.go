@@ -21,10 +21,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) != 9 {
 		t.Errorf("Set/At round trip failed")
 	}
-	col := m.Col(1)
-	if col[0] != 2 || col[1] != 5 {
-		t.Errorf("Col(1) = %v, want [2 5]", col)
-	}
 }
 
 func TestTranspose(t *testing.T) {
@@ -155,27 +151,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestSolveLinear(t *testing.T) {
-	a := FromRows([][]float64{{0, 2, 1}, {1, -2, -3}, {-1, 1, 2}})
-	x, err := SolveLinear(a, []float64{-8, 0, 3})
-	if err != nil {
-		t.Fatalf("SolveLinear: %v", err)
-	}
-	want := []float64{-4, -5, 2}
-	for i := range want {
-		if !almostEq(x[i], want[i], 1e-10) {
-			t.Fatalf("x = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestSolveLinearSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveLinear(a, []float64{1, 2}); err == nil {
-		t.Fatal("SolveLinear accepted a singular system")
-	}
-}
-
 func TestLeastSquaresRecoversCoefficients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n, p := 200, 4
@@ -206,7 +181,8 @@ func TestLeastSquaresRidgeShrinks(t *testing.T) {
 	}
 }
 
-// Property: for any vector x, Dot(x, x) == Norm2(x)^2 (within fp error).
+// Property: for any vector x, Dot(x, x) is the sum of squares (within
+// fp error).
 func TestDotNormProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		// Avoid overflow by clamping inputs.
@@ -217,8 +193,11 @@ func TestDotNormProperty(t *testing.T) {
 			xs[i] = math.Mod(xs[i], 1e3)
 		}
 		d := Dot(xs, xs)
-		n := Norm2(xs)
-		return almostEq(d, n*n, 1e-6*(1+d))
+		var ss float64
+		for _, v := range xs {
+			ss += v * v
+		}
+		return almostEq(d, ss, 1e-6*(1+d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -240,22 +219,6 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 				t.Fatalf("transpose involution failed (trial %d)", trial)
 			}
 		}
-	}
-}
-
-func TestAXPYAndScale(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{1, 1, 1}
-	AXPY(2, x, y)
-	want := []float64{3, 5, 7}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("AXPY = %v, want %v", y, want)
-		}
-	}
-	Scale(y, 0.5)
-	if y[0] != 1.5 || y[2] != 3.5 {
-		t.Fatalf("Scale = %v", y)
 	}
 }
 

@@ -9,10 +9,6 @@ import (
 // is not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
-// ErrSingular is returned by the solvers when the system is singular or
-// too ill-conditioned to solve.
-var ErrSingular = errors.New("linalg: singular matrix")
-
 var errDimension = errors.New("linalg: solve dimension mismatch")
 
 // Cholesky computes the lower-triangular factor L of a symmetric
@@ -119,61 +115,6 @@ func SolveSPD(l *Matrix, x []float64, a *Matrix, b []float64) error {
 		}
 	}
 	return ErrNotPositiveDefinite
-}
-
-// SolveLinear solves a general square system A·x = b with partial
-// pivoting (Gaussian elimination). A and b are not modified.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols || a.Rows != len(b) {
-		return nil, errDimension
-	}
-	n := a.Rows
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p := col
-		best := math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > best {
-				best, p = v, r
-			}
-		}
-		if best < 1e-300 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			mp, mc := m.Row(p), m.Row(col)
-			for j := range mp {
-				mp[j], mc[j] = mc[j], mp[j]
-			}
-			x[p], x[col] = x[col], x[p]
-		}
-		pivRow := m.Row(col)
-		piv := pivRow[col]
-		for r := col + 1; r < n; r++ {
-			rr := m.Row(r)
-			f := rr[col] / piv
-			if f == 0 {
-				continue
-			}
-			rr[col] = 0
-			for j := col + 1; j < n; j++ {
-				rr[j] -= float64(f * pivRow[j])
-			}
-			x[r] -= float64(f * x[col])
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		ri := m.Row(i)
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= float64(ri[j] * x[j])
-		}
-		x[i] = s / ri[i]
-	}
-	return x, nil
 }
 
 // LeastSquares solves min ‖A·x − b‖₂ via ridge-stabilized normal
