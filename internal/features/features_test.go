@@ -80,7 +80,7 @@ func TestBuildShapesAndAlignment(t *testing.T) {
 }
 
 func TestFeaturesPredictive(t *testing.T) {
-	// A ridge on the engineered features must beat persistence on a
+	// A near-OLS Lasso on the engineered features must beat persistence on a
 	// clean seasonal series.
 	s := seasonalSeries(600, 24, 0.2, 4)
 	e := testEngineer(t, []*timeseries.Series{s})
@@ -90,7 +90,7 @@ func TestFeaturesPredictive(t *testing.T) {
 	}
 	cut := 500 - e.MaxLag()
 	train, valid := ds.Split(cut)
-	reg := linmodel.NewRidge(0.001)
+	reg := linmodel.NewLasso(0.001, linmodel.SelectionCyclic)
 	if err := reg.Fit(train.X, train.Y); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package linmodel implements the linear forecasting algorithms of the
 // paper's Table 2 search space — Lasso, LinearSVR, ElasticNetCV, Huber
-// and Quantile regression — plus Ridge and multiclass Logistic
+// and Quantile regression — plus the multiclass Logistic
 // Regression used elsewhere in the engine. All models standardize
 // features internally (as scikit-learn pipelines typically do for
 // these estimators) so hyper-parameter ranges transfer across datasets.
