@@ -103,21 +103,3 @@ func F1Macro(pred, truth []string) (float64, error) {
 	}
 	return sum / float64(len(labels)), nil
 }
-
-// Accuracy returns the fraction of positions where pred equals truth.
-// Like F1Macro, mismatched lengths surface as an error.
-func Accuracy(pred, truth []string) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, fmt.Errorf("stats: Accuracy requires equal-length slices (got %d and %d)", len(pred), len(truth))
-	}
-	if len(pred) == 0 {
-		return 0, nil
-	}
-	var hits float64
-	for i := range pred {
-		if pred[i] == truth[i] {
-			hits++
-		}
-	}
-	return hits / float64(len(pred)), nil
-}
