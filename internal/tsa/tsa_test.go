@@ -307,28 +307,6 @@ func TestDetectSeasonalitiesWhiteNoise(t *testing.T) {
 	}
 }
 
-func TestWeightedSeasonalities(t *testing.T) {
-	mk := func(period int, n int, seed int64) []float64 {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = math.Sin(2*math.Pi*float64(i)/float64(period)) + 0.1*rng.NormFloat64()
-		}
-		return xs
-	}
-	clients := [][]float64{mk(24, 1024, 1), mk(24, 1024, 2), mk(24, 512, 3)}
-	comps := WeightedSeasonalities(clients, 3)
-	if len(comps) == 0 {
-		t.Fatal("no global seasonality detected")
-	}
-	if !feq(float64(comps[0].Period), 24, 2) {
-		t.Errorf("global period = %d, want ≈ 24", comps[0].Period)
-	}
-	if WeightedSeasonalities(nil, 3) != nil {
-		t.Error("empty client list should yield nil")
-	}
-}
-
 func TestHiguchiFD(t *testing.T) {
 	// A straight line is maximally smooth: FD ≈ 1.
 	line := make([]float64, 500)
@@ -354,63 +332,5 @@ func TestHiguchiFD(t *testing.T) {
 	}
 	if !math.IsNaN(HiguchiFD([]float64{1, 2, 3}, 5)) {
 		t.Error("FD of tiny series should be NaN")
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ma := MovingAverage(xs, 3)
-	if len(ma) != 5 {
-		t.Fatalf("length = %d, want 5", len(ma))
-	}
-	if !feq(ma[2], 3, 1e-12) {
-		t.Errorf("centre MA = %v, want 3", ma[2])
-	}
-	// Constant window-1 MA is the identity.
-	id := MovingAverage(xs, 1)
-	for i := range xs {
-		if id[i] != xs[i] {
-			t.Fatalf("window-1 MA changed values")
-		}
-	}
-}
-
-func TestDecomposeRecovers(t *testing.T) {
-	n := 240
-	period := 12
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = 0.1*float64(i) + 2*math.Sin(2*math.Pi*float64(i)/float64(period))
-	}
-	trend, seasonal, resid := Decompose(xs, period)
-	// Reconstruction must be exact by construction.
-	for i := range xs {
-		if !feq(trend[i]+seasonal[i]+resid[i], xs[i], 1e-9) {
-			t.Fatalf("decomposition does not reconstruct at %d", i)
-		}
-	}
-	// Seasonal component must be periodic.
-	for i := period; i < n; i++ {
-		if !feq(seasonal[i], seasonal[i-period], 1e-9) {
-			t.Fatalf("seasonal component not periodic at %d", i)
-		}
-	}
-	// Interior residuals should be small for this clean signal.
-	var rs float64
-	for i := period; i < n-period; i++ {
-		rs += math.Abs(resid[i])
-	}
-	if rs/float64(n-2*period) > 0.5 {
-		t.Errorf("mean |resid| = %v, want small", rs/float64(n-2*period))
-	}
-}
-
-func TestDecomposeDegeneratePeriod(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	trend, seasonal, resid := Decompose(xs, 0)
-	for i := range xs {
-		if !feq(trend[i]+seasonal[i]+resid[i], xs[i], 1e-9) {
-			t.Fatal("degenerate decomposition does not reconstruct")
-		}
 	}
 }
