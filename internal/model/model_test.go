@@ -11,16 +11,10 @@ func TestMSEAndFriends(t *testing.T) {
 	if got := MSE(pred, truth); got != (0.0+1+4)/3 {
 		t.Errorf("MSE = %v", got)
 	}
-	if got := MAE(pred, truth); got != 1 {
-		t.Errorf("MAE = %v", got)
-	}
-	if got := RMSE(pred, truth); math.Abs(got-math.Sqrt(5.0/3)) > 1e-12 {
-		t.Errorf("RMSE = %v", got)
-	}
 }
 
 func TestMetricsEmptyAndMismatch(t *testing.T) {
-	if !math.IsNaN(MSE(nil, nil)) || !math.IsNaN(MAE(nil, nil)) {
+	if !math.IsNaN(MSE(nil, nil)) {
 		t.Error("empty metrics should be NaN")
 	}
 	defer func() {
@@ -29,19 +23,6 @@ func TestMetricsEmptyAndMismatch(t *testing.T) {
 		}
 	}()
 	MSE([]float64{1}, []float64{1, 2})
-}
-
-func TestSMAPE(t *testing.T) {
-	if got := SMAPE([]float64{1, 2}, []float64{1, 2}); got != 0 {
-		t.Errorf("SMAPE of perfect pred = %v", got)
-	}
-	// Zero/zero pairs are skipped.
-	if got := SMAPE([]float64{0}, []float64{0}); got != 0 {
-		t.Errorf("SMAPE(0,0) = %v", got)
-	}
-	if got := SMAPE([]float64{0}, []float64{2}); math.Abs(got-200) > 1e-9 {
-		t.Errorf("max SMAPE = %v, want 200", got)
-	}
 }
 
 func TestDatasetSelectColumns(t *testing.T) {
