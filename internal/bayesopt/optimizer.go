@@ -280,9 +280,6 @@ func (o *Optimizer) Best() (cfg search.Config, loss float64, ok bool) {
 	return o.best.Clone(), o.bestY, true
 }
 
-// NumObservations returns the number of recorded evaluations.
-func (o *Optimizer) NumObservations() int { return o.n }
-
 func mean(xs []float64) float64 {
 	var s float64
 	for _, v := range xs {
