@@ -67,9 +67,6 @@ func (m *AR) Fit(series []float64) error {
 	return nil
 }
 
-// Coefficients returns the fitted AR coefficients φ_1..φ_p.
-func (m *AR) Coefficients() []float64 { return append([]float64(nil), m.coef...) }
-
 // Forecast returns the next horizon values (integrated back through
 // the differencing).
 func (m *AR) Forecast(horizon int) ([]float64, error) {
