@@ -154,16 +154,6 @@ func Fit(ys []float64, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Trend returns the fitted trend evaluated at indices 0..length−1.
-// Indices beyond the training range extrapolate with the final slope.
-func (m *Model) Trend(length int) []float64 {
-	out := make([]float64, length)
-	for i := range out {
-		out[i] = m.TrendAt(i)
-	}
-	return out
-}
-
 // TrendAt evaluates the trend at (possibly out-of-sample) index i.
 func (m *Model) TrendAt(i int) float64 {
 	if !m.fitted {
@@ -181,26 +171,4 @@ func (m *Model) TrendAt(i int) float64 {
 		return m.logisticFloor + m.capacity/(1+math.Exp(-g))
 	}
 	return g
-}
-
-// Slope returns the effective trend slope (per normalized time unit)
-// at index i, reflecting all changepoints before it.
-func (m *Model) Slope(i int) float64 {
-	if !m.fitted {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("prophet: Slope before Fit")
-	}
-	t := float64(i) / float64(m.n-1)
-	k := m.k
-	for j, s := range m.changepoints {
-		if t > s {
-			k += m.deltas[j]
-		}
-	}
-	return k
-}
-
-// Changepoints returns the normalized changepoint locations.
-func (m *Model) Changepoints() []float64 {
-	return append([]float64(nil), m.changepoints...)
 }
