@@ -101,23 +101,3 @@ func (c *clfScan) gainAt(x [][]float64, idx []int, f int, thr float64) (float64,
 // PredictProbaOne returns the class distribution at the leaf reached
 // by row.
 func (t *Classifier) PredictProbaOne(row []float64) []float64 { return leafOf(t.nodes, row).classDist }
-
-// PredictOne returns the majority class index for a single row.
-func (t *Classifier) PredictOne(row []float64) int {
-	dist := t.PredictProbaOne(row)
-	best := 0
-	for c, p := range dist {
-		if p > dist[best] {
-			best = c
-		}
-	}
-	return best
-}
-
-// FeatureImportances returns normalized Gini importances.
-func (t *Classifier) FeatureImportances() []float64 {
-	return normalizeImportances(t.importances)
-}
-
-// NumNodes reports the size of the fitted tree.
-func (t *Classifier) NumNodes() int { return len(t.nodes) }

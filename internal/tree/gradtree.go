@@ -84,11 +84,3 @@ func (s *gradScan) gain(int, int) float64 {
 
 // PredictOne evaluates the tree on one feature row.
 func (t *GradTree) PredictOne(row []float64) float64 { return leafOf(t.nodes, row).value }
-
-// FeatureImportances returns normalized gain importances.
-func (t *GradTree) FeatureImportances() []float64 {
-	return normalizeImportances(t.importances)
-}
-
-// NumNodes reports the size of the fitted tree.
-func (t *GradTree) NumNodes() int { return len(t.nodes) }

@@ -141,9 +141,6 @@ func (t *Regressor) FeatureImportances() []float64 {
 	return normalizeImportances(t.importances)
 }
 
-// NumNodes reports the size of the fitted tree.
-func (t *Regressor) NumNodes() int { return len(t.nodes) }
-
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
