@@ -98,16 +98,6 @@ func (g *CallGraph) Nodes() []*CallNode {
 	return out
 }
 
-// Lookup finds a node by fully qualified name, or nil.
-func (g *CallGraph) Lookup(fullName string) *CallNode {
-	for _, n := range g.Nodes() {
-		if n.Name() == fullName {
-			return n
-		}
-	}
-	return nil
-}
-
 // NodeOf returns the node for fn (normalized through Origin), or nil
 // when fn was not declared with a body in the analyzed packages.
 func (g *CallGraph) NodeOf(fn *types.Func) *CallNode {
