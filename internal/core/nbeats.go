@@ -19,18 +19,6 @@ type NBeatsFedConfig struct {
 	Seed       int64
 }
 
-// DefaultNBeatsFedConfig returns the baseline configuration used in
-// the evaluation: the paper's tuned N-BEATS (Section 5.1) scaled to
-// the given lookback window.
-func DefaultNBeatsFedConfig(backcast int) NBeatsFedConfig {
-	return NBeatsFedConfig{
-		Model:      nbeats.DefaultConfig(backcast, 1),
-		Rounds:     8,
-		LocalSteps: 12,
-		Splits:     pipeline.Splits{ValidFrac: 0.15, TestFrac: 0.15},
-	}
-}
-
 // RunNBeatsFederated trains N-BEATS with FedAvg across the client
 // splits and reports the size-weighted one-step test MSE of the final
 // global model — the paper's "N-Beats" column of Table 3.
