@@ -51,12 +51,12 @@ func TestStructureOfDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g != DefaultGraph() {
+	if g != defaultGraph {
 		t.Error("config without structure keys should map to the shared degenerate chain")
 	}
 	cfg.Cats[search.StructPre] = search.StructNone
 	cfg.Cats[search.StructArm2] = search.StructNone
-	if g2, _ := StructureOf(cfg); g2 != DefaultGraph() {
+	if g2, _ := StructureOf(cfg); g2 != defaultGraph {
 		t.Error("explicit none/none should map to the shared degenerate chain")
 	}
 }
@@ -249,11 +249,14 @@ func TestGraphLossHandBuilt(t *testing.T) {
 		{ID: "arm1", Kind: NodeRegress, Arm: 1, Algo: "tree", Inputs: []string{"exog"}},
 		{ID: "out", Kind: NodeMerge, Inputs: []string{"arm0", "arm1"}},
 	}}
-	l1, n1, err := gp.GraphLoss(g, lassoCfg(), 3)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	l1, n1, err := gp.graphLoss(g, lassoCfg(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, n2, err := gp.GraphLoss(g, lassoCfg(), 3)
+	l2, n2, err := gp.graphLoss(g, lassoCfg(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

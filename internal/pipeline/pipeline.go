@@ -84,21 +84,9 @@ type PhaseData struct {
 	Score *model.Dataset
 }
 
-// BuildPhaseData engineers a client split for the given phase. The
-// arithmetic is exactly the former ClientLoss preamble, factored out so
-// the result can be cached and reused across candidates.
-func BuildPhaseData(s *timeseries.Series, eng *features.Engineer, splits Splits, phase string) (*PhaseData, error) {
-	trainEnd, validEnd := splits.Bounds(s.Len())
-	if phase == "test" {
-		return buildRange(s, eng, validEnd, s.Len())
-	}
-	return buildRange(s, eng, trainEnd, validEnd)
-}
-
 // buildRange engineers one fit/score window: the trend model fits on
 // rows [0, fitEnd) only (no look-ahead), candidates train on the same
-// rows and score on [fitEnd, scoreEnd). This is the former
-// BuildPhaseData body generalized to arbitrary rolling-origin bounds.
+// rows and score on [fitEnd, scoreEnd), for any rolling-origin bounds.
 func buildRange(s *timeseries.Series, eng *features.Engineer, fitEnd, scoreEnd int) (*PhaseData, error) {
 	ds, err := eng.Build(s, fitEnd)
 	if err != nil {
@@ -125,17 +113,6 @@ func splitRange(ds *model.Dataset, off, fitEnd, scoreEnd int) (*PhaseData, error
 	return &PhaseData{Train: train, Score: score}, nil
 }
 
-// Loss fits cfg on the phase's training rows and returns the score-row
-// loss — the model-dependent tail of the former ClientLoss, so cached
-// and freshly built matrices produce bit-identical losses.
-func (pd *PhaseData) Loss(cfg search.Config, seed int64) (loss float64, nRows int, err error) {
-	preds, err := fitPredict(pd, cfg, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	return model.MSE(preds, pd.Score.Y), pd.Score.Len(), nil
-}
-
 // fitPredict is the regressor-leaf evaluation shared by the linear
 // chain and graph arms: fit cfg on the window's training rows and
 // return raw score-row predictions (merge nodes combine arms before
@@ -157,8 +134,7 @@ func fitPredict(pd *PhaseData, cfg search.Config, seed int64) ([]float64, error)
 // trains on train+valid). It is BuildGraphPhase + Loss — the universal
 // entry point that honours cfg's structure categoricals and the
 // splits' rolling-origin CV settings, degenerating bit-identically to
-// the former BuildPhaseData + PhaseData.Loss for chain configs on a
-// single split. Callers that evaluate many configurations against one
+// one split's fit-and-score for chain configs on a single split. Callers that evaluate many configurations against one
 // schema should build the GraphPhase once instead.
 func ClientLoss(s *timeseries.Series, eng *features.Engineer, cfg search.Config,
 	splits Splits, phase string, seed int64) (loss float64, nRows int, err error) {
