@@ -98,24 +98,6 @@ func PackSpanContext(c SpanContext) string {
 	return fmt.Sprintf("%016x%016x", c.Trace, c.Span)
 }
 
-// ParseSpanContext reverses PackSpanContext. ok is false for
-// malformed strings (wrong length, non-hex) — a transport speaking an
-// older protocol simply yields no context.
-func ParseSpanContext(s string) (c SpanContext, ok bool) {
-	if len(s) != 32 {
-		return SpanContext{}, false
-	}
-	tr, err := strconv.ParseUint(s[:16], 16, 64)
-	if err != nil {
-		return SpanContext{}, false
-	}
-	sp, err := strconv.ParseUint(s[16:], 16, 64)
-	if err != nil {
-		return SpanContext{}, false
-	}
-	return SpanContext{Trace: tr, Span: sp}, true
-}
-
 // HexID renders a span/trace ID the 16-digit lowercase-hex way span
 // events carry it.
 func HexID(v uint64) string { return fmt.Sprintf("%016x", v) }

@@ -64,15 +64,6 @@ func (j *JSONL) Record(ev Event) {
 	}
 }
 
-// Err reports the first write or encode error, if any. A clean Err
-// does not mean the sink is durable — buffered lines only reach the
-// underlying writer at Close.
-func (j *JSONL) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Close flushes the buffer and reports the first error seen across
 // the sink's lifetime, including one surfacing only now from the
 // final flush — the write that was silently lost before this method
