@@ -52,6 +52,8 @@ func NewMessage(kind string) Message {
 // (up to the tier's float rounding). Both transports decode every
 // message on receipt, so handlers may index payload maps
 // unconditionally.
+//
+//lint:allow deadexport test oracle: the codec and fl tests compare a decoded message against Normalize of the original
 func (m *Message) Normalize() {
 	if m.Scalars == nil {
 		m.Scalars = map[string]float64{}

@@ -34,14 +34,20 @@ const quantMinLen = 8
 // widens the quantization step by at most a factor of 1+2⁻¹⁰ (and by
 // the 2⁻²⁴ subnormal ulp for vanishingly small ranges — the additive
 // term).
+//
+//lint:allow deadexport documented error bound of the wire format; the quantizer tests assert it
 const Int8RangeError = 1.0 / 508
 
 // Float16RelError is the float16 tier's relative error bound for
 // values in the binary16 normal range.
+//
+//lint:allow deadexport documented error bound of the wire format; the quantizer tests assert it
 const Float16RelError = 1.0 / 2048 // 2⁻¹¹
 
 // Float16SubnormalAbsError is the float16 tier's absolute error bound
 // for values below the binary16 normal range.
+//
+//lint:allow deadexport documented error bound of the wire format; the quantizer tests assert it
 const Float16SubnormalAbsError = 1.0 / (1 << 25)
 
 // float16Max is the largest finite binary16 value.
