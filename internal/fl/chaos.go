@@ -90,6 +90,8 @@ func (t *ChaosTransport) client(i int) *chaosClient {
 // corrupt). Events are emitted outside the per-client mutex, on the
 // calling goroutine, after the fate decision — they observe faults,
 // never perturb the three-draw RNG schedule.
+//
+//lint:allow deadexport test hook: the telemetry and waste tests watch injected faults
 func (t *ChaosTransport) SetRecorder(r obs.Recorder) {
 	t.mu.Lock()
 	t.rec = r
@@ -120,6 +122,8 @@ func (t *ChaosTransport) SetFaults(i int, f ClientFaults) {
 
 // Kill marks client i permanently dead right now — a crash between
 // rounds, as opposed to DieAfter's crash on a call count.
+//
+//lint:allow deadexport test hook: the chaos and waste tests crash a client between rounds
 func (t *ChaosTransport) Kill(i int) {
 	c := t.client(i)
 	c.mu.Lock()
@@ -127,16 +131,9 @@ func (t *ChaosTransport) Kill(i int) {
 	c.mu.Unlock()
 }
 
-// Calls reports how many times client i has been called through the
-// chaos layer (including faulted calls) — test observability.
-func (t *ChaosTransport) Calls(i int) int {
-	c := t.client(i)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls
-}
-
 // Dead reports whether client i has died.
+//
+//lint:allow deadexport test hook: the chaos tests check that a scheduled death happened
 func (t *ChaosTransport) Dead(i int) bool {
 	c := t.client(i)
 	c.mu.Lock()

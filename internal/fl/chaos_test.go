@@ -75,10 +75,10 @@ func TestChaosFailFirstThenRecover(t *testing.T) {
 	if got := atomic.LoadInt64(&inner.calls); got != 1 {
 		t.Errorf("inner transport saw %d calls, want 1", got)
 	}
-	// CallWithPolicy masks the flap entirely.
+	// The retry layer masks the flap entirely.
 	chaos2, _ := newEchoChaos(1, 1)
 	chaos2.SetFaults(0, ClientFaults{FailFirst: 2})
-	resp, err := CallWithPolicy(chaos2, 0, NewMessage("props"), RetryPolicy{MaxRetries: 2, BaseBackoff: time.Millisecond})
+	resp, err := callWithPolicy(chaos2, 0, NewMessage("props"), RetryPolicy{MaxRetries: 2, BaseBackoff: time.Millisecond}, nil)
 	if err != nil {
 		t.Fatalf("retry did not mask transient flap: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestChaosDieAfter(t *testing.T) {
 	// Death is permanent and fails fast under retry: the inner
 	// transport must not be touched again.
 	before := atomic.LoadInt64(&inner.calls)
-	_, err = CallWithPolicy(chaos, 0, NewMessage("props"), RetryPolicy{MaxRetries: 5, BaseBackoff: time.Millisecond})
+	_, err = callWithPolicy(chaos, 0, NewMessage("props"), RetryPolicy{MaxRetries: 5, BaseBackoff: time.Millisecond}, nil)
 	if !errors.Is(err, ErrClientDead) {
 		t.Fatalf("retried dead client err = %v", err)
 	}

@@ -11,9 +11,6 @@ package fl
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 
@@ -77,8 +74,8 @@ type Transport interface {
 // attempts that failed and had to be retried or dropped — is tracked
 // separately in WastedCalls / WastedBytes by the quorum retry layer.
 type Stats struct {
-	// Rounds counts multi-client rounds driven (Broadcast, CallSubset
-	// and their quorum variants).
+	// Rounds counts multi-client rounds driven (BroadcastQuorum,
+	// CallSubsetQuorum).
 	Rounds int
 	// Calls counts successful logical client calls.
 	Calls int
@@ -252,82 +249,8 @@ func (s *Server) Call(i int, req Message) (Message, error) {
 	return resp, err
 }
 
-// Broadcast sends the request to every client concurrently and
-// collects responses in client order. The first error aborts the
-// round (federated AutoML needs every client's loss to aggregate).
-// For rounds that should tolerate failures, use BroadcastQuorum.
-func (s *Server) Broadcast(req Message) ([]Message, error) {
-	n := s.transport.NumClients()
-	out := make([]Message, n)
-	errs := make([]error, n)
-	done := make(chan int, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			out[i], errs[i] = s.transport.Call(i, req)
-			done <- i
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fl: client %d: %w", i, err)
-		}
-	}
-	s.account(true, req, out)
-	return out, nil
-}
-
 // Close shuts down the transport.
 func (s *Server) Close() error { return s.transport.Close() }
-
-// SampleClients returns a random subset of client indices of size
-// ⌈fraction·N⌉ (at least 1), drawn without replacement — Flower-style
-// per-round participant sampling for partial participation.
-func (s *Server) SampleClients(fraction float64, rng *rand.Rand) []int {
-	n := s.transport.NumClients()
-	if n == 0 {
-		return nil
-	}
-	k := int(math.Ceil(fraction * float64(n)))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	perm := rng.Perm(n)
-	idx := perm[:k]
-	sort.Ints(idx)
-	return idx
-}
-
-// CallSubset sends the request to the listed clients concurrently and
-// returns their responses in the given order. Like Broadcast, the
-// first error aborts the round; CallSubsetQuorum is the
-// failure-tolerant variant.
-func (s *Server) CallSubset(clients []int, req Message) ([]Message, error) {
-	out := make([]Message, len(clients))
-	errs := make([]error, len(clients))
-	done := make(chan struct{}, len(clients))
-	for i, c := range clients {
-		go func(i, c int) {
-			out[i], errs[i] = s.transport.Call(c, req)
-			done <- struct{}{}
-		}(i, c)
-	}
-	for range clients {
-		<-done
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fl: client %d: %w", clients[i], err)
-		}
-	}
-	s.account(true, req, out)
-	return out, nil
-}
 
 // ErrNoClients is returned by aggregation helpers on empty input.
 var ErrNoClients = errors.New("fl: no clients")

@@ -3,7 +3,6 @@ package fl
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,11 +89,11 @@ func TestInProcBroadcast(t *testing.T) {
 	defer srv.Close()
 	req := NewMessage("fit/x")
 	req.Scalars["offset"] = 100
-	resps, err := srv.Broadcast(req)
+	resps, idx, err := srv.BroadcastQuorum(req, QuorumConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resps) != 3 {
+	if len(resps) != 3 || len(idx) != 3 {
 		t.Fatalf("responses = %d", len(resps))
 	}
 	for i, r := range resps {
@@ -107,8 +106,9 @@ func TestInProcBroadcast(t *testing.T) {
 func TestBroadcastPropagatesError(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1, fail: true}}
 	srv := NewServer(NewInProcWire(clients, WireOpts{}))
-	if _, err := srv.Broadcast(NewMessage("fit/x")); err == nil {
-		t.Fatal("failing client did not abort round")
+	_, _, err := srv.BroadcastQuorum(NewMessage("fit/x"), QuorumConfig{})
+	if !errors.Is(err, ErrQuorumNotMet) {
+		t.Fatalf("failing client under full participation: err = %v, want ErrQuorumNotMet", err)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 
 	req := NewMessage("fit/tcp")
 	req.Scalars["offset"] = 7
-	resps, err := srv.Broadcast(req)
+	resps, _, err := srv.BroadcastQuorum(req, QuorumConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,57 +237,24 @@ func TestListenTCPTimeout(t *testing.T) {
 	}
 }
 
-func TestSampleClients(t *testing.T) {
-	srv := NewServer(NewInProcWire([]Client{
-		&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}, &echoClient{id: 3},
-	}, WireOpts{}))
-	rng := rand.New(rand.NewSource(1))
-	half := srv.SampleClients(0.5, rng)
-	if len(half) != 2 {
-		t.Fatalf("sampled %d clients, want 2", len(half))
-	}
-	seen := map[int]bool{}
-	for _, c := range half {
-		if c < 0 || c > 3 || seen[c] {
-			t.Fatalf("bad sample %v", half)
-		}
-		seen[c] = true
-	}
-	// Sorted ascending.
-	if half[0] >= half[1] {
-		t.Errorf("sample not sorted: %v", half)
-	}
-	// Fraction 0 still samples one participant; fraction > 1 clamps.
-	if got := srv.SampleClients(0, rng); len(got) != 1 {
-		t.Errorf("zero fraction sampled %v", got)
-	}
-	if got := srv.SampleClients(5, rng); len(got) != 4 {
-		t.Errorf("overfull fraction sampled %v", got)
-	}
-	empty := NewServer(NewInProcWire(nil, WireOpts{}))
-	if got := empty.SampleClients(0.5, rng); got != nil {
-		t.Errorf("empty server sampled %v", got)
-	}
-}
-
 func TestCallSubset(t *testing.T) {
 	srv := NewServer(NewInProcWire([]Client{
 		&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2},
 	}, WireOpts{}))
 	req := NewMessage("fit/x")
-	resps, err := srv.CallSubset([]int{2, 0}, req)
+	resps, idx, err := srv.CallSubsetQuorum([]int{2, 0}, req, QuorumConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resps) != 2 {
-		t.Fatalf("responses = %d", len(resps))
+	if len(resps) != 2 || idx[0] != 2 || idx[1] != 0 {
+		t.Fatalf("responses = %d from %v, want 2 from [2 0]", len(resps), idx)
 	}
 	if resps[0].Scalars["loss"] != 2 || resps[1].Scalars["loss"] != 0 {
 		t.Errorf("subset order wrong: %v %v", resps[0].Scalars, resps[1].Scalars)
 	}
 	// Error propagation.
 	srv2 := NewServer(NewInProcWire([]Client{&echoClient{id: 0, fail: true}}, WireOpts{}))
-	if _, err := srv2.CallSubset([]int{0}, req); err == nil {
+	if _, _, err := srv2.CallSubsetQuorum([]int{0}, req, QuorumConfig{}); err == nil {
 		t.Error("subset error not propagated")
 	}
 }

@@ -144,16 +144,12 @@ func callOnce(t Transport, i int, req Message, timeout time.Duration) (Message, 
 // concurrent round must be safe for concurrent invocation.
 type attemptHook func(client, attempt int, startNS, endNS int64, resp Message, err error)
 
-// CallWithPolicy performs one logical call to client i under the
+// callWithPolicy performs one logical call to client i under the
 // policy: each attempt is deadline-bounded, failed attempts are retried
 // with exponential backoff + jitter, and permanently dead clients fail
-// fast. It returns the last error when all attempts fail.
-func CallWithPolicy(t Transport, i int, req Message, p RetryPolicy) (Message, error) {
-	return callWithPolicy(t, i, req, p, nil)
-}
-
-// callWithPolicy is CallWithPolicy with a per-attempt observer — the
-// seam the quorum layer uses for telemetry and waste accounting.
+// fast. It returns the last error when all attempts fail. hook, when
+// non-nil, observes every attempt — the seam the quorum layer uses for
+// telemetry and waste accounting.
 func callWithPolicy(t Transport, i int, req Message, p RetryPolicy, hook attemptHook) (Message, error) {
 	p = p.withDefaults()
 	var lastErr error
@@ -233,8 +229,8 @@ func (s *Server) BroadcastQuorum(req Message, q QuorumConfig) ([]Message, []int,
 	return s.CallSubsetQuorum(all, req, q)
 }
 
-// CallSubsetQuorum is BroadcastQuorum over an explicit client subset
-// (e.g. one drawn by SampleClients). Responses and indices are returned
+// CallSubsetQuorum is BroadcastQuorum over an explicit client subset.
+// Responses and indices are returned
 // in the subset's order, restricted to survivors.
 func (s *Server) CallSubsetQuorum(clients []int, req Message, q QuorumConfig) ([]Message, []int, error) {
 	n := len(clients)

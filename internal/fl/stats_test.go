@@ -21,7 +21,7 @@ func (rawClient) Evaluate(req Message) (Message, error) { return Message{Kind: "
 func losslessSize(m Message) int64 { return WireOpts{}.Size(m) }
 
 // TestServerStatsAccounting: rounds, calls, and byte totals accumulate
-// across Broadcast/CallSubset/Call; Sub scopes a window.
+// across BroadcastQuorum/CallSubsetQuorum/Call; Sub scopes a window.
 func TestServerStatsAccounting(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}}
 	srv := NewServer(NewInProcWire(clients, WireOpts{}))
@@ -29,7 +29,7 @@ func TestServerStatsAccounting(t *testing.T) {
 
 	req := NewMessage("fit/x")
 	req.Scalars["offset"] = 1
-	resps, err := srv.Broadcast(req)
+	resps, _, err := srv.BroadcastQuorum(req, QuorumConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestServerStatsAccounting(t *testing.T) {
 		t.Errorf("bytes = %d down / %d up, want %d / %d", st.BytesDown, st.BytesUp, wantDown, wantUp)
 	}
 
-	if _, err := srv.CallSubset([]int{0, 2}, req); err != nil {
+	if _, _, err := srv.CallSubsetQuorum([]int{0, 2}, req, QuorumConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if st = srv.Stats(); st.Rounds != 2 || st.Calls != 5 {

@@ -132,9 +132,6 @@ func ListenTCP(addr string, expectClients int, timeout time.Duration, addrCh cha
 	return &TCPTransport{listener: ln, wire: wire, conns: conns}, nil
 }
 
-// Addr returns the listener address (useful with ephemeral ports).
-func (t *TCPTransport) Addr() string { return t.listener.Addr().String() }
-
 // Wire reports the transport's configured wire format — the options
 // the Server bills under. Billing is per fleet: a client that encodes
 // its replies under a different quantization tier is still billed at
@@ -144,6 +141,8 @@ func (t *TCPTransport) Wire() WireOpts { return t.wire }
 // SetCallTimeout installs a per-call deadline (0 disables). Safe to
 // call concurrently with in-flight rounds; it applies from the next
 // Call.
+//
+//lint:allow deadexport test hook: the TCP fault tests put a socket deadline on each call
 func (t *TCPTransport) SetCallTimeout(d time.Duration) {
 	t.mu.Lock()
 	t.callTimeout = d

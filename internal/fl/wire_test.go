@@ -379,7 +379,7 @@ func TestWireAccounting(t *testing.T) {
 	req := wireFixtures()[2]
 	for name, w := range wireMatrixOpts() {
 		srv := NewServer(NewInProcWire([]Client{mirrorClient{}, mirrorClient{}}, w))
-		resps, err := srv.Broadcast(req)
+		resps, _, err := srv.BroadcastQuorum(req, QuorumConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
