@@ -45,26 +45,6 @@ type Config struct {
 	Seed            int64
 }
 
-// DefaultConfig returns the paper's baseline configuration for the
-// given window and horizon.
-func DefaultConfig(backcast, horizon int) Config {
-	return Config{
-		BackcastLength:  backcast,
-		ForecastLength:  horizon,
-		GenericBlocks:   2,
-		TrendBlocks:     2,
-		SeasonalBlocks:  2,
-		GenericNeurons:  128,
-		TrendNeurons:    64,
-		SeasonalNeurons: 512,
-		PolyDegree:      3,
-		Harmonics:       4,
-		LR:              5e-4,
-		BatchSize:       256,
-		Epochs:          20,
-	}
-}
-
 func (c Config) normalized() Config {
 	if c.BackcastLength < 2 {
 		c.BackcastLength = 2
