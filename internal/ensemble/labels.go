@@ -55,13 +55,3 @@ func (e *labelEncoder) distToMap(dist []float64) map[string]float64 {
 	}
 	return out
 }
-
-func argmax(xs []float64) int {
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
-}

@@ -105,19 +105,6 @@ func (m *LGBMClassifier) scoresFor(row []float64) []float64 {
 	return s
 }
 
-// Predict returns the most likely label per row.
-func (m *LGBMClassifier) Predict(x [][]float64) []string {
-	if m.trees == nil {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("ensemble: LGBMClassifier.Predict before Fit")
-	}
-	out := make([]string, len(x))
-	for i, row := range x {
-		out[i] = m.enc.labels[argmax(m.scoresFor(row))]
-	}
-	return out
-}
-
 // PredictProba returns per-row label probabilities.
 func (m *LGBMClassifier) PredictProba(x [][]float64) []map[string]float64 {
 	if m.trees == nil {
@@ -239,19 +226,6 @@ func (m *CatBoostClassifier) scoresFor(row []float64) []float64 {
 		}
 	}
 	return s
-}
-
-// Predict returns the most likely label per row.
-func (m *CatBoostClassifier) Predict(x [][]float64) []string {
-	if m.trees == nil {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("ensemble: CatBoostClassifier.Predict before Fit")
-	}
-	out := make([]string, len(x))
-	for i, row := range x {
-		out[i] = m.enc.labels[argmax(m.scoresFor(row))]
-	}
-	return out
 }
 
 // PredictProba returns per-row label probabilities.

@@ -119,29 +119,6 @@ func (m *LogisticRegression) softmaxRow(z []float64, out []float64) {
 	}
 }
 
-// Predict returns the most likely label per row.
-func (m *LogisticRegression) Predict(x [][]float64) []string {
-	probas := m.PredictProba(x)
-	out := make([]string, len(x))
-	for i, dist := range probas {
-		// Scan labels in sorted order: ties on probability must not be
-		// broken by map iteration order.
-		labels := make([]string, 0, len(dist))
-		for l := range dist {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		best, bestP := "", -1.0
-		for _, l := range labels {
-			if dist[l] > bestP {
-				best, bestP = l, dist[l]
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
 // PredictProba returns per-row label probabilities.
 func (m *LogisticRegression) PredictProba(x [][]float64) []map[string]float64 {
 	if !m.fitted {

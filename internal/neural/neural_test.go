@@ -130,7 +130,7 @@ func TestMLPLearnsXor(t *testing.T) {
 	if err := m.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	pred := m.Predict(x)
+	pred := argmaxLabels(m.PredictProba(x))
 	for i := range pred {
 		if pred[i] != y[i] {
 			t.Fatalf("XOR pred = %v, want %v", pred, y)
@@ -156,7 +156,7 @@ func TestMLPMulticlassProba(t *testing.T) {
 		t.Fatal(err)
 	}
 	correct := 0
-	for i, p := range m.Predict(x) {
+	for i, p := range argmaxLabels(m.PredictProba(x)) {
 		if p == y[i] {
 			correct++
 		}
@@ -185,5 +185,21 @@ func TestMLPEmptyFitAndPredictBeforeFit(t *testing.T) {
 			t.Error("predict before fit did not panic")
 		}
 	}()
-	NewMLPClassifier(nil).Predict([][]float64{{1}})
+	NewMLPClassifier(nil).PredictProba([][]float64{{1}})
+}
+
+// argmaxLabels picks each row's most probable label, ties going to the
+// smallest label.
+func argmaxLabels(proba []map[string]float64) []string {
+	out := make([]string, len(proba))
+	for i, dist := range proba {
+		best, bestP := "", -1.0
+		for l, p := range dist {
+			if p > bestP || (p == bestP && l < best) {
+				best, bestP = l, p
+			}
+		}
+		out[i] = best
+	}
+	return out
 }
