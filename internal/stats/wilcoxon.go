@@ -65,7 +65,7 @@ func WilcoxonSignedRank(a, b []float64) (WilcoxonResult, error) {
 			ranks[k] = avg
 		}
 		t := float64(j - i)
-		tieCorrection += t*t*t - t
+		tieCorrection += float64(t*t*t) - t
 		i = j
 	}
 
@@ -85,7 +85,7 @@ func WilcoxonSignedRank(a, b []float64) (WilcoxonResult, error) {
 	}
 
 	nf := float64(n)
-	meanW := nf * (nf + 1) / 4
+	meanW := float64(nf * (nf + 1) / 4)
 	varW := nf*(nf+1)*(2*nf+1)/24 - tieCorrection/48
 	if varW <= 0 {
 		return WilcoxonResult{W: w, N: n, PValue: 1}, nil
@@ -138,7 +138,7 @@ func wilcoxonExactP(wPlus float64, n int) float64 {
 
 // normalCDF returns P(Z ≤ z) for a standard normal variable.
 func normalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
+	return float64(0.5 * math.Erfc(-z/math.Sqrt2))
 }
 
 // NormalCDF exposes the standard normal CDF for other packages

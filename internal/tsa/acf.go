@@ -30,7 +30,7 @@ func ACF(xs []float64, maxLag int) []float64 {
 	var c0 float64
 	for _, v := range xs {
 		d := v - mean
-		c0 += d * d
+		c0 += float64(d * d)
 	}
 	if c0 == 0 {
 		out[0] = 1
@@ -39,7 +39,7 @@ func ACF(xs []float64, maxLag int) []float64 {
 	for lag := 0; lag <= maxLag; lag++ {
 		var c float64
 		for t := lag; t < n; t++ {
-			c += (xs[t] - mean) * (xs[t-lag] - mean)
+			c += float64((xs[t] - mean) * (xs[t-lag] - mean))
 		}
 		out[lag] = c / c0
 	}
@@ -66,12 +66,12 @@ func PACF(xs []float64, maxLag int) []float64 {
 	v := 1.0 // innovation variance (relative)
 	phiPrev[1] = acf[1]
 	pacf[1] = acf[1]
-	v *= 1 - acf[1]*acf[1]
+	v *= 1 - float64(acf[1]*acf[1])
 	for k := 2; k <= maxLag; k++ {
 		var num float64
 		num = acf[k]
 		for j := 1; j < k; j++ {
-			num -= phiPrev[j] * acf[k-j]
+			num -= float64(phiPrev[j] * acf[k-j])
 		}
 		var phiKK float64
 		if v > 1e-12 {
@@ -84,11 +84,11 @@ func PACF(xs []float64, maxLag int) []float64 {
 			phiKK = -1
 		}
 		for j := 1; j < k; j++ {
-			phiCur[j] = phiPrev[j] - phiKK*phiPrev[k-j]
+			phiCur[j] = phiPrev[j] - float64(phiKK*phiPrev[k-j])
 		}
 		phiCur[k] = phiKK
 		pacf[k] = phiKK
-		v *= 1 - phiKK*phiKK
+		v *= 1 - float64(phiKK*phiKK)
 		copy(phiPrev[:k+1], phiCur[:k+1])
 	}
 	return pacf

@@ -111,7 +111,7 @@ func adfPValue(tau, c1, c5, c10 float64) float64 {
 	case tau <= anchors[0].tau:
 		// Deep rejection region: extrapolate using the 1%-5% slope.
 		slope := (anchors[1].logp - anchors[0].logp) / (anchors[1].tau - anchors[0].tau)
-		lp := anchors[0].logp + slope*(tau-anchors[0].tau)
+		lp := anchors[0].logp + float64(slope*(tau-anchors[0].tau))
 		p := math.Exp(lp)
 		if p < 1e-6 {
 			p = 1e-6
@@ -123,13 +123,13 @@ func adfPValue(tau, c1, c5, c10 float64) float64 {
 		if frac > 1 {
 			frac = 1
 		}
-		return 0.10 + frac*0.89
+		return 0.10 + float64(frac*0.89)
 	default:
 		for i := 0; i < 2; i++ {
 			a, b := anchors[i], anchors[i+1]
 			if tau >= a.tau && tau <= b.tau {
 				frac := (tau - a.tau) / (b.tau - a.tau)
-				return math.Exp(a.logp + frac*(b.logp-a.logp))
+				return math.Exp(a.logp + float64(frac*(b.logp-a.logp)))
 			}
 		}
 	}
@@ -145,10 +145,10 @@ func olsWithSE(x *linalg.Matrix, y []float64) (beta, se []float64, err error) {
 	for i := 0; i < x.Rows; i++ {
 		ri := x.Row(i)
 		for j, vj := range ri {
-			xty[j] += vj * y[i]
+			xty[j] += float64(vj * y[i])
 			row := xtx.Row(j)
 			for k := j; k < p; k++ {
-				row[k] += vj * ri[k]
+				row[k] += float64(vj * ri[k])
 			}
 		}
 	}
@@ -169,7 +169,7 @@ func olsWithSE(x *linalg.Matrix, y []float64) (beta, se []float64, err error) {
 	var rss float64
 	for i := 0; i < x.Rows; i++ {
 		r := y[i] - linalg.Dot(x.Row(i), beta)
-		rss += r * r
+		rss += float64(r * r)
 	}
 	dof := float64(x.Rows - p)
 	if dof < 1 {

@@ -18,7 +18,8 @@
 # path, so the two layers are complementary, not redundant.
 #
 # The fmacheck step cross-compiles the gated packages (today
-# internal/linalg and internal/linmodel) for arm64 and fails on any fused multiply-add
+# internal/linalg, internal/linmodel, internal/stats and internal/tsa)
+# for arm64 and fails on any fused multiply-add
 # (scripts/fmacheck.sh): same-seed bit identity must not depend on the
 # architecture.
 #
@@ -48,13 +49,13 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
-echo "==> fmacheck (arm64: no fused multiply-add in ./internal/linalg ./internal/linmodel)"
+echo "==> fmacheck (arm64: no fused multiply-add in ./internal/linalg ./internal/linmodel ./internal/stats ./internal/tsa)"
 scripts/fmacheck.sh
 
 echo "==> fedlint ./internal/obs (telemetry: no stray wall-clock reads)"
 go run ./cmd/fedlint ./internal/obs
 
-echo "==> fedlint ./... (all rules, incl. lockguard/goroleak/deadlineflow/codeccover)"
+echo "==> fedlint ./... (all rules, incl. lockguard/goroleak/deadlineflow/codeccover/deadexport)"
 go run ./cmd/fedlint ./...
 
 echo "==> fedlint -only hotalloc,bigcopy,prealloc,deferloop,iboxing ./... (perf policy)"
