@@ -99,7 +99,7 @@ func (g *GradientBoostingClassifier) Fit(x [][]float64, y []string) error {
 		// Apply the whole stage at once (one stage = one tree per class).
 		for i := 0; i < n; i++ {
 			for c := 0; c < k; c++ {
-				scores[i][c] += opts.LearningRate * stage[c].PredictOne(x[i])
+				scores[i][c] += float64(opts.LearningRate * stage[c].PredictOne(x[i]))
 			}
 		}
 		g.trees = append(g.trees, stage)
@@ -112,7 +112,7 @@ func (g *GradientBoostingClassifier) scoresFor(row []float64) []float64 {
 	s := append([]float64(nil), g.prior...)
 	for _, stage := range g.trees {
 		for c, tr := range stage {
-			s[c] += lr * tr.PredictOne(row)
+			s[c] += float64(lr * tr.PredictOne(row))
 		}
 	}
 	return s

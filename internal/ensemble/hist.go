@@ -286,9 +286,9 @@ func growOblivious(binned [][]uint8, b *binner, g, h []float64, rows []int,
 					}
 					gr := tot[q].g - gl[q]
 					hr := tot[q].h - hl[q]
-					gain += 0.5 * (gl[q]*gl[q]/(hl[q]+lambda) +
+					gain += float64(0.5 * (gl[q]*gl[q]/(hl[q]+lambda) +
 						gr*gr/(hr+lambda) -
-						tot[q].g*tot[q].g/(tot[q].h+lambda))
+						tot[q].g*tot[q].g/(tot[q].h+lambda)))
 				}
 				if gain > bestGain {
 					bestFeat, bestBin, bestGain = j, k, gain

@@ -86,7 +86,7 @@ func (m *LGBMClassifier) Fit(x [][]float64, y []string) error {
 		}
 		for i := 0; i < n; i++ {
 			for c := 0; c < k; c++ {
-				scores[i][c] += opts.LearningRate * histTreePredict(stage[c], x[i])
+				scores[i][c] += float64(opts.LearningRate * histTreePredict(stage[c], x[i]))
 			}
 		}
 		m.trees = append(m.trees, stage)
@@ -99,7 +99,7 @@ func (m *LGBMClassifier) scoresFor(row []float64) []float64 {
 	s := make([]float64, m.enc.numClasses())
 	for _, stage := range m.trees {
 		for c, nodes := range stage {
-			s[c] += lr * histTreePredict(nodes, row)
+			s[c] += float64(lr * histTreePredict(nodes, row))
 		}
 	}
 	return s
@@ -209,7 +209,7 @@ func (m *CatBoostClassifier) Fit(x [][]float64, y []string) error {
 		}
 		for i := 0; i < n; i++ {
 			for c := 0; c < k; c++ {
-				scores[i][c] += opts.LearningRate * stage[c].predict(x[i])
+				scores[i][c] += float64(opts.LearningRate * stage[c].predict(x[i]))
 			}
 		}
 		m.trees = append(m.trees, stage)
@@ -222,7 +222,7 @@ func (m *CatBoostClassifier) scoresFor(row []float64) []float64 {
 	s := make([]float64, m.enc.numClasses())
 	for _, stage := range m.trees {
 		for c, t := range stage {
-			s[c] += lr * t.predict(row)
+			s[c] += float64(lr * t.predict(row))
 		}
 	}
 	return s
