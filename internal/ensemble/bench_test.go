@@ -80,11 +80,12 @@ func tieHeavy(n, p int, seed int64) ([][]float64, []float64) {
 	return x, y
 }
 
-// BenchmarkTreeFits prices the tree core at two engine shapes on
+// BenchmarkTreeFits prices the tree core at three engine shapes on
 // tie-heavy columns: the per-client random-forest importance fit of the
 // feature-selection round (30 trees, depth 8, 198×19 like a paper-seq
-// client) and an XGB candidate fit (20 trees, depth 6, subsample 0.7,
-// 55×15 like a batch-wide client).
+// client), an XGB candidate fit (20 trees, depth 6, subsample 0.7,
+// 55×15 like a batch-wide client), and graph-cv's XGB arm (13 trees,
+// depth 6, subsample 0.55, 112×16).
 func BenchmarkTreeFits(b *testing.B) {
 	b.Run("shape=rf-importance", func(b *testing.B) {
 		x, y := tieHeavy(198, 19, 1)
@@ -101,6 +102,16 @@ func BenchmarkTreeFits(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m := NewXGBRegressor(XGBOptions{NumTrees: 20, MaxDepth: 6, Subsample: 0.7, Seed: 4})
+			if err := m.Fit(x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("shape=xgb-graph-cv", func(b *testing.B) {
+		x, y := tieHeavy(112, 16, 5)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := NewXGBRegressor(XGBOptions{NumTrees: 13, MaxDepth: 6, Subsample: 0.55, Seed: 6})
 			if err := m.Fit(x, y); err != nil {
 				b.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package ensemble
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fedforecaster/internal/model"
@@ -166,6 +167,36 @@ func TestXGBRegressorSubsample(t *testing.T) {
 	xt, yt := friedman1(200, 0, 17)
 	if mse := model.MSE(m.Predict(xt), yt); mse > 8 {
 		t.Errorf("subsampled XGB test MSE = %v", mse)
+	}
+}
+
+// TestSubsampleMatchesPerm checks that the in-place subsample draws the
+// rows rng.Perm(n)[:m] would, stage after stage, and leaves the rng in
+// the same state, so a booster's draws and its later stages' seeds
+// match the allocating draw it replaced.
+func TestSubsampleMatchesPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 55, 112} {
+		for _, frac := range []float64{0.05, 0.55, 0.7, 0.999, 1} {
+			got, want := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+			buf := make([]int, n)
+			for stage := 0; stage < 4; stage++ {
+				rows := subsample(buf, frac, got)
+				ref := make([]int, n)
+				for i := range ref {
+					ref[i] = i
+				}
+				if frac < 1 {
+					ref = want.Perm(n)[:len(rows)]
+				}
+				m := min(n, max(2, int(frac*float64(n)+0.5)))
+				if len(rows) != m || !slices.Equal(rows, ref[:len(rows)]) {
+					t.Fatalf("n %d frac %v stage %d: rows %v, want %v", n, frac, stage, rows, ref[:m])
+				}
+			}
+			if got.Int63() != want.Int63() {
+				t.Errorf("n %d frac %v: rng state diverged from rng.Perm's", n, frac)
+			}
+		}
 	}
 }
 

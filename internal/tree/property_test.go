@@ -158,7 +158,7 @@ func TestGradTreeLambdaMonotoneProperty(t *testing.T) {
 			// splits allowed, different λ values choose different
 			// structures and the pointwise property does not hold.)
 			gt := &GradTree{MaxDepth: 1, Lambda: lambda, Gamma: 1e12}
-			if err := gt.FitGrad(x, g, h, idx); err != nil {
+			if err := gt.FitGrad(Presort(x), g, h, idx); err != nil {
 				t.Fatal(err)
 			}
 			mag := math.Abs(gt.PredictOne([]float64{0}))

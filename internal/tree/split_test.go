@@ -134,7 +134,7 @@ func TestSortedMatchesSortSlice(t *testing.T) {
 				legacy := slices.Clone(idx)
 				sort.Slice(legacy, func(a, b int) bool { return x[legacy[a]][0] < x[legacy[b]][0] })
 
-				got := newSplitter(x, n, Options{}).sorted(idx, 0)
+				got := newSplitter(x, n, Options{}, nil).sorted(idx, 0)
 				for k, p := range got {
 					if p.i != ref[k].i || p.i != legacy[k] {
 						t.Fatalf("%s n=%d shuffle=%v: position %d holds row %d; slices.SortFunc put row %d there, sort.Slice row %d",

@@ -243,7 +243,7 @@ func TestGradTreeMatchesSquaredLossMean(t *testing.T) {
 		idx[i] = i
 	}
 	gt := &GradTree{MaxDepth: 1, Lambda: 0}
-	if err := gt.FitGrad(x, g, h, idx); err != nil {
+	if err := gt.FitGrad(Presort(x), g, h, idx); err != nil {
 		t.Fatal(err)
 	}
 	if got := gt.PredictOne([]float64{0.9, 0}); math.Abs(got-1) > 0.05 {
@@ -266,10 +266,10 @@ func TestGradTreeLambdaShrinksLeaves(t *testing.T) {
 	}
 	small := &GradTree{MaxDepth: 1, Lambda: 0}
 	big := &GradTree{MaxDepth: 1, Lambda: 100}
-	if err := small.FitGrad(x, g, h, idx); err != nil {
+	if err := small.FitGrad(Presort(x), g, h, idx); err != nil {
 		t.Fatal(err)
 	}
-	if err := big.FitGrad(x, g, h, idx); err != nil {
+	if err := big.FitGrad(Presort(x), g, h, idx); err != nil {
 		t.Fatal(err)
 	}
 	ps := small.PredictOne([]float64{0.9, 0})
@@ -290,7 +290,7 @@ func TestGradTreeGammaPrunes(t *testing.T) {
 		idx[i] = i
 	}
 	gt := &GradTree{MaxDepth: 4, Gamma: 1e9}
-	if err := gt.FitGrad(x, g, h, idx); err != nil {
+	if err := gt.FitGrad(Presort(x), g, h, idx); err != nil {
 		t.Fatal(err)
 	}
 	if gt.NumNodes() != 1 {
@@ -312,7 +312,7 @@ func TestGradTreeSubsetIndices(t *testing.T) {
 		idx[i] = i
 	}
 	gt := &GradTree{MaxDepth: 2}
-	if err := gt.FitGrad(x, g, h, idx); err != nil {
+	if err := gt.FitGrad(Presort(x), g, h, idx); err != nil {
 		t.Fatal(err)
 	}
 	// Must still predict on any row.

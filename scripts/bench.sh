@@ -17,11 +17,12 @@
 # chain, a fully branched template graph, and the chain under 3-fold
 # rolling-origin CV, so the DAG refactor's per-candidate cost is
 # tracked next to the round protocol it feeds. BenchmarkTreeFits prices
-# the shared tree core on tie-heavy columns at two engine shapes: the
+# the shared tree core on tie-heavy columns at three engine shapes: the
 # per-client random-forest importance fit of the feature-selection round
-# and an XGB candidate fit. BenchmarkLinmodelFits prices the linear
-# fits (Lasso cyclic and random, ElasticNetCV, Huber) at a chaos-rounds
-# and a paper-seq client's n×p.
+# and XGB candidate fits at a batch-wide and a graph-cv client's shape.
+# BenchmarkLinmodelFits prices the linear fits (Lasso cyclic and
+# random, ElasticNetCV, Huber) at a chaos-rounds and a paper-seq
+# client's n×p.
 #
 # All benchmarks run under -benchmem, so every JSON row also carries
 # bytes_per_op and allocs_per_op — the numbers the perflint retrofit
