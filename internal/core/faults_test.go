@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"fedforecaster/internal/fedtrace"
 	"fedforecaster/internal/fl"
 	"fedforecaster/internal/obs"
 	"fedforecaster/internal/search"
@@ -66,6 +68,46 @@ func runUnderChaos(t *testing.T, cfg EngineConfig, faults map[int]fl.ClientFault
 	eng := NewEngine(nil, cfg)
 	res, err := eng.RunWithServer(srv)
 	return res, drops, err
+}
+
+// TestTracedChaosRunRecordsInjections: the engine's recorder reaches
+// the chaos transport through Server.SetRecorder, so a traced run over
+// fl.NewChaos records every injected fault, and recording them changes
+// nothing: the Result equals the untraced run's, Comms included, up to
+// the wall-clock Elapsed of each iteration.
+func TestTracedChaosRunRecordsInjections(t *testing.T) {
+	clients := fedDataset(t, 1600, 4, 11)
+	run := func(rec obs.Recorder) *Result {
+		cfg := resilientConfig(5, 0.5, 2)
+		cfg.BatchSize = 2
+		cfg.Recorder = rec
+		srv, chaos := chaosServer(clients, cfg.Seed)
+		defer srv.Close()
+		chaos.SetFaults(1, fl.ClientFaults{FailFirst: 2})
+		chaos.SetFaults(2, fl.ClientFaults{DieAfter: 5})
+		res, err := NewEngine(nil, cfg).RunWithServer(srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.History {
+			res.History[i].Elapsed = 0 // wall clock
+		}
+		return res
+	}
+	col := fedtrace.NewCollector()
+	traced, untraced := run(col), run(nil)
+	faults := map[string]int{}
+	for _, ev := range col.Events() {
+		if e, ok := ev.(obs.ChaosInject); ok {
+			faults[e.Fault]++
+		}
+	}
+	if faults["transient"] != 2 || faults["die"] != 1 || faults["dead"] == 0 {
+		t.Errorf("recorded faults %v, want 2 transient, 1 die and the dead client's refused calls", faults)
+	}
+	if !reflect.DeepEqual(traced, untraced) {
+		t.Errorf("traced run differs from the untraced one:\n%+v\n%+v", traced, untraced)
+	}
 }
 
 // TestEngineRunSurvivesClientDeath is the acceptance scenario: 1 of 4

@@ -69,6 +69,8 @@ type ChaosTransport struct {
 // NewChaos wraps the transport. Each client's fault RNG is derived from
 // the seed and the client index, so schedules are independent and
 // reproducible.
+//
+//lint:allow deadexport used by the fedbench module's chaos-rounds workload and by tests
 func NewChaos(inner Transport, seed int64) *ChaosTransport {
 	return &ChaosTransport{inner: inner, seed: seed, clients: map[int]*chaosClient{}}
 }
@@ -89,9 +91,8 @@ func (t *ChaosTransport) client(i int) *chaosClient {
 // ChaosInject event per injected fault (delay, transient, die, dead,
 // corrupt). Events are emitted outside the per-client mutex, on the
 // calling goroutine, after the fate decision — they observe faults,
-// never perturb the three-draw RNG schedule.
-//
-//lint:allow deadexport test hook: the telemetry and waste tests watch injected faults
+// never perturb the three-draw RNG schedule. Server.SetRecorder
+// forwards its recorder here, so a traced run records the faults.
 func (t *ChaosTransport) SetRecorder(r obs.Recorder) {
 	t.mu.Lock()
 	t.rec = r
@@ -113,6 +114,8 @@ func (t *ChaosTransport) inject(client int, fault string) {
 }
 
 // SetFaults installs (replaces) client i's fault schedule.
+//
+//lint:allow deadexport used by the fedbench module's chaos-rounds workload and by tests
 func (t *ChaosTransport) SetFaults(i int, f ClientFaults) {
 	c := t.client(i)
 	c.mu.Lock()

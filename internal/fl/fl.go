@@ -170,13 +170,18 @@ func stripTrace(m Message) Message {
 }
 
 // SetRecorder installs (or, with nil, removes) the telemetry recorder
-// the server's quorum layer emits call and attempt spans to.
-// Safe to call between rounds; the engine installs its recorder for
-// the duration of a run and clears it afterwards.
+// the server's quorum layer emits call and attempt spans to. A
+// transport that records events of its own (ChaosTransport's injected
+// faults) gets the same recorder. Safe to call between rounds; the
+// engine installs its recorder for the duration of a run and clears it
+// afterwards.
 func (s *Server) SetRecorder(r obs.Recorder) {
 	s.statsMu.Lock()
 	s.rec = r
 	s.statsMu.Unlock()
+	if rt, ok := s.transport.(interface{ SetRecorder(obs.Recorder) }); ok {
+		rt.SetRecorder(r)
+	}
 }
 
 // recorder snapshots the current recorder (possibly nil).
