@@ -2,6 +2,7 @@ package lint
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -15,7 +16,8 @@ var deadexportModule = filepath.Join("testdata", "src", "deadexport")
 // funcs, types, vars, consts and methods fire; a method reached only
 // through an interface, a String method, a method implementing a
 // module interface, an allow-annotated hook, the root package and
-// package main stay silent.
+// package main stay silent, and a call from a nested module keeps
+// nothing alive.
 func TestDeadExportFixture(t *testing.T) {
 	fset, pkgs, modPath, err := LoadModule(deadexportModule)
 	if err != nil {
@@ -23,6 +25,24 @@ func TestDeadExportFixture(t *testing.T) {
 	}
 	got := Run(fset, pkgs, Analyzers(), DefaultConfig(modPath))
 	matchExpectations(t, got, readExpectations(t, "deadexport"))
+}
+
+// TestLoadModuleSkipsNestedModules: the fixture's bench directory
+// holds its own go.mod, so LoadModule leaves its packages out, as go
+// build ./... does, and their references keep nothing alive.
+func TestLoadModuleSkipsNestedModules(t *testing.T) {
+	_, pkgs, _, err := LoadModule(deadexportModule)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.ImportPath)
+	}
+	want := []string{"fixture/deadexport", "fixture/deadexport/cmd/tool", "fixture/deadexport/lib"}
+	if !slices.Equal(paths, want) {
+		t.Errorf("loaded %v, want %v", paths, want)
+	}
 }
 
 // TestDeadExportSubsetSilent: a run over part of the module sees only

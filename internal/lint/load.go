@@ -15,8 +15,9 @@ import (
 
 // LoadModule discovers, parses, and type-checks every non-test
 // package under root (the directory containing go.mod). Directories
-// named testdata or vendor and hidden/underscore directories are
-// skipped, mirroring the go tool. Test files are excluded: the lint
+// named testdata or vendor, hidden/underscore directories, and
+// directories below root that hold their own go.mod (other modules)
+// are skipped, mirroring the go tool. Test files are excluded: the lint
 // invariants govern shipped library code, while _test.go files are
 // exercised (and race-checked) by go test itself.
 //
@@ -113,7 +114,9 @@ func modulePath(gomod string) (string, error) {
 }
 
 // packageDirs walks root collecting every directory that may hold a
-// package, skipping VCS, vendor, testdata, and hidden directories.
+// package, skipping VCS, vendor, testdata, and hidden directories, and
+// nested modules: a directory below root with its own go.mod belongs to
+// another module, as it does for go build ./... .
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -127,6 +130,11 @@ func packageDirs(root string) ([]string, error) {
 		if path != root && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		dirs = append(dirs, path)
 		return nil

@@ -22,6 +22,10 @@ func Countdown(n int) int { // want deadexport "exported func lib.Countdown"
 	return Countdown(n - 1)
 }
 
+// BenchOnly is called only from the nested module under bench/, which
+// is not part of this module.
+func BenchOnly() {} // want deadexport "exported func lib.BenchOnly"
+
 // Live is called by the root package.
 func Live() int { return helper() }
 
