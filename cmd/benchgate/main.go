@@ -37,6 +37,7 @@ var sections = []struct{ name, key string }{
 	{"pipeline_dag", "graph"},
 	{"tree_fits", "shape"},
 	{"linmodel_fits", "shape"},
+	{"meta_models", "model"},
 }
 
 func main() {

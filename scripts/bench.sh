@@ -22,7 +22,8 @@
 # and XGB candidate fits at a batch-wide and a graph-cv client's shape.
 # BenchmarkLinmodelFits prices the linear fits (Lasso cyclic and
 # random, ElasticNetCV, Huber) at a chaos-rounds and a paper-seq
-# client's n×p.
+# client's n×p. BenchmarkMetaModels prices one fit of each of the eight
+# Table 4 meta-model classifiers on the whole kb.json knowledge base.
 #
 # All benchmarks run under -benchmem, so every JSON row also carries
 # bytes_per_op and allocs_per_op — the numbers the perflint retrofit
@@ -35,13 +36,14 @@
 # five sorted samples: the gate lets a row's wall clock rise by its own
 # interquartile distance when that is wider than the tolerance.
 #
-# The JSON is one object with six lists:
+# The JSON is one object with seven lists:
 #   {"engine_rounds": [...one object per q...],
 #    "wire_formats": [...one object per wire format, all at q=8...],
 #    "recorder_overhead": [...one object per recorder mode...],
 #    "pipeline_dag": [...one object per graph shape...],
 #    "tree_fits": [...one object per tree-fit shape...],
-#    "linmodel_fits": [...one object per linear-fit shape...]}
+#    "linmodel_fits": [...one object per linear-fit shape...],
+#    "meta_models": [...one object per Table 4 classifier...]}
 #
 # Usage:
 #   scripts/bench.sh               # writes BENCH_engine.json in the repo root
@@ -84,7 +86,11 @@ echo "==> go test -bench=LinmodelFits -benchmem -benchtime=$benchtime -count $co
 rawlin="$(go test -bench='LinmodelFits' -benchmem -benchtime="$benchtime" -count "$count" -run '^$' ./internal/linmodel/)"
 echo "$rawlin"
 
-printf '%s\n%s\n%s\n%s\n' "$raw" "$rawdag" "$rawtree" "$rawlin" | awk '
+echo "==> go test -bench=MetaModels -benchmem -benchtime=$benchtime -count $count ./internal/metalearn/"
+rawmeta="$(go test -bench='MetaModels' -benchmem -benchtime="$benchtime" -count "$count" -run '^$' ./internal/metalearn/)"
+echo "$rawmeta"
+
+printf '%s\n%s\n%s\n%s\n%s\n' "$raw" "$rawdag" "$rawtree" "$rawlin" "$rawmeta" | awk '
 # Every benchmark line is one sample of one row. A row is keyed by its
 # identifying JSON ("q": 4, "wire": "v1+q8", ...); its fields are the
 # Go benchmark units named in unit[], and each is written as the
@@ -102,8 +108,9 @@ BEGIN {
     fit = ns " bytes_per_op allocs_per_op"
     fields["engine_rounds"] = engine; fields["wire_formats"] = engine
     fields["recorder_overhead"] = fit; fields["tree_fits"] = fit; fields["linmodel_fits"] = fit
+    fields["meta_models"] = fit
     fields["pipeline_dag"] = ns " folds bytes_per_op allocs_per_op"
-    nsec = split("engine_rounds wire_formats recorder_overhead pipeline_dag tree_fits linmodel_fits", secs, " ")
+    nsec = split("engine_rounds wire_formats recorder_overhead pipeline_dag tree_fits linmodel_fits meta_models", secs, " ")
 }
 # name returns the sub-benchmark name after sep, without the
 # -GOMAXPROCS suffix.
@@ -125,6 +132,7 @@ function sample(sec, head,   key, s, i) {
 /^BenchmarkPipelineDAG\// { sample("pipeline_dag", "\"graph\": \"" name("=") "\"") }
 /^BenchmarkTreeFits\// { sample("tree_fits", "\"shape\": \"" name("=") "\"") }
 /^BenchmarkLinmodelFits\// { sample("linmodel_fits", "\"shape\": \"" name("=") "\"") }
+/^BenchmarkMetaModels\// { sample("meta_models", "\"model\": \"" name("=") "\"") }
 # pick returns the q-quantile sample of one field, as the benchmark
 # printed it: of the n sorted samples, the one at int(q·(n−1)), so the
 # median is the middle one (the lower middle for an even count) and, of
