@@ -31,7 +31,7 @@ func BenchmarkLGBMClassifierFit(b *testing.B) {
 	x, y := threeClassData(500, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewLGBMClassifier(LGBMOptions{NumTrees: 15, NumLeaves: 15, Seed: int64(i)})
+		m := NewLGBMClassifier(LGBMOptions{NumTrees: 15, NumLeaves: 15})
 		if err := m.Fit(x, y); err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func BenchmarkCatBoostClassifierFit(b *testing.B) {
 	x, y := threeClassData(500, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewCatBoostClassifier(CatBoostOptions{NumTrees: 15, Depth: 4, Seed: int64(i)})
+		m := NewCatBoostClassifier(CatBoostOptions{NumTrees: 15, Depth: 4})
 		if err := m.Fit(x, y); err != nil {
 			b.Fatal(err)
 		}

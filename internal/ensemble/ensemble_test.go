@@ -127,7 +127,7 @@ func TestExtraTreesClassifier(t *testing.T) {
 
 func TestGradientBoostingClassifier(t *testing.T) {
 	x, y := threeClassData(600, 12)
-	g := NewGradientBoostingClassifier(GBMOptions{NumTrees: 30, MaxDepth: 3, LearningRate: 0.2, Seed: 7})
+	g := NewGradientBoostingClassifier(GBMOptions{NumTrees: 30, MaxDepth: 3, LearningRate: 0.2})
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestXGBClassifier(t *testing.T) {
 
 func TestLGBMClassifier(t *testing.T) {
 	x, y := threeClassData(600, 21)
-	m := NewLGBMClassifier(LGBMOptions{NumTrees: 25, NumLeaves: 15, LearningRate: 0.2, Seed: 12})
+	m := NewLGBMClassifier(LGBMOptions{NumTrees: 25, NumLeaves: 15, LearningRate: 0.2})
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestLGBMClassifier(t *testing.T) {
 
 func TestCatBoostClassifier(t *testing.T) {
 	x, y := threeClassData(600, 23)
-	m := NewCatBoostClassifier(CatBoostOptions{NumTrees: 30, Depth: 4, LearningRate: 0.2, Seed: 13})
+	m := NewCatBoostClassifier(CatBoostOptions{NumTrees: 30, Depth: 4, LearningRate: 0.2})
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +322,8 @@ func TestObliviousTreePredictIndexing(t *testing.T) {
 		{[]float64{1, 1}, 40},
 	}
 	for _, c := range cases {
-		if got := tr.predict(c.row); got != c.want {
-			t.Errorf("predict(%v) = %v, want %v", c.row, got, c.want)
+		if got := tr.PredictOne(c.row); got != c.want {
+			t.Errorf("PredictOne(%v) = %v, want %v", c.row, got, c.want)
 		}
 	}
 }
@@ -344,6 +344,18 @@ func TestEnsembleEmptyFit(t *testing.T) {
 	if err := NewCatBoostClassifier(CatBoostOptions{}).Fit(nil, nil); err == nil {
 		t.Error("CatBoost accepted empty fit")
 	}
+	if err := NewGradientBoostingClassifier(GBMOptions{}).Fit(nil, nil); err == nil {
+		t.Error("GBM accepted empty fit")
+	}
+	if err := NewXGBClassifier(XGBOptions{}).Fit(nil, nil); err == nil {
+		t.Error("XGB classifier accepted empty fit")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("boosted classifier predicted before Fit")
+		}
+	}()
+	NewXGBClassifier(XGBOptions{}).PredictProba([][]float64{{0}})
 }
 
 func TestEnsembleDeterminismWithSeed(t *testing.T) {

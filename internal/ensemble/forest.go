@@ -62,38 +62,12 @@ func (f *RandomForestRegressor) Fit(x [][]float64, y []float64) error {
 	}
 	opts := f.Opts.normalized(false, len(x[0]))
 	f.trees = make([]*tree.Regressor, opts.NumTrees)
-	errs := make([]error, opts.NumTrees)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := 0; t < opts.NumTrees; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		//lint:allow hotalloc one goroutine per tree; its closure is noise next to the tree fit it runs
-		go func(t int) {
-			defer wg.Done()
-			//lint:allow hotalloc released once per tree fit, like the goroutine above
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(opts.Seed + int64(t)*7919))
-			xi, yi := x, y
-			if opts.Bootstrap {
-				xi, yi = bootstrapReg(x, y, rng)
-			}
-			tr := tree.NewRegressor(tree.Options{
-				MaxDepth:         opts.MaxDepth,
-				MinSamplesLeaf:   opts.MinSamplesLeaf,
-				MaxFeatures:      opts.MaxFeatures,
-				RandomThresholds: opts.ExtraTrees,
-				Seed:             opts.Seed + int64(t)*104729,
-			})
-			errs[t] = tr.Fit(xi, yi)
-			f.trees[t] = tr
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	err := growForest(opts, x, y, func(t int, o tree.Options, x [][]float64, y []float64) error {
+		f.trees[t] = tree.NewRegressor(o)
+		return f.trees[t].Fit(x, y)
+	})
+	if err != nil {
+		return err
 	}
 	// Average importances across trees.
 	f.imp = make([]float64, len(x[0]))
@@ -161,38 +135,10 @@ func (f *RandomForestClassifier) Fit(x [][]float64, y []string) error {
 	yi := f.enc.encode(y)
 	opts := f.Opts.normalized(true, len(x[0]))
 	f.trees = make([]*tree.Classifier, opts.NumTrees)
-	errs := make([]error, opts.NumTrees)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := 0; t < opts.NumTrees; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(opts.Seed + int64(t)*7919))
-			xi, yii := x, yi
-			if opts.Bootstrap {
-				xi, yii = bootstrapClf(x, yi, rng)
-			}
-			tr := tree.NewClassifier(tree.Options{
-				MaxDepth:         opts.MaxDepth,
-				MinSamplesLeaf:   opts.MinSamplesLeaf,
-				MaxFeatures:      opts.MaxFeatures,
-				RandomThresholds: opts.ExtraTrees,
-				Seed:             opts.Seed + int64(t)*104729,
-			}, f.enc.numClasses())
-			errs[t] = tr.Fit(xi, yii)
-			f.trees[t] = tr
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return growForest(opts, x, yi, func(t int, o tree.Options, x [][]float64, y []int) error {
+		f.trees[t] = tree.NewClassifier(o, f.enc.numClasses())
+		return f.trees[t].Fit(x, y)
+	})
 }
 
 func (f *RandomForestClassifier) distFor(row []float64) []float64 {
@@ -222,24 +168,52 @@ func (f *RandomForestClassifier) PredictProba(x [][]float64) []map[string]float6
 	return out
 }
 
-func bootstrapReg(x [][]float64, y []float64, rng *rand.Rand) ([][]float64, []float64) {
-	n := len(x)
-	xi := make([][]float64, n)
-	yi := make([]float64, n)
-	for i := 0; i < n; i++ {
-		j := rng.Intn(n)
-		xi[i], yi[i] = x[j], y[j]
+// growForest fits opts.NumTrees trees in parallel, at most GOMAXPROCS
+// at a time, and returns the first error in tree order. Tree t is fitted
+// by grow on the bootstrap drawn from seed Seed + t·7919 (all rows
+// without Bootstrap), with tree options seeded Seed + t·104729.
+func growForest[T any](opts ForestOptions, x [][]float64, y []T, grow func(t int, o tree.Options, x [][]float64, y []T) error) error {
+	errs := make([]error, opts.NumTrees)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for t := 0; t < opts.NumTrees; t++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		//lint:allow hotalloc one goroutine per tree; its closure is noise next to the tree fit it runs
+		go func(t int) {
+			defer wg.Done()
+			//lint:allow hotalloc released once per tree fit, like the goroutine above
+			defer func() { <-sem }()
+			xt, yt := x, y
+			if opts.Bootstrap {
+				xt, yt = bootstrap(x, y, rand.New(rand.NewSource(opts.Seed+int64(t)*7919)))
+			}
+			errs[t] = grow(t, tree.Options{
+				MaxDepth:         opts.MaxDepth,
+				MinSamplesLeaf:   opts.MinSamplesLeaf,
+				MaxFeatures:      opts.MaxFeatures,
+				RandomThresholds: opts.ExtraTrees,
+				Seed:             opts.Seed + int64(t)*104729,
+			}, xt, yt)
+		}(t)
 	}
-	return xi, yi
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func bootstrapClf(x [][]float64, y []int, rng *rand.Rand) ([][]float64, []int) {
+// bootstrap draws len(x) rows of (x, y) with replacement.
+func bootstrap[T any](x [][]float64, y []T, rng *rand.Rand) ([][]float64, []T) {
 	n := len(x)
-	xi := make([][]float64, n)
-	yi := make([]int, n)
+	xb := make([][]float64, n)
+	yb := make([]T, n)
 	for i := 0; i < n; i++ {
 		j := rng.Intn(n)
-		xi[i], yi[i] = x[j], y[j]
+		xb[i], yb[i] = x[j], y[j]
 	}
-	return xi, yi
+	return xb, yb
 }

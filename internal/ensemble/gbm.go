@@ -1,18 +1,12 @@
 package ensemble
 
-import (
-	"math"
-
-	"fedforecaster/internal/tree"
-)
+import "fedforecaster/internal/tree"
 
 // GBMOptions configure classical gradient boosting.
 type GBMOptions struct {
-	NumTrees       int     // default 100
-	MaxDepth       int     // default 3
-	LearningRate   float64 // default 0.1
-	MinSamplesLeaf int
-	Seed           int64
+	NumTrees     int     // default 100
+	MaxDepth     int     // default 3
+	LearningRate float64 // default 0.1
 }
 
 func (o GBMOptions) normalized() GBMOptions {
@@ -30,12 +24,11 @@ func (o GBMOptions) normalized() GBMOptions {
 
 // GradientBoostingClassifier boosts one regression-tree sequence per
 // class against the softmax cross-entropy gradient (multiclass
-// deviance, as in scikit-learn's GradientBoostingClassifier).
+// deviance, as in scikit-learn's GradientBoostingClassifier), starting
+// from the log class priors.
 type GradientBoostingClassifier struct {
-	Opts  GBMOptions
-	enc   *labelEncoder
-	prior []float64
-	trees [][]*tree.Regressor // [stage][class]
+	Opts GBMOptions
+	softmaxBooster
 }
 
 // NewGradientBoostingClassifier returns a booster with the given options.
@@ -44,110 +37,16 @@ func NewGradientBoostingClassifier(opts GBMOptions) *GradientBoostingClassifier 
 }
 
 // Fit trains the booster on string labels.
-func (g *GradientBoostingClassifier) Fit(x [][]float64, y []string) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errEmptyTraining
-	}
-	opts := g.Opts.normalized()
-	g.enc = newLabelEncoder(y)
-	yi := g.enc.encode(y)
-	n := len(x)
-	k := g.enc.numClasses()
-
-	// Log-prior initialization.
-	counts := make([]float64, k)
-	for _, c := range yi {
-		counts[c]++
-	}
-	g.prior = make([]float64, k)
-	for c := range g.prior {
-		p := counts[c] / float64(n)
-		if p < 1e-9 {
-			p = 1e-9
+func (m *GradientBoostingClassifier) Fit(x [][]float64, y []string) error {
+	opts := m.Opts.normalized()
+	resid := make([]float64, len(x))
+	return m.fit(x, y, opts.NumTrees, opts.LearningRate, true, func(_, _ int, g, _ []float64) (stageTree, error) {
+		// Each tree fits the negative gradient 1{y=c} − p. Its sums
+		// cannot tell the −0 this writes for a zero gradient from +0.
+		for i, v := range g {
+			resid[i] = -v
 		}
-		g.prior[c] = math.Log(p)
-	}
-
-	scores := make([][]float64, n) // n × k raw scores
-	for i := range scores {
-		scores[i] = append([]float64(nil), g.prior...)
-	}
-	g.trees = g.trees[:0]
-	probs := make([]float64, k)
-	grad := make([]float64, n)
-	for t := 0; t < opts.NumTrees; t++ {
-		stage := make([]*tree.Regressor, k)
-		for c := 0; c < k; c++ {
-			for i := 0; i < n; i++ {
-				softmaxInto(scores[i], probs)
-				target := 0.0
-				if yi[i] == c {
-					target = 1
-				}
-				grad[i] = target - probs[c] // negative gradient
-			}
-			tr := tree.NewRegressor(tree.Options{
-				MaxDepth:       opts.MaxDepth,
-				MinSamplesLeaf: opts.MinSamplesLeaf,
-				Seed:           opts.Seed + int64(t*31+c),
-			})
-			if err := tr.Fit(x, grad); err != nil {
-				return err
-			}
-			stage[c] = tr
-		}
-		// Apply the whole stage at once (one stage = one tree per class).
-		for i := 0; i < n; i++ {
-			for c := 0; c < k; c++ {
-				scores[i][c] += float64(opts.LearningRate * stage[c].PredictOne(x[i]))
-			}
-		}
-		g.trees = append(g.trees, stage)
-	}
-	return nil
-}
-
-func (g *GradientBoostingClassifier) scoresFor(row []float64) []float64 {
-	lr := g.Opts.normalized().LearningRate
-	s := append([]float64(nil), g.prior...)
-	for _, stage := range g.trees {
-		for c, tr := range stage {
-			s[c] += float64(lr * tr.PredictOne(row))
-		}
-	}
-	return s
-}
-
-// PredictProba returns per-row label probabilities.
-func (g *GradientBoostingClassifier) PredictProba(x [][]float64) []map[string]float64 {
-	if g.trees == nil {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("ensemble: GradientBoostingClassifier.Predict before Fit")
-	}
-	out := make([]map[string]float64, len(x))
-	k := g.enc.numClasses()
-	probs := make([]float64, k)
-	for i, row := range x {
-		softmaxInto(g.scoresFor(row), probs)
-		out[i] = g.enc.distToMap(probs)
-	}
-	return out
-}
-
-// softmaxInto writes softmax(scores) into out (same length).
-func softmaxInto(scores, out []float64) {
-	maxS := math.Inf(-1)
-	for _, v := range scores {
-		if v > maxS {
-			maxS = v
-		}
-	}
-	var sum float64
-	for c, v := range scores {
-		out[c] = math.Exp(v - maxS)
-		sum += out[c]
-	}
-	for c := range out {
-		out[c] /= sum
-	}
+		tr := tree.NewRegressor(tree.Options{MaxDepth: opts.MaxDepth})
+		return tr, tr.Fit(x, resid)
+	})
 }

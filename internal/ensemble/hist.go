@@ -21,7 +21,10 @@ func newBinner(x [][]float64, maxBins int) *binner {
 	if maxBins > 255 {
 		maxBins = 255
 	}
-	p := len(x[0])
+	p := 0
+	if len(x) > 0 {
+		p = len(x[0])
+	}
 	b := &binner{edges: make([][]float64, p)}
 	vals := make([]float64, len(x))
 	for j := 0; j < p; j++ {
@@ -76,6 +79,15 @@ func (b *binner) binMatrix(x [][]float64) [][]uint8 {
 		out[i] = r
 	}
 	return out
+}
+
+// allRows returns the row indices 0..n-1.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 // numBins returns the bin count for feature j (edges+1).
@@ -143,11 +155,14 @@ type histNode struct {
 	value     float64
 }
 
-// histTreePredict walks a histNode slice from the root.
-func histTreePredict(nodes []histNode, row []float64) float64 {
+// leafWiseTree is a histogram-grown tree's flat node slice, root first.
+type leafWiseTree []histNode
+
+// PredictOne walks the tree from the root.
+func (t leafWiseTree) PredictOne(row []float64) float64 {
 	cur := 0
 	for {
-		n := &nodes[cur]
+		n := &t[cur]
 		if n.feature < 0 {
 			return n.value
 		}
@@ -163,7 +178,7 @@ func histTreePredict(nodes []histNode, row []float64) float64 {
 // maxLeaves leaves — LightGBM's growth strategy — returning the flat
 // node slice.
 func growLeafWise(binned [][]uint8, b *binner, g, h []float64, rows []int,
-	maxLeaves int, lambda, minChildHess float64) []histNode {
+	maxLeaves int, lambda, minChildHess float64) leafWiseTree {
 	type leaf struct {
 		nodeID int
 		rows   []int
@@ -225,7 +240,8 @@ type obliviousTree struct {
 	leaves     []float64
 }
 
-func (t *obliviousTree) predict(row []float64) float64 {
+// PredictOne indexes the leaf by the row's condition bits.
+func (t *obliviousTree) PredictOne(row []float64) float64 {
 	idx := 0
 	for l, f := range t.features {
 		if row[f] > t.thresholds[l] {

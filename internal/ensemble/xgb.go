@@ -13,7 +13,6 @@ type XGBOptions struct {
 	MaxDepth     int     // default 6
 	LearningRate float64 // default 0.3
 	Lambda       float64 // reg_lambda (L2 on leaf weights), default 1
-	Gamma        float64 // min split gain
 	Subsample    float64 // row subsampling per tree in (0, 1], default 1
 	Seed         int64
 }
@@ -81,7 +80,6 @@ func (m *XGBRegressor) Fit(x [][]float64, y []float64) error {
 		*gt = tree.GradTree{
 			MaxDepth:       opts.MaxDepth,
 			Lambda:         opts.Lambda,
-			Gamma:          opts.Gamma,
 			MinChildWeight: 1,
 			Seed:           opts.Seed + int64(t)*31,
 		}
@@ -115,12 +113,10 @@ func (m *XGBRegressor) Predict(x [][]float64) []float64 {
 }
 
 // XGBClassifier boosts one GradTree sequence per class against the
-// softmax cross-entropy's exact gradients and hessians
-// (g = p − 1{y=c}, h = p(1−p)).
+// softmax cross-entropy's exact gradients and hessians.
 type XGBClassifier struct {
-	Opts  XGBOptions
-	enc   *labelEncoder
-	trees [][]*tree.GradTree // [stage][class]
+	Opts XGBOptions
+	softmaxBooster
 }
 
 // NewXGBClassifier returns a booster with the given options.
@@ -128,87 +124,18 @@ func NewXGBClassifier(opts XGBOptions) *XGBClassifier { return &XGBClassifier{Op
 
 // Fit trains the booster on string labels.
 func (m *XGBClassifier) Fit(x [][]float64, y []string) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errEmptyTraining
-	}
 	opts := m.Opts.normalized()
-	m.enc = newLabelEncoder(y)
-	yi := m.enc.encode(y)
-	n, k := len(x), m.enc.numClasses()
-
-	scores := make([][]float64, n)
-	for i := range scores {
-		scores[i] = make([]float64, k)
-	}
-	g := make([]float64, n)
-	h := make([]float64, n)
-	probs := make([]float64, k)
-	cols, sub := tree.Presort(x), make([]int, n)
+	cols, sub := tree.Presort(x), make([]int, len(x))
 	rng := rand.New(rand.NewSource(opts.Seed))
-	m.trees = m.trees[:0]
-	for t := 0; t < opts.NumTrees; t++ {
-		stage := make([]*tree.GradTree, k)
-		for c := 0; c < k; c++ {
-			for i := 0; i < n; i++ {
-				softmaxInto(scores[i], probs)
-				p := probs[c]
-				target := 0.0
-				if yi[i] == c {
-					target = 1
-				}
-				g[i] = p - target
-				h[i] = p * (1 - p)
-				if h[i] < 1e-6 {
-					h[i] = 1e-6
-				}
-			}
-			idx := subsample(sub, opts.Subsample, rng)
-			gt := &tree.GradTree{
-				MaxDepth:       opts.MaxDepth,
-				Lambda:         opts.Lambda,
-				Gamma:          opts.Gamma,
-				MinChildWeight: 0.1,
-				Seed:           opts.Seed + int64(t*31+c),
-			}
-			if err := gt.FitGrad(cols, g, h, idx); err != nil {
-				return err
-			}
-			stage[c] = gt
+	return m.fit(x, y, opts.NumTrees, opts.LearningRate, false, func(t, c int, g, h []float64) (stageTree, error) {
+		gt := &tree.GradTree{
+			MaxDepth:       opts.MaxDepth,
+			Lambda:         opts.Lambda,
+			MinChildWeight: 0.1,
+			Seed:           opts.Seed + int64(t*31+c),
 		}
-		for i := 0; i < n; i++ {
-			for c := 0; c < k; c++ {
-				scores[i][c] += float64(opts.LearningRate * stage[c].PredictOne(x[i]))
-			}
-		}
-		m.trees = append(m.trees, stage)
-	}
-	return nil
-}
-
-func (m *XGBClassifier) scoresFor(row []float64) []float64 {
-	lr := m.Opts.normalized().LearningRate
-	s := make([]float64, m.enc.numClasses())
-	for _, stage := range m.trees {
-		for c, gt := range stage {
-			s[c] += float64(lr * gt.PredictOne(row))
-		}
-	}
-	return s
-}
-
-// PredictProba returns per-row label probabilities.
-func (m *XGBClassifier) PredictProba(x [][]float64) []map[string]float64 {
-	if m.trees == nil {
-		//lint:allow panicfree Predict before Fit violates the model API contract; the pipeline always fits first
-		panic("ensemble: XGBClassifier.Predict before Fit")
-	}
-	out := make([]map[string]float64, len(x))
-	probs := make([]float64, m.enc.numClasses())
-	for i, row := range x {
-		softmaxInto(m.scoresFor(row), probs)
-		out[i] = m.enc.distToMap(probs)
-	}
-	return out
+		return gt, gt.FitGrad(cols, g, h, subsample(sub, opts.Subsample, rng))
+	})
 }
 
 // subsample refills buf, one entry per row, with a stage's rows and

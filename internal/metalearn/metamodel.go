@@ -83,7 +83,8 @@ func MetaModelNames() []string {
 
 // NewClassifier constructs a Table 4 classifier by name with the
 // defaults used in the comparison. Seed controls all stochastic
-// trainers.
+// trainers; the gradient-boosting, LightGBM and CatBoost fits draw
+// nothing.
 func NewClassifier(name string, seed int64) (model.Classifier, error) {
 	switch name {
 	case "XGBClassifier":
@@ -93,21 +94,15 @@ func NewClassifier(name string, seed int64) (model.Classifier, error) {
 	case "Logistic Regression":
 		return linmodel.NewLogisticRegression(1), nil
 	case "Gradient Boosting":
-		return ensemble.NewGradientBoostingClassifier(ensemble.GBMOptions{
-			NumTrees: 40, MaxDepth: 3, LearningRate: 0.15, Seed: seed,
-		}), nil
+		return ensemble.NewGradientBoostingClassifier(ensemble.GBMOptions{NumTrees: 40, MaxDepth: 3, LearningRate: 0.15}), nil
 	case "Random Forest":
 		return ensemble.NewRandomForestClassifier(ensemble.ForestOptions{
 			NumTrees: 120, MaxDepth: 12, Seed: seed,
 		}), nil
 	case "CatBoost":
-		return ensemble.NewCatBoostClassifier(ensemble.CatBoostOptions{
-			NumTrees: 40, Depth: 4, LearningRate: 0.2, Seed: seed,
-		}), nil
+		return ensemble.NewCatBoostClassifier(ensemble.CatBoostOptions{NumTrees: 40, Depth: 4, LearningRate: 0.2}), nil
 	case "LightGBM":
-		return ensemble.NewLGBMClassifier(ensemble.LGBMOptions{
-			NumTrees: 40, NumLeaves: 15, LearningRate: 0.15, Seed: seed,
-		}), nil
+		return ensemble.NewLGBMClassifier(ensemble.LGBMOptions{NumTrees: 40, NumLeaves: 15, LearningRate: 0.15}), nil
 	case "Extra Trees":
 		return ensemble.NewExtraTreesClassifier(ensemble.ForestOptions{
 			NumTrees: 120, MaxDepth: 12, Seed: seed,
