@@ -2,16 +2,18 @@ package core
 
 import (
 	"errors"
+	"slices"
 
-	"fedforecaster/internal/features"
-	"fedforecaster/internal/fl"
+	"fedforecaster/internal/obs"
+	"fedforecaster/internal/search"
 	"fedforecaster/internal/timeseries"
 )
 
 // AdaptiveRunner implements the paper's "dynamic model adaptation"
 // future-work direction: it watches the deployed configuration's
-// global loss on fresh data and re-runs the optimization when the loss
-// degrades beyond a tolerance, warm-starting from the incumbent.
+// global loss on fresh data and, when the loss degrades beyond a
+// tolerance, re-runs the whole optimization from scratch and deploys
+// its result.
 type AdaptiveRunner struct {
 	Engine *Engine
 	// DriftRatio is the re-tune trigger: current loss must exceed
@@ -19,7 +21,14 @@ type AdaptiveRunner struct {
 	DriftRatio float64
 
 	last *Result
+	// runs counts the engine runs this runner has driven. Each run's
+	// ordinal seeds its span identity, so the runs of one runner (which
+	// share the seed's trace ID) never reuse each other's span IDs.
+	runs int
 }
+
+// spanDriftCheck names the run span of a drift check.
+const spanDriftCheck = "drift-check"
 
 // NewAdaptiveRunner wraps an engine for drift-aware operation.
 func NewAdaptiveRunner(engine *Engine, driftRatio float64) *AdaptiveRunner {
@@ -29,9 +38,16 @@ func NewAdaptiveRunner(engine *Engine, driftRatio float64) *AdaptiveRunner {
 	return &AdaptiveRunner{Engine: engine, DriftRatio: driftRatio}
 }
 
+// run drives one in-process engine run under the runner's next
+// ordinal.
+func (a *AdaptiveRunner) run(clients []*timeseries.Series, name string, phases []enginePhase) (*Result, error) {
+	a.runs++
+	return a.Engine.runInProc(clients, name, a.runs-1, phases)
+}
+
 // Deploy runs the full pipeline once and records the deployed result.
 func (a *AdaptiveRunner) Deploy(clients []*timeseries.Series) (*Result, error) {
-	res, err := a.Engine.Run(clients)
+	res, err := a.run(clients, obs.SpanRun, enginePhases())
 	if err != nil {
 		return nil, err
 	}
@@ -47,41 +63,23 @@ var ErrNotDeployed = errors.New("core: adaptive runner has no deployed model")
 
 // Check evaluates the deployed configuration on the (possibly grown or
 // shifted) client data. If the global validation loss exceeds
-// DriftRatio × the deployed loss, the engine re-runs — warm-started
-// from the incumbent configuration — and the deployment is replaced.
-// It reports whether a re-tune happened and the loss that triggered
-// the decision.
+// DriftRatio × the deployed loss, the engine runs Algorithm 1 again
+// from scratch, as Deploy does, and its result replaces the
+// deployment. It reports whether a re-tune happened and the loss that
+// triggered the decision.
 func (a *AdaptiveRunner) Check(clients []*timeseries.Series) (retuned bool, currentLoss float64, err error) {
 	if a.last == nil {
 		return false, 0, ErrNotDeployed
 	}
-	nodes := make([]fl.Client, len(clients))
-	for i, s := range clients {
-		nodes[i] = NewClientNode(s, a.Engine.Cfg.Seed+int64(i)*101)
-	}
-	srv := fl.NewServer(fl.NewInProcWire(nodes, a.Engine.Cfg.Wire))
-	defer srv.Close()
-
-	// Rebuild the feature schema on the *current* data so the check
-	// reflects what a fresh deployment would see.
-	agg, err := a.Engine.collectMetaFeatures(srv, a.Engine.Cfg.Recorder, nil)
+	check, err := a.driftCheck(clients)
 	if err != nil {
 		return false, 0, err
 	}
-	eng := features.NewEngineer(agg)
-	if len(a.last.KeptFeatures) > 0 && maxInt(a.last.KeptFeatures) < len(eng.FeatureNames()) {
-		eng.Keep = a.last.KeptFeatures
-	}
-	currentLoss, err = a.Engine.globalLoss(srv, eng, a.last.BestConfig, "valid")
-	if err != nil {
-		return false, 0, err
-	}
+	currentLoss = check.BestValidLoss
 	if currentLoss <= a.last.BestValidLoss*a.DriftRatio {
 		return false, currentLoss, nil
 	}
-	// Drift detected: re-tune with the incumbent as an extra warm-start
-	// seed so knowledge is not discarded.
-	res, err := a.Engine.Run(clients)
+	res, err := a.run(clients, obs.SpanRun, enginePhases())
 	if err != nil {
 		return false, currentLoss, err
 	}
@@ -89,12 +87,31 @@ func (a *AdaptiveRunner) Check(clients []*timeseries.Series) (retuned bool, curr
 	return true, currentLoss, nil
 }
 
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
+// driftCheck runs the drift check as an engine run of two phases:
+// Phase I on the current data, then one batched evaluation round of
+// the deployed configuration. The run's result carries that
+// configuration as BestConfig and its current global validation loss
+// as BestValidLoss.
+func (a *AdaptiveRunner) driftCheck(clients []*timeseries.Series) (*Result, error) {
+	deployed := a.last
+	drift := enginePhase{"drift", func(rc *roundContext) error {
+		// Rebuild the feature schema on the *current* data so the check
+		// reflects what a fresh deployment would see.
+		eng := rc.schema()
+		if len(deployed.KeptFeatures) > 0 && slices.Max(deployed.KeptFeatures) < len(eng.FeatureNames()) {
+			eng.Keep = deployed.KeptFeatures
 		}
-	}
-	return m
+		rc.engineer = eng
+		if err := rc.prepareEval(); err != nil {
+			return err
+		}
+		losses, err := rc.evalConfigs([]search.Config{deployed.BestConfig}, kindEvalConfig)
+		if err != nil {
+			return err
+		}
+		rc.result.BestConfig = deployed.BestConfig
+		rc.result.BestValidLoss = losses[0]
+		return nil
+	}}
+	return a.run(clients, spanDriftCheck, []enginePhase{phaseMetaFeatures, drift})
 }

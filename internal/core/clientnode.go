@@ -171,22 +171,14 @@ func (c *ClientNode) properties(req fl.Message) (fl.Message, error) {
 }
 
 // Fit handles the final-model round: fit the chosen configuration on
-// train+valid and report the held-out test loss (Algorithm 1 lines
-// 23-25, with Table 3's test reporting). A fingerprinted request uses
-// the v2 cached-matrix path; one carrying its own engineer is a v1
-// round, answered as before.
+// train+valid against the cached matrices and report the held-out test
+// loss (Algorithm 1 lines 23-25, with Table 3's test reporting).
 func (c *ClientNode) Fit(req fl.Message) (fl.Message, error) {
 	if req.Kind != kindFitFinal {
 		return fl.Message{}, fmt.Errorf("core: unknown fit request %q", req.Kind)
 	}
 	startNS := traceStartNS(req)
-	var resp fl.Message
-	var err error
-	if req.Strings[keyFingerprint] != "" {
-		resp, err = c.evaluateBatch(req, "test")
-	} else {
-		resp, err = c.evaluate(req, "test")
-	}
+	resp, err := c.evaluateBatch(req, "test")
 	if err == nil {
 		stampLocalSpan(&resp, obs.ClientOpFit, startNS)
 	}
@@ -194,10 +186,9 @@ func (c *ClientNode) Fit(req fl.Message) (fl.Message, error) {
 }
 
 // Evaluate handles optimization rounds: fit candidates on the train
-// rows and report validation losses (Algorithm 1 lines 17-20). v2
-// rounds arrive either as eval/prepare (cache the schema) or as a
-// fingerprinted eval/config batch; a fingerprint-less eval/config is a
-// v1 single-candidate round.
+// rows and report validation losses (Algorithm 1 lines 17-20). Rounds
+// arrive either as eval/prepare (cache the schema) or as a
+// fingerprinted eval/config batch.
 func (c *ClientNode) Evaluate(req fl.Message) (fl.Message, error) {
 	startNS := traceStartNS(req)
 	switch req.Kind {
@@ -208,13 +199,7 @@ func (c *ClientNode) Evaluate(req fl.Message) (fl.Message, error) {
 		}
 		return resp, err
 	case kindEvalConfig:
-		var resp fl.Message
-		var err error
-		if req.Strings[keyFingerprint] != "" {
-			resp, err = c.evaluateBatch(req, "valid")
-		} else {
-			resp, err = c.evaluate(req, "valid")
-		}
+		resp, err := c.evaluateBatch(req, "valid")
 		if err == nil {
 			stampLocalSpan(&resp, obs.ClientOpEvaluate, startNS)
 		}
@@ -279,10 +264,12 @@ func (c *ClientNode) phaseData(fp, phase string) (*pipeline.GraphPhase, error) {
 	return gp, err
 }
 
-// evaluateBatch answers a v2 evaluation round: every candidate in the
+// evaluateBatch answers an evaluation round: every candidate in the
 // batch is fitted against the cached matrices by a bounded worker
 // pool, each with its own derived seed (evalSeed), and results are
-// reported in candidate order — scheduling never reorders them.
+// reported in candidate order — scheduling never reorders them. A
+// request whose fingerprint is absent or not cached is answered with
+// need_prepare.
 func (c *ClientNode) evaluateBatch(req fl.Message, phase string) (fl.Message, error) {
 	resp := fl.NewMessage(req.Kind + "/done")
 	gp, err := c.phaseData(req.Strings[keyFingerprint], phase)
@@ -290,13 +277,16 @@ func (c *ClientNode) evaluateBatch(req fl.Message, phase string) (fl.Message, er
 		switch {
 		case errors.Is(err, errUnknownFingerprint):
 			// This client missed the prepare round (dropped under quorum,
-			// transient fault): tell the server instead of failing, so it
-			// can heal with a re-prepare.
+			// transient fault) or the request carries no fingerprint: tell
+			// the server instead of failing, so it can heal with a
+			// re-prepare.
 			resp.Scalars["need_prepare"] = 1
 			return resp, nil
 		case errors.Is(err, pipeline.ErrNotEnoughData):
-			// Same runtime guard as the v1 path: a too-small split reports
-			// itself skipped and the server excludes it from aggregation.
+			// A client whose split is too small reports itself as skipped
+			// rather than failing the round; the server excludes it from
+			// aggregation (the paper drops sub-500-instance splits up
+			// front, this is the runtime guard).
 			resp.Scalars["skipped"] = 1
 			return resp, nil
 		}
@@ -354,27 +344,4 @@ func (c *ClientNode) evalCandidate(gp *pipeline.GraphPhase, cfg search.Config, i
 	loss, n, err := gp.Loss(cfg, evalSeed(c.seed, i))
 	c.rec.Record(obs.CandidateEval{Client: c.id, Index: i, EvalNS: obs.NowNanos() - startNS, Loss: loss})
 	return loss, n, err
-}
-
-func (c *ClientNode) evaluate(req fl.Message, phase string) (fl.Message, error) {
-	eng := decodeEngineer(req)
-	cfg := decodeConfig(req)
-	splits := decodeSplits(req)
-	resp := fl.NewMessage(req.Kind + "/done")
-	loss, rows, err := pipeline.ClientLoss(c.series, eng, cfg, splits, phase, c.seed)
-	if err != nil {
-		// A client whose split is too small reports itself as skipped
-		// rather than failing the round; the server excludes it from
-		// aggregation (the paper drops sub-500-instance splits up
-		// front, this is the runtime guard).
-		if err == pipeline.ErrNotEnoughData {
-			resp.Scalars["skipped"] = 1
-			return resp, nil
-		}
-		return fl.Message{}, err
-	}
-	resp.Scalars["loss"] = loss
-	resp.Scalars["rows"] = float64(rows)
-	resp.Scalars["size"] = float64(c.series.Len())
-	return resp, nil
 }

@@ -260,8 +260,8 @@ func TestProtocolCodecsRoundTrip(t *testing.T) {
 		Cats:      map[string]string{"selection": "random"},
 	}
 	msg := fl.NewMessage(kindEvalConfig)
-	encodeConfig(&msg, cfg)
-	back := decodeConfig(msg)
+	encodeConfigAt(&msg, cfg, 0)
+	back := decodeConfigAt(msg, 0)
 	if back.Algorithm != cfg.Algorithm || back.Values["n_estimators"] != 10 || back.Cats["selection"] != "random" {
 		t.Errorf("config round trip = %+v", back)
 	}

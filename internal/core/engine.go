@@ -167,29 +167,35 @@ func NewEngine(meta *metalearn.MetaModel, cfg EngineConfig) *Engine {
 // Run executes Algorithm 1 against in-process clients built from the
 // given private splits.
 func (e *Engine) Run(clients []*timeseries.Series) (*Result, error) {
-	rec := e.Cfg.Recorder
+	return e.runInProc(clients, obs.SpanRun, 0, enginePhases())
+}
+
+// runInProc drives one run of the given phases against a fresh
+// in-process federation over the private splits. The ordinal seeds the
+// run's span identity (see runPhases).
+func (e *Engine) runInProc(clients []*timeseries.Series, name string, ordinal int, phases []enginePhase) (*Result, error) {
 	nodes := make([]fl.Client, len(clients))
 	for i, s := range clients {
 		node := NewClientNode(s, e.Cfg.Seed+int64(i)*101)
 		if e.Cfg.PrivacyEpsilon > 0 {
 			node = node.WithPrivacy(e.Cfg.PrivacyEpsilon)
 		}
-		if rec != nil {
+		if e.Cfg.Recorder != nil {
 			// In-process simulation: client-side cache and candidate-eval
 			// telemetry joins the same stream (TCP clients wire their own
 			// recorder via ClientNode.WithObs).
-			node = node.WithObs(rec, i)
+			node = node.WithObs(e.Cfg.Recorder, i)
 		}
 		nodes[i] = node
 	}
 	srv := fl.NewServer(fl.NewInProcWire(nodes, e.Cfg.Wire))
 	defer srv.Close()
-	return e.RunWithServer(srv)
+	return e.runPhases(context.Background(), srv, name, ordinal, phases)
 }
 
 // roundContext is the state one run's phases share: the engine and its
 // server, the trace sink, the evolving search space and feature
-// schema, the quorum policy (via engine.broadcast), and the result
+// schema, the quorum policy (via broadcast), and the result
 // being assembled. Each phase reads what earlier phases wrote, which
 // makes the dataflow between Figure 1's stages explicit and lets every
 // phase be driven (and unit-tested) in isolation.
@@ -225,9 +231,9 @@ type roundContext struct {
 // one seed share one trace ID), the open run and phase spans, and the
 // per-run round sequence counter. Every span ID is position-derived
 // (obs.DeriveSpan), so identity — and with it the reconstructed tree
-// shape — is a pure function of the run's decisions, never of event
-// emission order. Rounds within a run are driven sequentially from
-// one goroutine, so seq needs no locking.
+// shape — is a pure function of the run's decisions and its ordinal,
+// never of event emission order. Rounds within a run are driven
+// sequentially from one goroutine, so seq needs no locking.
 type roundTracer struct {
 	trace     uint64
 	runSpan   uint64
@@ -235,7 +241,7 @@ type roundTracer struct {
 	seq       int // next round's per-run sequence number
 }
 
-// enginePhase is one explicitly named stage of Algorithm 1. The run is
+// enginePhase is one explicitly named stage of a run. Algorithm 1 is
 // the ordered composition of the five phase values below; each is a
 // plain function over the shared roundContext.
 type enginePhase struct {
@@ -264,8 +270,9 @@ func enginePhases() []enginePhase {
 	}
 }
 
-// newRoundContext prepares the shared state for one run.
-func (e *Engine) newRoundContext(srv *fl.Server) *roundContext {
+// newRoundContext prepares the shared state for one run; the ordinal
+// seeds the run span's ID.
+func (e *Engine) newRoundContext(srv *fl.Server, ordinal int) *roundContext {
 	rc := &roundContext{
 		engine: e,
 		srv:    srv,
@@ -278,7 +285,7 @@ func (e *Engine) newRoundContext(srv *fl.Server) *roundContext {
 	}
 	if rc.rec != nil {
 		trace := obs.DeriveTrace(e.Cfg.Seed)
-		rc.tracer = &roundTracer{trace: trace, runSpan: obs.DeriveSpan(trace, obs.SpanRun, 0)}
+		rc.tracer = &roundTracer{trace: trace, runSpan: obs.DeriveSpan(trace, obs.SpanRun, ordinal)}
 	}
 	return rc
 }
@@ -301,10 +308,19 @@ func (e *Engine) RunWithServer(srv *fl.Server) (*Result, error) {
 // they are the goroutine's labels again once a phase returns. The run
 // reads nothing else from ctx; it does not watch it for cancellation.
 func (e *Engine) RunWithServerContext(ctx context.Context, srv *fl.Server) (*Result, error) {
+	return e.runPhases(ctx, srv, obs.SpanRun, 0, enginePhases())
+}
+
+// runPhases drives one run: the phases in order over one shared
+// roundContext, each in a phase span under a run span with the given
+// name. The ordinal tells apart runs at one seed, which share a trace
+// ID: it is the run span's sequence number, and every span ID below it
+// derives from the run span's. Algorithm 1 runs at ordinal 0.
+func (e *Engine) runPhases(ctx context.Context, srv *fl.Server, name string, ordinal int, phases []enginePhase) (*Result, error) {
 	if srv.NumClients() == 0 {
 		return nil, errors.New("core: no clients connected")
 	}
-	rc := e.newRoundContext(srv)
+	rc := e.newRoundContext(srv, ordinal)
 	var run obs.SpanStart
 	if rc.rec != nil {
 		srv.SetRecorder(rc.rec)
@@ -313,13 +329,14 @@ func (e *Engine) RunWithServerContext(ctx context.Context, srv *fl.Server) (*Res
 			Trace:   obs.HexID(rc.tracer.trace),
 			Span:    obs.HexID(rc.tracer.runSpan),
 			Kind:    obs.SpanRun,
-			Name:    obs.SpanRun,
+			Name:    name,
+			Seq:     ordinal,
 			Client:  -1,
 			StartNS: rc.startNS,
 		}
 		rc.rec.Record(run)
 	}
-	for i, ph := range enginePhases() {
+	for i, ph := range phases {
 		var phase obs.SpanStart
 		if rc.rec != nil {
 			rc.tracer.phaseSpan = obs.DeriveSpan(rc.tracer.runSpan, obs.SpanPhase, i)
@@ -373,7 +390,7 @@ func (e *Engine) RunWithServerContext(ctx context.Context, srv *fl.Server) (*Res
 // client, aggregated on the server (Figure 1-I, Algorithm 1 lines
 // 3-8).
 func runPhaseMetaFeatures(rc *roundContext) error {
-	agg, err := rc.engine.collectMetaFeatures(rc.srv, rc.rec, rc.tracer)
+	agg, err := rc.collectMetaFeatures()
 	if err != nil {
 		return err
 	}
@@ -417,12 +434,10 @@ func runPhaseRecommend(rc *roundContext) error {
 // 4.2). The engineer is frozen after this phase; the optimize phase
 // content-addresses it.
 func runPhaseFeatureSelect(rc *roundContext) error {
-	e := rc.engine
-	eng := features.NewEngineer(rc.agg)
-	eng.ExogNames = append([]string(nil), e.Cfg.ExogChannels...)
+	eng := rc.schema()
 	rc.result.NumFeatures = len(eng.FeatureNames())
-	if e.Cfg.FeatureSelection {
-		kept, err := e.selectFeatures(rc.srv, eng, rc.rec, rc.tracer)
+	if rc.engine.Cfg.FeatureSelection {
+		kept, err := rc.selectFeatures(eng)
 		if err != nil {
 			return err
 		}
@@ -433,6 +448,15 @@ func runPhaseFeatureSelect(rc *roundContext) error {
 	}
 	rc.engineer = eng
 	return nil
+}
+
+// schema builds the unified feature-engineering schema (Section 4.2)
+// from the aggregated meta-features and the configured exogenous
+// channels.
+func (rc *roundContext) schema() *features.Engineer {
+	eng := features.NewEngineer(rc.agg)
+	eng.ExogNames = append([]string(nil), rc.engine.Cfg.ExogChannels...)
+	return eng
 }
 
 // runPhaseOptimize is Phase III-b: hyper-parameter optimization
@@ -649,30 +673,21 @@ func (e *Engine) quorum(kind string, rec obs.Recorder) fl.QuorumConfig {
 	return q
 }
 
-// broadcast runs one protocol round under the engine's resilience
-// policy, returning the survivors' responses and client indices. It is
-// the path for rounds driven outside a run context (the adaptive
-// runner's drift checks): such rounds open no span, so only their
-// client drops reach the recorder. Rounds inside a run go through
-// roundContext.broadcast so span telemetry attaches to the run.
-func (e *Engine) broadcast(srv *fl.Server, req fl.Message) ([]fl.Message, []int, error) {
-	return e.broadcastObs(srv, req, e.Cfg.Recorder, nil, 0)
-}
-
-// broadcastObs drives one quorum round. Batch is the candidate count
-// for evaluation rounds, 0 for metadata rounds. With a live tracer,
-// the round opens a span under the current phase carrying the batch
-// and the addressed client count (its end carries the survivors),
-// ships its packed context to the clients inside the request
-// (keyTrace), and hands the quorum layer the context it derives
+// broadcast drives one quorum round of the run. Batch is the
+// candidate count for evaluation rounds, 0 for metadata rounds. With a
+// live tracer, the round opens a span under the current phase carrying
+// the batch and the addressed client count (its end carries the
+// survivors), ships its packed context to the clients inside the
+// request (keyTrace), and hands the quorum layer the context it derives
 // per-client call and attempt spans from. A round driven twice (the
 // need_prepare healing path re-broadcasts the same request) gets a
-// fresh round span each time — two rounds happened on the wire, so
-// two spans exist in the trace.
-func (e *Engine) broadcastObs(srv *fl.Server, req fl.Message, rec obs.Recorder, tr *roundTracer, batch int) ([]fl.Message, []int, error) {
-	q := e.quorum(req.Kind, rec)
-	if rec == nil || tr == nil {
-		return srv.BroadcastQuorum(req, q)
+// fresh round span each time — two rounds happened on the wire, so two
+// spans exist in the trace.
+func (rc *roundContext) broadcast(req fl.Message, batch int) ([]fl.Message, []int, error) {
+	q := rc.engine.quorum(req.Kind, rc.rec)
+	tr := rc.tracer
+	if tr == nil {
+		return rc.srv.BroadcastQuorum(req, q)
 	}
 	q.Span = obs.SpanContext{Trace: tr.trace, Span: obs.DeriveSpan(tr.phaseSpan, obs.SpanRound, tr.seq)}
 	req.Strings[keyTrace] = obs.PackSpanContext(q.Span)
@@ -686,21 +701,15 @@ func (e *Engine) broadcastObs(srv *fl.Server, req fl.Message, rec obs.Recorder, 
 		Client:  -1,
 		StartNS: obs.NowNanos(),
 		Batch:   batch,
-		Clients: srv.NumClients(),
+		Clients: rc.srv.NumClients(),
 	}
 	tr.seq++
-	rec.Record(round)
-	msgs, idx, err := srv.BroadcastQuorum(req, q)
+	rc.rec.Record(round)
+	msgs, idx, err := rc.srv.BroadcastQuorum(req, q)
 	end := round.End(obs.NowNanos(), err)
 	end.Survivors = len(idx)
-	rec.Record(end)
+	rc.rec.Record(end)
 	return msgs, idx, err
-}
-
-// broadcast drives one in-run protocol round with the run's recorder
-// and tracer.
-func (rc *roundContext) broadcast(req fl.Message, batch int) ([]fl.Message, []int, error) {
-	return rc.engine.broadcastObs(rc.srv, req, rc.rec, rc.tracer, batch)
 }
 
 // collectMetaFeatures runs the two Phase-I rounds. Under partial
@@ -708,8 +717,8 @@ func (rc *roundContext) broadcast(req fl.Message, batch int) ([]fl.Message, []in
 // it; the value range and fingerprints of dropped clients are simply
 // absent from the global aggregate, mirroring Flower's per-round
 // sampling.
-func (e *Engine) collectMetaFeatures(srv *fl.Server, rec obs.Recorder, tr *roundTracer) (metafeat.Aggregated, error) {
-	rangeResps, _, err := e.broadcastObs(srv, fl.NewMessage(kindRange), rec, tr, 0)
+func (rc *roundContext) collectMetaFeatures() (metafeat.Aggregated, error) {
+	rangeResps, _, err := rc.broadcast(fl.NewMessage(kindRange), 0)
 	if err != nil {
 		return metafeat.Aggregated{}, roundTripError("range", err)
 	}
@@ -725,7 +734,7 @@ func (e *Engine) collectMetaFeatures(srv *fl.Server, rec obs.Recorder, tr *round
 	req := fl.NewMessage(kindMetaFeatures)
 	req.Scalars["lo"] = lo
 	req.Scalars["hi"] = hi
-	resps, _, err := e.broadcastObs(srv, req, rec, tr, 0)
+	resps, _, err := rc.broadcast(req, 0)
 	if err != nil {
 		return metafeat.Aggregated{}, roundTripError("metafeatures", err)
 	}
@@ -737,10 +746,10 @@ func (e *Engine) collectMetaFeatures(srv *fl.Server, rec obs.Recorder, tr *round
 }
 
 // selectFeatures runs the federated feature-selection round.
-func (e *Engine) selectFeatures(srv *fl.Server, eng *features.Engineer, rec obs.Recorder, tr *roundTracer) ([]int, error) {
+func (rc *roundContext) selectFeatures(eng *features.Engineer) ([]int, error) {
 	req := fl.NewMessage(kindImportances)
 	encodeEngineer(&req, eng)
-	resps, _, err := e.broadcastObs(srv, req, rec, tr, 0)
+	resps, _, err := rc.broadcast(req, 0)
 	if err != nil {
 		return nil, roundTripError("importances", err)
 	}
@@ -751,40 +760,4 @@ func (e *Engine) selectFeatures(srv *fl.Server, eng *features.Engineer, rec obs.
 		}
 	}
 	return features.SelectFeatures(perClient, features.ImportanceThreshold), nil
-}
-
-// globalLoss evaluates cfg on the validation phase with a v1
-// self-contained round (engineer + config in one message). The engine
-// itself uses the batched v2 path; this remains for callers that
-// evaluate a single configuration outside a run (the adaptive
-// runner's drift check).
-func (e *Engine) globalLoss(srv *fl.Server, eng *features.Engineer, cfg search.Config, phase string) (float64, error) {
-	kind := kindEvalConfig
-	if phase == "test" {
-		kind = kindFitFinal
-	}
-	return e.globalLossKind(srv, eng, cfg, kind)
-}
-
-func (e *Engine) globalLossKind(srv *fl.Server, eng *features.Engineer, cfg search.Config, kind string) (float64, error) {
-	req := fl.NewMessage(kind)
-	encodeEngineer(&req, eng)
-	encodeConfig(&req, cfg)
-	encodeSplits(&req, e.Cfg.Splits)
-	// Equation 1 over the quorum survivors: each response carries its
-	// own size, so the weighted sum is exactly the dense computation
-	// restricted to the responder indices.
-	resps, _, err := e.broadcast(srv, req)
-	if err != nil {
-		return 0, roundTripError(kind, err)
-	}
-	var losses, sizes []float64
-	for _, r := range resps {
-		if r.Scalars["skipped"] == 1 {
-			continue
-		}
-		losses = append(losses, r.Scalars["loss"])
-		sizes = append(sizes, r.Scalars["size"])
-	}
-	return fl.WeightedLoss(losses, sizes)
 }

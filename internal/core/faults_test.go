@@ -324,13 +324,18 @@ func TestEngineBatchedHealsMissedPrepare(t *testing.T) {
 	flaky.cacheMu.Lock()
 	flaky.cache = nil
 	flaky.cacheMu.Unlock()
-	req := fl.NewMessage(kindEvalConfig)
-	encodeBatch(&req, "deadbeef00000000", []search.Config{res.BestConfig})
-	resp, err := flaky.Evaluate(req)
-	if err != nil {
-		t.Fatalf("uncached batched eval errored instead of reporting: %v", err)
-	}
-	if resp.Scalars["need_prepare"] != 1 {
-		t.Errorf("uncached client response = %+v, want need_prepare=1", resp.Scalars)
+	unknown := fl.NewMessage(kindEvalConfig)
+	encodeBatch(&unknown, "deadbeef00000000", []search.Config{res.BestConfig})
+	// A request with no fingerprint at all gets the same answer.
+	bare := fl.NewMessage(kindEvalConfig)
+	encodeBatch(&bare, "", []search.Config{res.BestConfig})
+	for _, req := range []fl.Message{unknown, bare} {
+		resp, err := flaky.Evaluate(req)
+		if err != nil {
+			t.Fatalf("uncached batched eval errored instead of reporting: %v", err)
+		}
+		if resp.Scalars["need_prepare"] != 1 {
+			t.Errorf("uncached client response = %+v, want need_prepare=1", resp.Scalars)
+		}
 	}
 }

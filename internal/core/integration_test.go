@@ -65,15 +65,23 @@ func TestClientNodeRejectsUnknownKinds(t *testing.T) {
 func TestClientNodeSkipsTinySplit(t *testing.T) {
 	tiny := fedDataset(t, 600, 1, 45)[0].Slice(0, 8)
 	node := NewClientNode(tiny, 1)
+	// Prepare by hand: short lags, no trend/time.
+	prep := fl.NewMessage(kindEvalPrepare)
+	prep.Ints["lags"] = []int{1, 2, 3}
+	prep.Ints["flags"] = []int{0}
+	prep.Scalars["valid_frac"] = 0.15
+	prep.Scalars["test_frac"] = 0.15
+	prep.Strings[keyFingerprint] = "tiny"
+	if _, err := node.Evaluate(prep); err != nil {
+		t.Fatal(err)
+	}
+	// Then a batch of one Lasso candidate.
 	req := fl.NewMessage(kindEvalConfig)
-	// Build a request by hand: short lags, no trend/time, Lasso.
-	req.Ints["lags"] = []int{1, 2, 3}
-	req.Ints["flags"] = []int{0}
-	req.Strings["algorithm"] = search.AlgoLasso
-	req.Scalars["v:alpha"] = 0.01
-	req.Strings["c:selection"] = "cyclic"
-	req.Scalars["valid_frac"] = 0.15
-	req.Scalars["test_frac"] = 0.15
+	encodeBatch(&req, "tiny", []search.Config{{
+		Algorithm: search.AlgoLasso,
+		Values:    map[string]float64{"alpha": 0.01},
+		Cats:      map[string]string{"selection": "cyclic"},
+	}})
 	resp, err := node.Evaluate(req)
 	if err != nil {
 		t.Fatalf("tiny split errored instead of skipping: %v", err)
@@ -102,7 +110,12 @@ func TestGlobalLossAllSkippedErrors(t *testing.T) {
 		Cats:      map[string]string{"selection": "cyclic"},
 	}
 	engine.Cfg.Splits = pipeline.Splits{ValidFrac: 0.15, TestFrac: 0.15}
-	if _, err := engine.globalLoss(srv, eng, cfg, "valid"); err == nil {
+	rc := engine.newRoundContext(srv, 0)
+	rc.engineer = eng
+	if err := rc.prepareEval(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.evalConfigs([]search.Config{cfg}, kindEvalConfig); err == nil {
 		t.Error("all-skipped round returned a loss")
 	}
 }
@@ -111,23 +124,7 @@ func TestGlobalLossAllSkippedErrors(t *testing.T) {
 // exogenous channel, enabling the multivariate extension must reduce
 // the test MSE substantially.
 func TestExogChannelsImproveFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	total := 1500
-	driver := make([]float64, total)
-	vals := make([]float64, total)
-	for i := 1; i < total; i++ {
-		driver[i] = 0.9*driver[i-1] + rng.NormFloat64()
-		// Target = previous driver value + small noise: knowing the
-		// channel makes forecasting nearly trivial.
-		vals[i] = 5*driver[i-1] + 0.2*rng.NormFloat64()
-	}
-	s := timeseries.New("exog", vals, timeseries.RateDaily)
-	s.Exog = map[string][]float64{"driver": driver}
-	clients, err := s.PartitionClients(3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	clients := exogDataset(t)
 	base := smallEngineConfig(49)
 	without, err := NewEngine(nil, base).Run(clients)
 	if err != nil {
@@ -145,6 +142,29 @@ func TestExogChannelsImproveFit(t *testing.T) {
 	if with.TestMSE > 0.5*without.TestMSE {
 		t.Errorf("exog advantage too small: with=%v without=%v", with.TestMSE, without.TestMSE)
 	}
+}
+
+// exogDataset builds three clients whose target is strongly driven by
+// the exogenous channel "driver".
+func exogDataset(t *testing.T) []*timeseries.Series {
+	t.Helper()
+	rng := rand.New(rand.NewSource(48))
+	total := 1500
+	driver := make([]float64, total)
+	vals := make([]float64, total)
+	for i := 1; i < total; i++ {
+		driver[i] = 0.9*driver[i-1] + rng.NormFloat64()
+		// Target = previous driver value + small noise: knowing the
+		// channel makes forecasting nearly trivial.
+		vals[i] = 5*driver[i-1] + 0.2*rng.NormFloat64()
+	}
+	s := timeseries.New("exog", vals, timeseries.RateDaily)
+	s.Exog = map[string][]float64{"driver": driver}
+	clients, err := s.PartitionClients(3, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clients
 }
 
 // TestPrivacyEpsilonStillWorks: with local DP noise on meta-features

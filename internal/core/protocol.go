@@ -33,9 +33,6 @@ import (
 // later eval/config and fit/final round carries only the fingerprint
 // plus a batch of encoded candidate configurations, and clients
 // evaluate against feature matrices cached under that fingerprint.
-// eval/config and fit/final messages without a fingerprint are the v1
-// self-contained form (engineer + single config per round), still
-// served for compatibility (the adaptive runner uses it).
 const (
 	kindRange        = "props/range"        // → client min/max for histogram alignment
 	kindMetaFeatures = "props/metafeatures" // → client meta-feature fingerprint
@@ -44,39 +41,6 @@ const (
 	kindEvalConfig   = "eval/config"        // → client validation losses for a candidate batch
 	kindFitFinal     = "fit/final"          // → client test loss of the final config
 )
-
-// encodeConfig serializes a search.Config into a message. Numeric
-// hyper-parameters are scalars with the "v:" key prefix, categorical
-// ones strings with "c:".
-func encodeConfig(msg *fl.Message, cfg search.Config) {
-	msg.Strings["algorithm"] = cfg.Algorithm
-	for k, v := range cfg.Values {
-		msg.Scalars["v:"+k] = v
-	}
-	for k, v := range cfg.Cats {
-		msg.Strings["c:"+k] = v
-	}
-}
-
-// decodeConfig reverses encodeConfig.
-func decodeConfig(msg fl.Message) search.Config {
-	cfg := search.Config{
-		Algorithm: msg.Strings["algorithm"],
-		Values:    map[string]float64{},
-		Cats:      map[string]string{},
-	}
-	for k, v := range msg.Scalars {
-		if strings.HasPrefix(k, "v:") {
-			cfg.Values[k[2:]] = v
-		}
-	}
-	for k, v := range msg.Strings {
-		if strings.HasPrefix(k, "c:") {
-			cfg.Cats[k[2:]] = v
-		}
-	}
-	return cfg
-}
 
 // encodeEngineer serializes the shared feature-engineering schema.
 func encodeEngineer(msg *fl.Message, eng *features.Engineer) {
@@ -145,6 +109,8 @@ func decodeEngineer(msg fl.Message) *features.Engineer {
 // encodeConfigAt serializes candidate i of a batch into the message
 // under "i:"-prefixed keys (index prefixes cannot collide: "1:" is
 // never a prefix of "11:..." because ':' terminates the index digits).
+// Numeric hyper-parameters are scalars behind "i:v:", categorical ones
+// strings behind "i:c:".
 func encodeConfigAt(msg *fl.Message, cfg search.Config, i int) {
 	p := strconv.Itoa(i) + ":"
 	msg.Strings[p+"algorithm"] = cfg.Algorithm
@@ -262,8 +228,9 @@ func engineerFingerprint(eng *features.Engineer, s pipeline.Splits) string {
 
 // evalSeed derives the fitting seed of batch candidate i from the
 // client's base seed. Index 0 maps to the base seed itself, so a batch
-// of one reproduces the v1 sequential round bit for bit (the q=1 ≡
-// sequential determinism contract); later indices mix in an odd
+// of one fits with the client's own seed and q=1 reproduces the
+// paper's sequential loop bit for bit (the q=1 ≡ sequential
+// determinism contract); later indices mix in an odd
 // 64-bit constant (splitmix64's γ) so concurrent candidates never
 // share a stream.
 func evalSeed(base int64, i int) int64 {

@@ -88,8 +88,8 @@ func TestEngineerCodecRoundTrip(t *testing.T) {
 }
 
 // TestConfigCodecRoundTrip: every Table 2 space round-trips sampled
-// configurations exactly, via both the v1 single-config codec and the
-// batched v2 indexed codec.
+// configurations exactly through the indexed codec, at index 0 and at
+// a random index.
 func TestConfigCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	spaces := search.DefaultSpaces()
@@ -97,9 +97,9 @@ func TestConfigCodecRoundTrip(t *testing.T) {
 		cfg := spaces[rng.Intn(len(spaces))].Sample(rng)
 
 		msg := fl.NewMessage(kindEvalConfig)
-		encodeConfig(&msg, cfg)
-		if got := decodeConfig(msg); !reflect.DeepEqual(cfg, got) {
-			t.Fatalf("case %d: v1 round trip mismatch: %+v vs %+v", i, cfg, got)
+		encodeConfigAt(&msg, cfg, 0)
+		if got := decodeConfigAt(msg, 0); !reflect.DeepEqual(cfg, got) {
+			t.Fatalf("case %d: index-0 round trip mismatch: %+v vs %+v", i, cfg, got)
 		}
 
 		at := fl.NewMessage(kindEvalConfig)

@@ -20,10 +20,9 @@ var vocab = []string{
 	"cyclic", "random", "1.35", "1.5", "1.0",
 	"selection", "epsilon", "l1_ratio", "n_estimators", "max_depth",
 	"learning_rate", "reg_lambda", "subsample", "quantile", "alpha", "C",
-	// Hyper-parameter keys as encodeConfig ships them ("v:" numeric,
-	// "c:" categorical); batched rounds reuse the same stems behind an
-	// index prefix ("3:v:alpha"), which the prefix string form factors
-	// out.
+	// Hyper-parameter key stems ("v:" numeric, "c:" categorical); the
+	// batched rounds ship them behind an index prefix ("3:v:alpha"),
+	// which the prefix string form factors out.
 	"v:alpha", "v:C", "v:epsilon", "v:l1_ratio", "v:n_estimators",
 	"v:max_depth", "v:learning_rate", "v:reg_lambda", "v:subsample",
 	"v:quantile", "c:selection", "c:epsilon",
