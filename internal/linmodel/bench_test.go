@@ -29,18 +29,13 @@ func lagDesign(n, p int, seed int64) ([][]float64, []float64) {
 	return x, y
 }
 
-// BenchmarkLinmodelFits prices the coordinate-descent and Huber IRLS
-// fits at two engine shapes: a chaos-rounds client (414×14) and a
-// paper-seq client (132×14), each with Lasso in both selection modes,
-// ElasticNetCV (10 alphas, 3 folds) and Huber.
+// BenchmarkLinmodelFits prices the coordinate-descent, Huber IRLS and
+// Quantile fits at two engine shapes: a chaos-rounds client (414×14)
+// and a paper-seq client (132×14), each with Lasso in both selection
+// modes, ElasticNetCV (10 alphas, 3 folds), Huber and Quantile. A third
+// shape, a batch-wide client (72×15), prices Quantile alone: batch-wide
+// is where it weighs most.
 func BenchmarkLinmodelFits(b *testing.B) {
-	shapes := []struct {
-		name string
-		n, p int
-	}{
-		{"chaos", 414, 14},
-		{"paper", 132, 14},
-	}
 	fits := []struct {
 		name  string
 		model func() model.Regressor
@@ -53,10 +48,23 @@ func BenchmarkLinmodelFits(b *testing.B) {
 		}},
 		{"encv", func() model.Regressor { return NewElasticNetCV(0.7, SelectionCyclic) }},
 		{"huber", func() model.Regressor { return NewHuber(1.35, 0.1) }},
+		{"quantile", func() model.Regressor { return NewQuantile(0.5, 1e-3) }},
+	}
+	shapes := []struct {
+		name string
+		n, p int
+		only string // when set, the one fit priced at this shape
+	}{
+		{"chaos", 414, 14, ""},
+		{"paper", 132, 14, ""},
+		{"batch", 72, 15, "quantile"},
 	}
 	for _, sh := range shapes {
 		x, y := lagDesign(sh.n, sh.p, 5)
 		for _, f := range fits {
+			if sh.only != "" && f.name != sh.only {
+				continue
+			}
 			b.Run("shape="+sh.name+"-"+f.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

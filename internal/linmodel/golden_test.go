@@ -51,15 +51,19 @@ func fitDigest(coef []float64, scalars ...float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenLinmodelDigests pins the coordinate-descent and Huber IRLS
-// fits bit for bit. The coordinate-descent digests were recorded from
-// the Gram-form solver; the residual-form solver they replaced lives on
-// in lasso_ref_test.go and still reproduces its own pins there. The
-// Huber digests were recorded with the unit-weight base; the
-// full-rebuild loop it replaced lives on in huber_ref_test.go and
-// still reproduces the earlier Huber pins there. Any change to
-// the standardization, the update order, the rng draws, the summation
-// order or the median shows up here.
+// TestGoldenLinmodelDigests pins the coordinate-descent, Huber IRLS,
+// Quantile and LinearSVR fits bit for bit. The coordinate-descent
+// digests were recorded from the Gram-form solver; the residual-form
+// solver they replaced lives on in lasso_ref_test.go and still
+// reproduces its own pins there. The Huber digests were recorded with
+// the unit-weight base; the full-rebuild loop it replaced lives on in
+// huber_ref_test.go and still reproduces the earlier Huber pins there.
+// The Quantile pins were recorded with the one-row-at-a-time loop that
+// lives on in quantile_ref_test.go. The Huber and Quantile n cover
+// every residue mod 4 and n < 4, so the tails of the row-blocked
+// kernels are pinned too. Any change to the standardization, the
+// update order, the rng draws, the summation order or the median shows
+// up here.
 func TestGoldenLinmodelDigests(t *testing.T) {
 	x, y := goldenData(180, 7, 0, 51)
 	xs, ys := goldenData(10, 5, 0, 52) // n < folds·4: ElasticNetCV drops to 2 folds
@@ -91,6 +95,23 @@ func TestGoldenLinmodelDigests(t *testing.T) {
 	huber := func(n int, eps float64) string {
 		x, y := goldenData(n, 6, 9, 53)
 		m := NewHuber(eps, 1e-3)
+		if err := m.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		return fitDigest(m.Coef, m.Intercept)
+	}
+	quantile := func(n int, q, alpha float64) string {
+		x, y := goldenData(n, 6, 9, 54)
+		m := NewQuantile(q, alpha)
+		if err := m.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		return fitDigest(m.Coef, m.Intercept)
+	}
+	svr := func(n int, c, eps float64, seed int64) string {
+		x, y := goldenData(n, 6, 0, 55)
+		m := NewLinearSVR(c, eps)
+		m.Seed = seed
 		if err := m.Fit(x, y); err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +161,33 @@ func TestGoldenLinmodelDigests(t *testing.T) {
 		{"huber/eps1.5-even",
 			"690de08bb43a1aae41a22939a384a60a87805a4d566c3f44b0e13bdb94a758e3",
 			func() string { return huber(200, 1.5) }},
+		{"huber/eps1.35-n-mod4-2",
+			"ca8b30ece4112283924cb6de52dd3e30ff988f75cd4c0bb2a88c06b9fd903941",
+			func() string { return huber(98, 1.35) }},
+		{"huber/eps1-n-mod4-3",
+			"799524b94d861019d58798352e536b52f316feb8b0269bcbcb778a2c3344c580",
+			func() string { return huber(99, 1) }},
+		{"huber/eps1.5-n3",
+			"5d629060616f27f5970fd8186525c59279f174a0ddaf9f7ced3bbf7ffb1c78d3",
+			func() string { return huber(3, 1.5) }},
+		{"quantile/q0.5-n-mod4-1",
+			"6bbe7ac06eaaef5393e9d9de538da8d64eca9a9a2c05dd8c5084aed27a53f840",
+			func() string { return quantile(121, 0.5, 1e-3) }},
+		{"quantile/q0.1-n-mod4-2",
+			"ef1418fb7ee5bd91a509fc6e8cee25489f17fa03a41dda634e0183f72f337ecd",
+			func() string { return quantile(98, 0.1, 1e-4) }},
+		{"quantile/q0.9-n-mod4-3",
+			"0b02939c6d15d6d6ca3fc11d84f66aa0907df983e3973f0ff6999040b297ba42",
+			func() string { return quantile(75, 0.9, 0.05) }},
+		{"quantile/q0.5-n3",
+			"668bb9707480c998738ce04344ef9de13c073a3937aec868e634c362315655d7",
+			func() string { return quantile(3, 0.5, 1e-3) }},
+		{"linearsvr/c1-eps0.1",
+			"133ef1215c2e67e3ca18a346404bced39d822b5f145adf36f3358ce4d997f61d",
+			func() string { return svr(121, 1, 0.1, 0) }},
+		{"linearsvr/c5-eps0.01-seed",
+			"26b6a7fd20fcf15deca7e8106389578e425ed2bb396374856003667e947aca2e",
+			func() string { return svr(98, 5, 0.01, 37) }},
 	}
 	for _, c := range cases {
 		if got := c.got(); got != c.want {

@@ -21,8 +21,8 @@
 # per-client random-forest importance fit of the feature-selection round
 # and XGB candidate fits at a batch-wide and a graph-cv client's shape.
 # BenchmarkLinmodelFits prices the linear fits (Lasso cyclic and
-# random, ElasticNetCV, Huber) at a chaos-rounds and a paper-seq
-# client's n×p. BenchmarkMetaModels prices one fit of each of the eight
+# random, ElasticNetCV, Huber, Quantile) at a chaos-rounds and a
+# paper-seq client's n×p, and Quantile at a batch-wide client's. BenchmarkMetaModels prices one fit of each of the eight
 # Table 4 meta-model classifiers on the whole kb.json knowledge base.
 #
 # All benchmarks run under -benchmem, so every JSON row also carries
