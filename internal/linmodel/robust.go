@@ -7,6 +7,13 @@ import (
 	"fedforecaster/internal/linalg"
 )
 
+// IRLS limits of HuberRegressor: at most huberMaxIter iterations, and
+// it stops once the coefficients move by less than huberTol in L1.
+const (
+	huberMaxIter = 50
+	huberTol     = 1e-6
+)
+
 // HuberRegressor fits a linear model under the Huber loss, which is
 // quadratic for residuals below Epsilon·σ and linear beyond, making it
 // robust to outliers. Fitted by iteratively reweighted least squares
@@ -15,8 +22,6 @@ import (
 type HuberRegressor struct {
 	Epsilon float64 // transition point in units of residual scale (≥ 1)
 	Alpha   float64 // L2 regularization
-	MaxIter int
-	Tol     float64
 
 	scaler    scaler
 	center    centerer
@@ -30,7 +35,7 @@ func NewHuber(epsilon, alpha float64) *HuberRegressor {
 	if epsilon < 1 {
 		epsilon = 1
 	}
-	return &HuberRegressor{Epsilon: epsilon, Alpha: alpha, MaxIter: 50, Tol: 1e-6}
+	return &HuberRegressor{Epsilon: epsilon, Alpha: alpha}
 }
 
 // Fit trains the model by IRLS.
@@ -79,7 +84,10 @@ func (m *HuberRegressor) design(x [][]float64, y []float64) ([][]float64, []floa
 // unit-weight Gram XᵀX plus (wᵢ − 1)·xᵢxᵢᵀ for the down-weighted rows
 // alone, and XᵀWy likewise. The unit-weight upper triangle and Xᵀy are
 // built once; each iteration copies them and adds only those
-// corrections before mirroring and solving.
+// corrections before mirroring and solving. Both accumulations go four
+// rows at a time through addOuterRows, and the residual pass through
+// dotRows: every sum keeps the one-row-at-a-time order, so the bits do
+// not depend on the blocking (DESIGN.md "Row-blocked linear kernels").
 func (m *HuberRegressor) irls(xs [][]float64, yc []float64) (w, weights []float64, err error) {
 	n, p := len(xs), len(xs[0])
 	// One slab for the base and working systems, the factor and the
@@ -98,19 +106,15 @@ func (m *HuberRegressor) irls(xs [][]float64, yc []float64) (w, weights []float6
 	coef := make([]float64, 2*p)
 	w, newW := coef[:p:p], coef[p:]
 
-	for i, row := range xs {
-		addOuter(base, baseY, row, 1, yc[i])
+	for i := range weights {
 		weights[i] = 1
 	}
-	for iter := 0; iter < m.MaxIter; iter++ {
+	addOuterRows(base, baseY, xs, yc, weights, 0)
+	for iter := 0; iter < huberMaxIter; iter++ {
 		// Weighted ridge solve: (XᵀWX + αI)w = XᵀWy (bias unregularized).
 		copy(xtx.Data, base)
 		copy(xty, baseY)
-		for i, wi := range weights {
-			if wi != 1 {
-				addOuter(xtx.Data, xty, xs[i], wi-1, yc[i])
-			}
-		}
+		addOuterRows(xtx.Data, xty, xs, yc, weights, 1)
 		mirrorUpper(xtx.Data, p)
 		for j := 0; j < p; j++ {
 			reg := 1e-10
@@ -128,8 +132,9 @@ func (m *HuberRegressor) irls(xs [][]float64, yc []float64) (w, weights []float6
 		}
 		w, newW = newW, w
 		// Robust scale estimate (MAD) of residuals.
-		for i, row := range xs {
-			abs[i] = math.Abs(yc[i] - linalg.Dot(row, w))
+		dotRows(abs, xs, w)
+		for i, v := range abs {
+			abs[i] = math.Abs(yc[i] - v)
 		}
 		sigma := median(abs, scratch) / 0.6745
 		if sigma < 1e-9 {
@@ -143,11 +148,37 @@ func (m *HuberRegressor) irls(xs [][]float64, yc []float64) (w, weights []float6
 				weights[i] = thr / abs[i]
 			}
 		}
-		if delta < m.Tol {
+		if delta < huberTol {
 			break
 		}
 	}
 	return w, weights, nil
+}
+
+// addOuterRows adds (wᵢ − shift)·xᵢxᵢᵀ into the upper triangle of g
+// and (wᵢ − shift)·yᵢ·xᵢ into xty for every row i whose weight wᵢ is not
+// shift, in row order: the rows are gathered four at a time for
+// addOuter4, and the last few go one by one through addOuter.
+func addOuterRows(g, xty []float64, xs [][]float64, yc, weights []float64, shift float64) {
+	var blk [4]int
+	nb := 0
+	for i, wi := range weights {
+		//lint:allow floateq exact skip of the rows that add nothing: shift is 0 for the base, where every weight is 1, and 1 for the corrections, where a row inside the threshold has weight exactly 1
+		if wi == shift {
+			continue
+		}
+		blk[nb] = i
+		if nb++; nb == 4 {
+			addOuter4(g, xty,
+				[4][]float64{xs[blk[0]], xs[blk[1]], xs[blk[2]], xs[blk[3]]},
+				[4]float64{weights[blk[0]] - shift, weights[blk[1]] - shift, weights[blk[2]] - shift, weights[blk[3]] - shift},
+				[4]float64{yc[blk[0]], yc[blk[1]], yc[blk[2]], yc[blk[3]]})
+			nb = 0
+		}
+	}
+	for _, i := range blk[:nb] {
+		addOuter(g, xty, xs[i], weights[i]-shift, yc[i])
+	}
 }
 
 // Predict returns predictions for the given rows.
@@ -159,16 +190,24 @@ func (m *HuberRegressor) Predict(x [][]float64) []float64 {
 	return linPredict(&m.scaler, m.Coef, m.Intercept, x)
 }
 
+// Subgradient schedule of QuantileRegressor: quantileMaxIter
+// iterations, the second half of them averaged, with step
+// quantileLR·spread/(1 + 0.1·iter), where spread is the mean absolute
+// centred target.
+const (
+	quantileMaxIter = 400
+	quantileLR      = 0.5
+)
+
 // QuantileRegressor fits a linear model minimizing the pinball loss at
 // the given quantile with an L1 penalty Alpha, in the spirit of
 // scikit-learn's QuantileRegressor. It is trained by subgradient
-// descent with a decaying step size and iterate averaging (robust and
-// dependency-free; adequate at the data sizes the engine sees).
+// descent on the unsmoothed pinball loss, with a decaying step size
+// and iterate averaging (robust and dependency-free; adequate at the
+// data sizes the engine sees).
 type QuantileRegressor struct {
 	Quantile float64 // target quantile in (0, 1)
 	Alpha    float64 // L1 regularization
-	MaxIter  int
-	LR       float64
 
 	scaler    scaler
 	center    centerer
@@ -186,7 +225,7 @@ func NewQuantile(quantile, alpha float64) *QuantileRegressor {
 	if quantile > 0.99 {
 		quantile = 0.99
 	}
-	return &QuantileRegressor{Quantile: quantile, Alpha: alpha, MaxIter: 400, LR: 0.5}
+	return &QuantileRegressor{Quantile: quantile, Alpha: alpha}
 }
 
 // Fit trains the model by averaged subgradient descent.
@@ -202,12 +241,12 @@ func (m *QuantileRegressor) Fit(x [][]float64, y []float64) error {
 	n, p := len(xs), len(xs[0])
 	nf := float64(n)
 
-	w := make([]float64, p)
+	// w and grad share a slab; avgW becomes Coef, so it lives apart.
+	buf := make([]float64, 2*p)
+	w, grad := buf[:p:p], buf[p:]
 	b := 0.0
 	avgW := make([]float64, p)
 	avgB := 0.0
-	grad := make([]float64, p)
-	q := m.Quantile
 	// Scale the step to the target's spread so learning is unit-free.
 	var spread float64
 	for _, v := range yc {
@@ -217,35 +256,17 @@ func (m *QuantileRegressor) Fit(x [][]float64, y []float64) error {
 	if spread < 1e-9 {
 		spread = 1
 	}
-	for iter := 0; iter < m.MaxIter; iter++ {
-		for j := range grad {
-			grad[j] = 0
-		}
-		gb := 0.0
-		for i := 0; i < n; i++ {
-			pred := linalg.Dot(xs[i], w) + b
-			r := yc[i] - pred
-			// d pinball / d pred: −q when r>0, (1−q) when r<0.
-			var g float64
-			if r > 0 {
-				g = -q
-			} else if r < 0 {
-				g = 1 - q
-			}
-			for j, v := range xs[i] {
-				grad[j] += float64(g * v)
-			}
-			gb += g
-		}
-		lr := m.LR * spread / (1 + float64(0.1*float64(iter)))
+	for iter := 0; iter < quantileMaxIter; iter++ {
+		gb := pinballGrad(grad, xs, yc, w, b, m.Quantile)
+		lr := quantileLR * spread / (1 + float64(0.1*float64(iter)))
 		for j := range w {
 			gj := grad[j]/nf + float64(m.Alpha*sign(w[j]))
 			w[j] -= float64(lr * gj)
 		}
 		b -= lr * gb / nf
 		// Polyak averaging over the second half of iterations.
-		if iter >= m.MaxIter/2 {
-			k := float64(iter - m.MaxIter/2 + 1)
+		if iter >= quantileMaxIter/2 {
+			k := float64(iter - quantileMaxIter/2 + 1)
 			for j := range avgW {
 				avgW[j] += (w[j] - avgW[j]) / k
 			}
@@ -265,6 +286,85 @@ func (m *QuantileRegressor) Predict(x [][]float64) []float64 {
 		panic("linmodel: Quantile.Predict before Fit")
 	}
 	return linPredict(&m.scaler, m.Coef, m.Intercept, x)
+}
+
+// pinballGrad sets grad to Σᵢ gᵢ·xᵢ over the rows xs and returns Σᵢ gᵢ,
+// where gᵢ is the pinball loss's subgradient in the prediction
+// xᵢ·w + b at quantile q: −q when the residual yᵢ − pred is positive,
+// 1 − q when it is negative and 0 when it is 0. w and b do not change
+// within the pass, so the rows go four at a time: four predictions
+// with one accumulator each, then one pass over grad that adds the
+// four rows' terms in row order. Every sum has the bits of the
+// one-row-at-a-time loop.
+func pinballGrad(grad []float64, xs [][]float64, yc, w []float64, b, q float64) (gb float64) {
+	slope := func(r float64) float64 {
+		switch {
+		case r > 0:
+			return -q
+		case r < 0:
+			return 1 - q
+		}
+		return 0
+	}
+	p := len(w)
+	grad = grad[:p]
+	clear(grad)
+	i := 0
+	for ; i+4 <= len(xs); i += 4 {
+		x0, x1, x2, x3 := xs[i][:p], xs[i+1][:p], xs[i+2][:p], xs[i+3][:p]
+		s0, s1, s2, s3 := dot4(x0, x1, x2, x3, w)
+		g0, g1 := slope(yc[i]-(s0+b)), slope(yc[i+1]-(s1+b))
+		g2, g3 := slope(yc[i+2]-(s2+b)), slope(yc[i+3]-(s3+b))
+		gb += g0
+		gb += g1
+		gb += g2
+		gb += g3
+		for j := range grad {
+			v := grad[j]
+			v += float64(g0 * x0[j])
+			v += float64(g1 * x1[j])
+			v += float64(g2 * x2[j])
+			v += float64(g3 * x3[j])
+			grad[j] = v
+		}
+	}
+	for ; i < len(xs); i++ {
+		row := xs[i][:p]
+		g := slope(yc[i] - (linalg.Dot(row, w) + b))
+		gb += g
+		for j, v := range row {
+			grad[j] += float64(g * v)
+		}
+	}
+	return gb
+}
+
+// dot4 returns the dot products of x0…x3 with w, each summed over
+// j = 0…len(w)−1 with one accumulator, as linalg.Dot sums: four
+// independent chains in flight where one row's dot product is a single
+// dependent chain of adds. Each xk must be at least len(w) long.
+func dot4(x0, x1, x2, x3, w []float64) (s0, s1, s2, s3 float64) {
+	x0, x1, x2, x3 = x0[:len(w)], x1[:len(w)], x2[:len(w)], x3[:len(w)]
+	for j, wj := range w {
+		s0 += float64(x0[j] * wj)
+		s1 += float64(x1[j] * wj)
+		s2 += float64(x2[j] * wj)
+		s3 += float64(x3[j] * wj)
+	}
+	return s0, s1, s2, s3
+}
+
+// dotRows sets dst[i] to linalg.Dot(xs[i], w), with the same bits,
+// four rows at a time through dot4.
+func dotRows(dst []float64, xs [][]float64, w []float64) {
+	dst = dst[:len(xs)]
+	i := 0
+	for ; i+4 <= len(xs); i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(xs[i], xs[i+1], xs[i+2], xs[i+3], w)
+	}
+	for ; i < len(xs); i++ {
+		dst[i] = linalg.Dot(xs[i], w)
+	}
 }
 
 func sign(v float64) float64 {
