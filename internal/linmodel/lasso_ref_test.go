@@ -228,7 +228,8 @@ func TestGramMatchesResidualAndKKT(t *testing.T) {
 				for _, sel := range []SelectionRule{SelectionCyclic, SelectionRandom} {
 					name := fmt.Sprintf("design%d(n=%d,p=%d)/l1=%g/alpha=%g/%s", si, sh.n, sh.p, l1Ratio, alpha, sel)
 					seed := int64(si*7 + 3)
-					got := cd.solve(alpha, l1Ratio, sel, maxIter, tol, seed)
+					orders := newSweepOrders(sel, cd.p, seed, maxIter+1)
+					got := cd.solve(alpha, l1Ratio, maxIter, tol, &orders)
 					want := rp.solveResidual(alpha, l1Ratio, sel, maxIter, tol, seed)
 					var scale float64
 					for _, v := range want {
@@ -240,7 +241,7 @@ func TestGramMatchesResidualAndKKT(t *testing.T) {
 						}
 					}
 					checked++
-					if more := cd.solve(alpha, l1Ratio, sel, maxIter+1, tol, seed); !equalBits(more, got) {
+					if more := cd.solve(alpha, l1Ratio, maxIter+1, tol, &orders); !equalBits(more, got) {
 						continue // stopped at maxIter, not on tol
 					}
 					kkt++
@@ -295,4 +296,51 @@ func equalBits(a, b []float64) bool {
 		}
 	}
 	return len(a) == len(b)
+}
+
+// TestSweepOrdersReplay checks the update orders a solve reads against
+// the generator they stand for: 0…p−1 shuffled once per sweep by a
+// fresh rand.NewSource(seed), the way every solve drew them before
+// streams were shared. One replaying stream serves a run of solves of
+// uneven lengths, longer and shorter than the orders already drawn,
+// with too little room for them all; each solve also gets a stream of
+// its own without replay. Every sweep of every solve must read the
+// reference order.
+func TestSweepOrdersReplay(t *testing.T) {
+	for _, p := range []int{1, 2, 7, 15, 40, 300} {
+		for _, seed := range []int64{0, 17, -3} {
+			replay := newSweepOrders(SelectionRandom, p, seed, 4) // grows past its room
+			cyclic := newSweepOrders(SelectionCyclic, p, seed, 4)
+			for solve, sweeps := range []int{5, 3, 9, 1, 12, 9} {
+				single := newSweepOrders(SelectionRandom, p, seed, 0)
+				rng := rand.New(rand.NewSource(seed))
+				want := make([]int, p)
+				for j := range want {
+					want[j] = j
+				}
+				for k := 0; k < sweeps; k++ {
+					for j, got := range cyclic.sweep(k) {
+						if int(got) != j {
+							t.Fatalf("p=%d: cyclic sweep %d has %d at %d", p, k, got, j)
+						}
+					}
+					rng.Shuffle(p, func(a, b int) { want[a], want[b] = want[b], want[a] })
+					for _, s := range []struct {
+						name    string
+						sweepOf *sweepOrders
+					}{{"replay", &replay}, {"single", &single}} {
+						name, got := s.name, s.sweepOf.sweep(k)
+						if len(got) != p {
+							t.Fatalf("p=%d seed=%d %s: solve %d sweep %d has %d coordinates", p, seed, name, solve, k, len(got))
+						}
+						for j := range want {
+							if int(got[j]) != want[j] {
+								t.Fatalf("p=%d seed=%d %s: solve %d sweep %d = %v, want %v", p, seed, name, solve, k, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
