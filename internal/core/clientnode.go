@@ -237,8 +237,9 @@ func (c *ClientNode) prepare(req fl.Message) (fl.Message, error) {
 // phaseData returns the cached fold matrices for (fingerprint, phase),
 // building them on first use. Build outcomes (including errors) are
 // memoized so repeated rounds never redo the work. The GraphPhase's
-// own per-node cache fills lazily as structure-search candidates visit
-// transformed branches, all under this one fingerprint+phase slot.
+// own per-fold pre-transform memo fills lazily as structure-search
+// candidates visit transformed branches, all under this one
+// fingerprint+phase slot.
 func (c *ClientNode) phaseData(fp, phase string) (*pipeline.GraphPhase, error) {
 	c.cacheMu.Lock()
 	defer c.cacheMu.Unlock()

@@ -7,13 +7,13 @@ import (
 )
 
 // BenchmarkPipelineDAG measures the steady-state candidate evaluation
-// cost of the graph executor — the ClientNode hot path — for the
-// degenerate chain (the legacy pipeline, now a two-node DAG), a fully
-// branched template graph (smoothing pre-transform, exog rejoin, and a
-// second regressor arm merged by mean), and the chain under 3-fold
-// rolling-origin CV. One warm-up call populates the per-node transform
-// cache, so the loop prices exactly what the engine pays per candidate
-// after the first. scripts/bench.sh parses this output into
+// cost of the pipeline executor — the ClientNode hot path — for the
+// paper's chain, a fully branched structure template (smoothing
+// pre-transform, exog rejoin, and a second regressor arm merged by
+// mean), and the chain under 3-fold rolling-origin CV. One warm-up call
+// populates the per-fold pre-transform memo, so the loop prices exactly
+// what the engine pays per candidate after the first. The graph=...
+// names are the row keys scripts/bench.sh parses into
 // BENCH_engine.json's pipeline_dag section.
 func BenchmarkPipelineDAG(b *testing.B) {
 	cases := []struct {

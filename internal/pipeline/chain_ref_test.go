@@ -7,8 +7,8 @@ import (
 	"fedforecaster/internal/timeseries"
 )
 
-// The single-split chain path the graph executor replaced, kept as
-// TestDegenerateGraphBitIdentical's oracle: the degenerate graph must
+// The single-split chain path the structure executor replaced, kept as
+// TestDegenerateGraphBitIdentical's oracle: the zero structure must
 // reproduce its losses bit for bit.
 
 // BuildPhaseData engineers a client split for the given phase. The

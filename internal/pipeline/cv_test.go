@@ -147,7 +147,7 @@ func TestCVLossAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fold %+v build: %v", f, err)
 		}
-		fgp.folds = []*foldPhase{{fold: f, base: pd, built: map[string]*PhaseData{}, errs: map[string]error{}}}
+		fgp.folds = []*foldPhase{{fold: f, base: pd, built: map[string]builtData{}}}
 		l, n, err := fgp.Loss(cfg, 5)
 		if err != nil {
 			t.Fatalf("fold %+v loss: %v", f, err)

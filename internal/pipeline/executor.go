@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -9,7 +8,6 @@ import (
 	"fedforecaster/internal/model"
 	"fedforecaster/internal/search"
 	"fedforecaster/internal/timeseries"
-	"fedforecaster/internal/tsa"
 )
 
 // armSeedGamma mirrors the engine's per-candidate seed derivation so a
@@ -20,35 +18,38 @@ const armSeedGamma = 0x9e3779b97f4a7c15
 // armSeed derives the seed of regressor arm k from the candidate seed;
 // arm 0 — the candidate itself — keeps the seed bit-for-bit.
 func armSeed(base int64, arm int) int64 {
-	if arm == 0 {
-		return base
-	}
 	return base ^ int64(uint64(arm)*armSeedGamma)
 }
 
 // GraphPhase is one client's cached evaluation state for a phase
 // ("valid" or "test"): the rolling-origin folds of its split, each
-// holding the eagerly built degenerate embedding (buildRange over the
-// fold's bounds) plus a lazily filled per-node cache of transformed
-// embeddings keyed by node spec. It is the unit round-protocol-v2's
-// ClientNode caches per fingerprint+phase; evaluations only read the
-// cached matrices (or extend the cache under its fold lock), so one
-// GraphPhase serves concurrent candidate evaluations.
+// holding the eagerly built chain embedding (buildRange over the
+// fold's bounds) plus a lazily filled per-fold memo of transformed
+// embeddings keyed by pre-transform name. It is the unit
+// round-protocol-v2's ClientNode caches per fingerprint+phase;
+// evaluations only read the cached matrices (or extend the memo under
+// its fold lock), so one GraphPhase serves concurrent candidate
+// evaluations.
 type GraphPhase struct {
 	series *timeseries.Series
 	eng    *features.Engineer
 	folds  []*foldPhase
 }
 
-// foldPhase holds one fold's materialized node outputs.
+// foldPhase holds one fold's materialized matrices.
 type foldPhase struct {
 	fold Fold
-	base *PhaseData // degenerate-chain matrices, built eagerly
+	base *PhaseData // chain matrices, built eagerly
 
 	mu    sync.Mutex
-	raw   []float64             // interpolated target channel; guarded by mu
-	built map[string]*PhaseData // transformed embeddings by node spec; guarded by mu
-	errs  map[string]error      // memoized build failures; guarded by mu
+	raw   []float64            // interpolated target channel; guarded by mu
+	built map[string]builtData // transformed embeddings by pre-transform name; guarded by mu
+}
+
+// builtData is one memoized pre-transform build, failures included.
+type builtData struct {
+	pd  *PhaseData
+	err error
 }
 
 // BuildGraphPhase engineers a client split for the given phase across
@@ -78,7 +79,7 @@ func BuildGraphPhase(s *timeseries.Series, eng *features.Engineer, splits Splits
 			continue
 		}
 		//lint:allow hotalloc phase construction runs once per fingerprint+phase and is cached by ClientNode; candidate evaluations only read it
-		gp.folds = append(gp.folds, &foldPhase{fold: f, base: pd, built: map[string]*PhaseData{}, errs: map[string]error{}})
+		gp.folds = append(gp.folds, &foldPhase{fold: f, base: pd, built: map[string]builtData{}})
 	}
 	if len(gp.folds) == 0 {
 		return nil, firstErr
@@ -86,29 +87,25 @@ func BuildGraphPhase(s *timeseries.Series, eng *features.Engineer, splits Splits
 	return gp, nil
 }
 
-// Loss evaluates the pipeline graph encoded by cfg's structure
+// Loss evaluates the pipeline structure encoded by cfg's structure
 // categoricals on every fold and returns the rows-weighted mean loss
-// and the total scored rows. With a single fold and the degenerate
-// chain this is exactly the fit-and-score of one PhaseData — the float
-// path is shared, so the pre-graph arithmetic is preserved bit-for-bit
+// and the total scored rows. With a single fold and the chain this is
+// exactly the fit-and-score of one PhaseData — the float path is
+// shared, so the pre-graph arithmetic is preserved bit-for-bit
 // (TestDegenerateGraphBitIdentical pins it against the chain oracle in
 // chain_ref_test.go).
 func (gp *GraphPhase) Loss(cfg search.Config, seed int64) (loss float64, nRows int, err error) {
-	g, err := StructureOf(cfg)
+	st, err := structureOf(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	return gp.graphLoss(g, cfg, seed)
-}
-
-func (gp *GraphPhase) graphLoss(g *Graph, cfg search.Config, seed int64) (float64, int, error) {
 	if len(gp.folds) == 1 {
-		return gp.folds[0].loss(gp, g, cfg, seed)
+		return gp.folds[0].loss(gp, st, cfg, seed)
 	}
 	var sum, weight float64
 	total := 0
 	for _, f := range gp.folds {
-		l, n, err := f.loss(gp, g, cfg, seed)
+		l, n, err := f.loss(gp, st, cfg, seed)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -122,108 +119,82 @@ func (gp *GraphPhase) graphLoss(g *Graph, cfg search.Config, seed int64) (float6
 	return sum / weight, total, nil
 }
 
-// loss runs the executor over one fold: resolve each regressor arm's
-// input matrices (cached per node spec), fit the independent arms —
-// in parallel when the graph branches — merge predictions in arm
-// order, and score against the shared targets.
-func (f *foldPhase) loss(gp *GraphPhase, g *Graph, cfg search.Config, seed int64) (float64, int, error) {
-	arms := g.regressArms()
-	if len(arms) == 0 {
-		return 0, 0, fmt.Errorf("pipeline: graph %s has no regressor", g.Spec())
+// loss evaluates one fold: resolve the structure's matrices (memoized
+// per pre-transform), fit the candidate — and the fixed second arm,
+// when there is one — and score against the raw targets.
+func (f *foldPhase) loss(gp *GraphPhase, st structure, cfg search.Config, seed int64) (float64, int, error) {
+	pd, err := f.data(gp, st.pre)
+	if err != nil {
+		return 0, 0, err
 	}
-	data := make([]*PhaseData, len(arms))
-	for j, idx := range arms {
-		pd, err := f.nodeData(gp, g, g.index(g.Nodes[idx].Inputs[0]))
-		if err != nil {
-			return 0, 0, err
-		}
-		data[j] = pd
-	}
-	evalArm := func(j int) ([]float64, error) {
-		n := &g.Nodes[arms[j]]
-		c := cfg
-		if n.Arm > 0 {
-			c, _ = search.ArmConfig(n.Algo) // existence checked by TemplateGraph
-		}
-		return fitPredict(data[j], c, armSeed(seed, n.Arm))
-	}
-	preds := make([][]float64, len(arms))
-	errs := make([]error, len(arms))
-	if len(arms) == 1 {
-		preds[0], errs[0] = evalArm(0)
+	var preds []float64
+	if st.arm2 == "" {
+		preds, err = fitPredict(pd, cfg, seed)
 	} else {
-		// Independent branches: every arm fits its own model against
-		// shared read-only matrices; per-arm slots keep the result
-		// order deterministic regardless of scheduling.
-		var wg sync.WaitGroup
-		for j := range arms {
-			wg.Add(1)
-			//lint:allow hotalloc one goroutine closure per branched arm, dwarfed by the model fit it launches
-			go func(j int) {
-				defer wg.Done()
-				preds[j], errs[j] = evalArm(j)
-			}(j)
-		}
-		wg.Wait()
+		preds, err = fitMerged(pd, st.arm2, cfg, seed)
 	}
-	for _, err := range errs { // lowest-index error wins: deterministic
-		if err != nil {
-			return 0, 0, err
-		}
+	if err != nil {
+		return 0, 0, err
 	}
-	out := preds[0]
-	if len(arms) > 1 {
-		out = meanMerge(preds)
-	}
-	y := data[0].Score.Y
-	return model.MSE(out, y), len(y), nil
+	y := pd.Score.Y
+	return model.MSE(preds, y), len(y), nil
 }
 
-// nodeData resolves the output matrices of a data node (lag-embed or
-// exog-join), memoized per fold. The degenerate chain — an embedding
-// of the raw source — is the eagerly built base and bypasses the lock
-// entirely, keeping the chain-only fast path contention-free.
-func (f *foldPhase) nodeData(gp *GraphPhase, g *Graph, idx int) (*PhaseData, error) {
-	spec := g.specOf(idx)
-	if spec == specBase {
+// fitMerged fits the candidate and the fixed second arm concurrently
+// against the same read-only matrices and averages their predictions
+// elementwise in arm order. The candidate's error wins over the arm's,
+// so neither the result nor the error depends on scheduling.
+func fitMerged(pd *PhaseData, arm2 string, cfg search.Config, seed int64) ([]float64, error) {
+	armCfg, _ := search.ArmConfig(arm2) // existence checked by structureOf
+	var armPreds []float64
+	var armErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		armPreds, armErr = fitPredict(pd, armCfg, armSeed(seed, 1))
+	}()
+	preds, err := fitPredict(pd, cfg, seed)
+	<-done
+	if err != nil {
+		return nil, err
+	}
+	if armErr != nil {
+		return nil, armErr
+	}
+	return meanMerge(preds, armPreds), nil
+}
+
+// data resolves the matrices the arms read. The raw channel's
+// embedding is the eagerly built base and bypasses the lock entirely,
+// keeping the chain-only path contention-free; a pre-transformed
+// embedding is built once per fold and memoized, failures included.
+func (f *foldPhase) data(gp *GraphPhase, pre string) (*PhaseData, error) {
+	if pre == "" {
 		return f.base, nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if pd, ok := f.built[spec]; ok {
-		return pd, f.errs[spec]
+	if b, ok := f.built[pre]; ok {
+		return b.pd, b.err
 	}
-	pd, err := f.buildDataLocked(gp, g, idx)
-	f.built[spec] = pd
-	f.errs[spec] = err
+	pd, err := f.buildLocked(gp, pre)
+	f.built[pre] = builtData{pd, err}
 	return pd, err
 }
 
-// buildDataLocked materializes a transformed branch: run the series
-// transforms, rebuild the engineer's embedding on the derived channel
+// buildLocked materializes a pre-transformed branch: transform the
+// interpolated target channel, rebuild the engineer's embedding on it
 // (without exogenous columns or the frozen selection), restore the raw
-// targets, then — for exog-join nodes — append the exogenous columns
-// and reapply the selection so the branch presents the full schema.
-func (f *foldPhase) buildDataLocked(gp *GraphPhase, g *Graph, idx int) (*PhaseData, error) {
-	n := &g.Nodes[idx]
-	embedIdx := idx
-	join := false
-	if n.Kind == NodeExogJoin {
-		join = true
-		embedIdx = g.index(n.Inputs[0])
-	}
-	en := &g.Nodes[embedIdx]
-	if en.Kind != NodeLagEmbed {
-		return nil, fmt.Errorf("pipeline: node %q is not a data node", n.ID)
-	}
-	vals, err := f.seriesLocked(gp, g, g.index(en.Inputs[0]))
-	if err != nil {
-		return nil, err
+// targets, then append the exogenous columns and reapply the selection
+// so the branch presents the chain's full schema.
+func (f *foldPhase) buildLocked(gp *GraphPhase, pre string) (*PhaseData, error) {
+	if f.raw == nil {
+		f.raw = gp.series.Interpolate().Values
 	}
 	engT := *gp.eng
 	engT.ExogNames = nil
 	engT.Keep = nil
-	ts := &timeseries.Series{Name: gp.series.Name, Values: vals, Rate: gp.series.Rate, Start: gp.series.Start}
+	ts := &timeseries.Series{Name: gp.series.Name, Values: preTransforms[pre](f.raw), Rate: gp.series.Rate, Start: gp.series.Start}
 	ds, err := engT.Build(ts, f.fold.FitEnd)
 	if err != nil {
 		return nil, err
@@ -231,61 +202,14 @@ func (f *foldPhase) buildDataLocked(gp *GraphPhase, g *Graph, idx int) (*PhaseDa
 	off := gp.eng.MaxLag()
 	// Targets stay the raw next value: transforms change what a branch
 	// sees, never what it predicts — arms must merge in target units.
-	raw := f.rawLocked(gp)
 	for i := range ds.Y {
-		ds.Y[i] = raw[off+i]
+		ds.Y[i] = f.raw[off+i]
 	}
-	if join {
-		ds = joinExog(ds, gp.series, gp.eng.ExogNames, off)
-		if gp.eng.Keep != nil {
-			ds = ds.SelectColumns(gp.eng.Keep)
-		}
+	ds = joinExog(ds, gp.series, gp.eng.ExogNames, off)
+	if gp.eng.Keep != nil {
+		ds = ds.SelectColumns(gp.eng.Keep)
 	}
 	return splitRange(ds, off, f.fold.FitEnd, f.fold.ScoreEnd)
-}
-
-// seriesLocked materializes the series channel produced by a source or
-// transform node. Transforms are trailing/padded so every output index
-// depends only on inputs at or before it — rebuilt embeddings keep the
-// no-look-ahead contract of the raw build.
-func (f *foldPhase) seriesLocked(gp *GraphPhase, g *Graph, idx int) ([]float64, error) {
-	n := &g.Nodes[idx]
-	switch n.Kind {
-	case NodeSource:
-		return f.rawLocked(gp), nil
-	case NodeSmooth:
-		in, err := f.seriesLocked(gp, g, g.index(n.Inputs[0]))
-		if err != nil {
-			return nil, err
-		}
-		return tsa.TrailingMovingAverage(in, n.Window), nil
-	case NodeDiff:
-		in, err := f.seriesLocked(gp, g, g.index(n.Inputs[0]))
-		if err != nil {
-			return nil, err
-		}
-		return paddedDifference(in, n.Order), nil
-	}
-	return nil, fmt.Errorf("pipeline: node %q is not a series node", n.ID)
-}
-
-// rawLocked caches the interpolated target channel for transform
-// inputs and target restoration; the degenerate path never needs it.
-func (f *foldPhase) rawLocked(gp *GraphPhase) []float64 {
-	if f.raw == nil {
-		f.raw = gp.series.Interpolate().Values
-	}
-	return f.raw
-}
-
-// paddedDifference is tsa.Difference front-padded with zeros so the
-// output keeps the input's length and row alignment; out[i] is the
-// order-d difference ending at xs[i] (zero while i < d).
-func paddedDifference(xs []float64, d int) []float64 {
-	diff := tsa.Difference(xs, d)
-	out := make([]float64, len(xs))
-	copy(out[len(xs)-len(diff):], diff)
-	return out
 }
 
 // joinExog appends the engineer's lag-1 exogenous columns to a
@@ -325,9 +249,9 @@ func joinExog(ds *model.Dataset, s *timeseries.Series, names []string, off int) 
 	return &model.Dataset{X: x, Y: ds.Y, Names: outNames}
 }
 
-// meanMerge averages arm predictions elementwise in arm order — the
-// merge node's deterministic combination rule.
-func meanMerge(preds [][]float64) []float64 {
+// meanMerge averages arm predictions elementwise in arm order, a
+// deterministic combination rule.
+func meanMerge(preds ...[]float64) []float64 {
 	out := make([]float64, len(preds[0]))
 	inv := 1 / float64(len(preds))
 	for i := range out {

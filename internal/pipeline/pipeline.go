@@ -113,10 +113,10 @@ func splitRange(ds *model.Dataset, off, fitEnd, scoreEnd int) (*PhaseData, error
 	return &PhaseData{Train: train, Score: score}, nil
 }
 
-// fitPredict is the regressor-leaf evaluation shared by the linear
-// chain and graph arms: fit cfg on the window's training rows and
-// return raw score-row predictions (merge nodes combine arms before
-// the MSE).
+// fitPredict is the regressor evaluation shared by the chain and both
+// arms of a branched structure: fit cfg on the window's training rows
+// and return raw score-row predictions (fitMerged averages two arms'
+// before the MSE).
 func fitPredict(pd *PhaseData, cfg search.Config, seed int64) ([]float64, error) {
 	m, err := search.Instantiate(cfg, seed)
 	if err != nil {

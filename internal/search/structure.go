@@ -5,11 +5,13 @@ import "strings"
 // Pipeline-structure dimensions: categorical parameters with the "g:"
 // prefix encode the shape of the evaluation pipeline rather than a
 // regressor hyper-parameter. Instantiate ignores them (it only reads
-// the hyper-parameters its algorithm knows); internal/pipeline
-// interprets them through its template grammar (StructureOf). Keeping
-// them ordinary categoricals means the Bayesian optimizer proposes
-// structure exactly the way it proposes any other choice — no new
-// encoding, no new protocol.
+// the hyper-parameters its algorithm knows). This package owns the
+// choice names; internal/pipeline owns what each name means, parsing
+// the pair into a pre-transform and a second arm, and a test there
+// checks that every name listed here parses. Keeping them ordinary
+// categoricals means the Bayesian optimizer proposes structure
+// exactly the way it proposes any other choice — no new encoding, no
+// new protocol.
 const (
 	// StructPrefix marks a parameter name as a structure dimension.
 	StructPrefix = "g:"
