@@ -93,6 +93,16 @@ func allRows(n int) []int {
 // numBins returns the bin count for feature j (edges+1).
 func (b *binner) numBins(j int) int { return len(b.edges[j]) + 1 }
 
+// maxNumBins returns the widest feature's bin count: a histogram of
+// that many bins holds any feature's.
+func (b *binner) maxNumBins() int {
+	w := 1
+	for j := range b.edges {
+		w = max(w, b.numBins(j))
+	}
+	return w
+}
+
 // thresholdOf returns the raw-value threshold corresponding to
 // "bin ≤ k", i.e. edges[k]. k must be < len(edges).
 func (b *binner) thresholdOf(j, k int) float64 { return b.edges[j][k] }
@@ -106,8 +116,10 @@ type histSplit struct {
 }
 
 // bestHistSplit scans all features' gradient histograms for the split
-// maximizing the XGBoost gain over the given rows.
-func bestHistSplit(binned [][]uint8, b *binner, g, h []float64, rows []int, lambda, minChildHess float64) histSplit {
+// maximizing the XGBoost gain over the given rows. hist is scratch of
+// at least 2·b.maxNumBins() floats, shared by every call of a fit: each
+// feature's histograms are cleared before they are filled.
+func bestHistSplit(binned [][]uint8, b *binner, g, h []float64, rows []int, lambda, minChildHess float64, hist []float64) histSplit {
 	var gTot, hTot float64
 	for _, i := range rows {
 		gTot += g[i]
@@ -121,8 +133,8 @@ func bestHistSplit(binned [][]uint8, b *binner, g, h []float64, rows []int, lamb
 		if nb < 2 {
 			continue
 		}
-		gHist := make([]float64, nb)
-		hHist := make([]float64, nb)
+		gHist, hHist := hist[:nb], hist[nb:2*nb]
+		clear(hist[:2*nb])
 		for _, i := range rows {
 			bin := binned[i][j]
 			gHist[bin] += g[i]
@@ -176,9 +188,9 @@ func (t leafWiseTree) PredictOne(row []float64) float64 {
 
 // growLeafWise grows a tree leaf-wise (best-first) to at most
 // maxLeaves leaves — LightGBM's growth strategy — returning the flat
-// node slice.
+// node slice. hist is bestHistSplit's scratch.
 func growLeafWise(binned [][]uint8, b *binner, g, h []float64, rows []int,
-	maxLeaves int, lambda, minChildHess float64) leafWiseTree {
+	maxLeaves int, lambda, minChildHess float64, hist []float64) leafWiseTree {
 	type leaf struct {
 		nodeID int
 		rows   []int
@@ -193,7 +205,7 @@ func growLeafWise(binned [][]uint8, b *binner, g, h []float64, rows []int,
 		return -gs / (hs + lambda)
 	}
 	nodes := []histNode{{feature: -1, value: leafValue(rows)}}
-	leaves := []leaf{{nodeID: 0, rows: rows, split: bestHistSplit(binned, b, g, h, rows, lambda, minChildHess)}}
+	leaves := []leaf{{nodeID: 0, rows: rows, split: bestHistSplit(binned, b, g, h, rows, lambda, minChildHess, hist)}}
 	for len(leaves) < maxLeaves {
 		// Pick the leaf with the highest achievable gain.
 		bestIdx, bestGain := -1, 0.0
@@ -224,8 +236,8 @@ func growLeafWise(binned [][]uint8, b *binner, g, h []float64, rows []int,
 		rightID := len(nodes)
 		nodes = append(nodes, histNode{feature: -1, value: leafValue(rightRows)})
 		nodes[lf.nodeID] = histNode{feature: lf.split.feature, threshold: thr, left: leftID, right: rightID}
-		leaves[bestIdx] = leaf{nodeID: leftID, rows: leftRows, split: bestHistSplit(binned, b, g, h, leftRows, lambda, minChildHess)}
-		leaves = append(leaves, leaf{nodeID: rightID, rows: rightRows, split: bestHistSplit(binned, b, g, h, rightRows, lambda, minChildHess)})
+		leaves[bestIdx] = leaf{nodeID: leftID, rows: leftRows, split: bestHistSplit(binned, b, g, h, leftRows, lambda, minChildHess, hist)}
+		leaves = append(leaves, leaf{nodeID: rightID, rows: rightRows, split: bestHistSplit(binned, b, g, h, rightRows, lambda, minChildHess, hist)})
 	}
 	return nodes
 }
@@ -266,45 +278,43 @@ func growOblivious(binned [][]uint8, b *binner, g, h []float64, rows []int,
 	numParts := 1
 	t := &obliviousTree{}
 	p := len(b.edges)
+	w := b.maxNumBins()
 	for level := 0; level < depth; level++ {
-		type stat struct{ g, h float64 }
+		// One slab per level: per partition a g and an h histogram of w
+		// bins, the totals and the running left sums, cleared before
+		// each feature.
+		slab := make([]float64, numParts*(2*w+4))
+		gHist, hHist := slab[:numParts*w], slab[numParts*w:2*numParts*w]
+		sums := slab[2*numParts*w:]
+		totG, totH, gl, hl := sums[:numParts], sums[numParts:2*numParts], sums[2*numParts:3*numParts], sums[3*numParts:]
 		bestFeat, bestBin, bestGain := -1, -1, 0.0
 		for j := 0; j < p; j++ {
 			nb := b.numBins(j)
 			if nb < 2 {
 				continue
 			}
-			// Histograms per partition.
-			gHist := make([][]float64, numParts)
-			hHist := make([][]float64, numParts)
-			tot := make([]stat, numParts)
-			for q := range gHist {
-				gHist[q] = make([]float64, nb)
-				hHist[q] = make([]float64, nb)
-			}
+			clear(slab)
 			for _, i := range rows {
 				q := part[i]
-				bin := binned[i][j]
-				gHist[q][bin] += g[i]
-				hHist[q][bin] += h[i]
-				tot[q].g += g[i]
-				tot[q].h += h[i]
+				bin := int(binned[i][j])
+				gHist[q*w+bin] += g[i]
+				hHist[q*w+bin] += h[i]
+				totG[q] += g[i]
+				totH[q] += h[i]
 			}
-			gl := make([]float64, numParts)
-			hl := make([]float64, numParts)
 			for k := 0; k < nb-1; k++ {
 				var gain float64
 				for q := 0; q < numParts; q++ {
-					gl[q] += gHist[q][k]
-					hl[q] += hHist[q][k]
-					if tot[q].h <= 0 {
+					gl[q] += gHist[q*w+k]
+					hl[q] += hHist[q*w+k]
+					if totH[q] <= 0 {
 						continue // empty partition contributes nothing
 					}
-					gr := tot[q].g - gl[q]
-					hr := tot[q].h - hl[q]
+					gr := totG[q] - gl[q]
+					hr := totH[q] - hl[q]
 					gain += float64(0.5 * (gl[q]*gl[q]/(hl[q]+lambda) +
 						gr*gr/(hr+lambda) -
-						tot[q].g*tot[q].g/(tot[q].h+lambda)))
+						totG[q]*totG[q]/(totH[q]+lambda)))
 				}
 				if gain > bestGain {
 					bestFeat, bestBin, bestGain = j, k, gain
