@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -393,11 +394,15 @@ func TestMetricsParityChaosRun(t *testing.T) {
 // TestPhaseProfileLabels: a CPU profile taken across runs carries the
 // engine's phase label, so `go tool pprof -tagfocus phase=optimize`
 // splits it by phase, and the labelled runs keep the golden history.
-// The profile's string table must hold "phase" and "optimize" as
-// entries of their own (field 6, wire type 2: tag byte 0x32, then the
-// length), which function names and file paths are not. A caller's
-// label passed through RunWithServerContext joins the phase labels in
-// the profile and is still the goroutine's label after the run.
+// The profile's string table must hold "phase", "caller" and "outer"
+// as entries of their own (field 6, wire type 2: tag byte 0x32, then
+// the length), which function names and file paths are not; whole
+// runs give those labels many samples. A phase as short as optimize
+// can go unsampled at 100 Hz, so its value is read where a sample
+// would take it from: the labels of the goroutines serving the
+// optimize-round client calls, which must be the caller's label passed
+// through RunWithServerContext joined by phase=optimize. The caller's
+// label is still the goroutine's label after the run.
 func TestPhaseProfileLabels(t *testing.T) {
 	var buf bytes.Buffer
 	if err := pprof.StartCPUProfile(&buf); err != nil {
@@ -408,6 +413,7 @@ func TestPhaseProfileLabels(t *testing.T) {
 		runs = append(runs, goldenRun(t, 1))
 	}
 	var after string
+	probe := &labelProbe{}
 	pprof.Do(context.Background(), pprof.Labels("caller", "outer"), func(ctx context.Context) {
 		clients := fedDataset(t, 1600, 4, 11)
 		cfg := smallEngineConfig(42)
@@ -416,6 +422,8 @@ func TestPhaseProfileLabels(t *testing.T) {
 		for i, s := range clients {
 			nodes[i] = NewClientNode(s, cfg.Seed+int64(i)*101)
 		}
+		probe.Client = nodes[0]
+		nodes[0] = probe
 		srv := fl.NewServer(fl.NewInProcWire(nodes, cfg.Wire))
 		defer srv.Close()
 		res, err := NewEngine(nil, cfg).RunWithServerContext(ctx, srv)
@@ -436,6 +444,10 @@ func TestPhaseProfileLabels(t *testing.T) {
 	if want := `{"caller":"outer"}`; after != want {
 		t.Errorf("goroutine labels after RunWithServerContext = %q, want %q", after, want)
 	}
+	want := `{"caller":"outer", "phase":"optimize"}`
+	if seen := probe.evalConfigLabels(); len(seen) == 0 || slices.ContainsFunc(seen, func(l string) bool { return l != want }) {
+		t.Errorf("eval/config calls served under labels %q, want each %s", seen, want)
+	}
 	zr, err := gzip.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -444,11 +456,39 @@ func TestPhaseProfileLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []string{"phase", "optimize", "caller", "outer"} {
+	for _, s := range []string{"phase", "caller", "outer"} {
 		if entry := append([]byte{0x32, byte(len(s))}, s...); !bytes.Contains(raw, entry) {
 			t.Errorf("CPU profile has no %q string-table entry", s)
 		}
 	}
+}
+
+// labelProbe wraps a client and records, at each eval/config call, the
+// profiler labels of the goroutine serving it.
+type labelProbe struct {
+	fl.Client
+
+	mu     sync.Mutex
+	labels []string // guarded by mu
+}
+
+func (p *labelProbe) Evaluate(req fl.Message) (fl.Message, error) {
+	if req.Kind == kindEvalConfig {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err == nil {
+			l, _ := goroutineLabels(buf.String(), "(*labelProbe).Evaluate")
+			p.mu.Lock()
+			p.labels = append(p.labels, l)
+			p.mu.Unlock()
+		}
+	}
+	return p.Client.Evaluate(req)
+}
+
+func (p *labelProbe) evalConfigLabels() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.labels)
 }
 
 // ownGoroutineLabels returns the profiler labels of the goroutine
@@ -460,17 +500,27 @@ func ownGoroutineLabels(t *testing.T, frame string) string {
 	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, block := range strings.Split(buf.String(), "\n\n") {
+	l, ok := goroutineLabels(buf.String(), frame)
+	if !ok {
+		t.Fatalf("no goroutine with a %q frame in:\n%s", frame, buf.String())
+	}
+	return l
+}
+
+// goroutineLabels finds the first stack of a debug=1 goroutine profile
+// that names frame and returns its labels ("" for none); ok is false
+// when no stack names frame.
+func goroutineLabels(profile, frame string) (labels string, ok bool) {
+	for _, block := range strings.Split(profile, "\n\n") {
 		if !strings.Contains(block, frame) {
 			continue
 		}
 		for _, line := range strings.Split(block, "\n") {
 			if l, ok := strings.CutPrefix(line, "# labels: "); ok {
-				return l
+				return l, true
 			}
 		}
-		return ""
+		return "", true
 	}
-	t.Fatalf("no goroutine with a %q frame in:\n%s", frame, buf.String())
-	return ""
+	return "", false
 }
