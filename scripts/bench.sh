@@ -12,11 +12,11 @@
 # telemetry off (nil recorder), with the Prometheus aggregator
 # attached, and with a metrics+JSONL fan-out, so the telemetry tax
 # stays visible next to the protocol numbers.
-# BenchmarkPipelineDAG prices the graph executor's steady-state
-# candidate evaluation (the ClientNode hot path) for the degenerate
-# chain, a fully branched template graph, and the chain under 3-fold
-# rolling-origin CV, so the DAG refactor's per-candidate cost is
-# tracked next to the round protocol it feeds. BenchmarkTreeFits prices
+# BenchmarkPipelineDAG prices the pipeline executor's steady-state
+# candidate evaluation (the ClientNode hot path) for the paper's
+# chain, a fully branched structure template, and the chain under
+# 3-fold rolling-origin CV, so structure search's per-candidate cost
+# is tracked next to the round protocol it feeds. BenchmarkTreeFits prices
 # the shared tree core on tie-heavy columns at three engine shapes: the
 # per-client random-forest importance fit of the feature-selection round
 # and XGB candidate fits at a batch-wide and a graph-cv client's shape.
