@@ -34,7 +34,9 @@ func lagDesign(n, p int, seed int64) ([][]float64, []float64) {
 // and a paper-seq client (132×14), each with Lasso in both selection
 // modes, ElasticNetCV (10 alphas, 3 folds), Huber and Quantile. A third
 // shape, a batch-wide client (72×15), prices Quantile alone: batch-wide
-// is where it weighs most.
+// is where it weighs most. The two -shared rows price one Lasso and one
+// Huber candidate at the chaos shape on a warmed Design, the cost each
+// candidate pays after the first on a client's training rows.
 func BenchmarkLinmodelFits(b *testing.B) {
 	fits := []struct {
 		name  string
@@ -74,5 +76,27 @@ func BenchmarkLinmodelFits(b *testing.B) {
 				}
 			})
 		}
+	}
+	x, y := lagDesign(414, 14, 5)
+	d := NewDesign(x, y)
+	if _, err := d.state(); err != nil {
+		b.Fatal(err)
+	}
+	shared := []struct {
+		name string
+		fit  func() error
+	}{
+		{"lasso", func() error { return NewLasso(0.02, SelectionCyclic).FitDesign(d) }},
+		{"huber", func() error { return NewHuber(1.35, 0.1).FitDesign(d) }},
+	}
+	for _, f := range shared {
+		b.Run("shape=chaos-"+f.name+"-shared", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f.fit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

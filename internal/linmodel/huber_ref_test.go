@@ -89,16 +89,16 @@ func TestHuberReferenceReproducesPreBasePins(t *testing.T) {
 	for _, c := range cases {
 		x, y := goldenData(c.n, 6, 9, 53)
 		m := NewHuber(c.eps, 1e-3)
-		xs, yc, err := m.design(x, y)
+		st, err := NewDesign(x, y).state()
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _, err := m.irlsRef(xs, yc)
+		w, _, err := m.irlsRef(st.xs, st.yc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := len(w)
-		if got := fitDigest(w[:p-1], m.center.mean+w[p-1]); got != c.want {
+		if got := fitDigest(w[:p-1], st.cd.ct.mean+w[p-1]); got != c.want {
 			t.Errorf("n=%d eps=%g: reference digest %s, want %s", c.n, c.eps, got, c.want)
 		}
 	}
@@ -164,15 +164,15 @@ func TestHuberBaseMatchesReference(t *testing.T) {
 			for _, alpha := range []float64{1e-3, math.Exp(-3), 1, math.Exp(2)} {
 				name := fmt.Sprintf("%s/eps=%g/alpha=%g", d.name, eps, alpha)
 				m := NewHuber(eps, alpha)
-				xs, yc, err := m.design(d.x, d.y)
+				st, err := NewDesign(d.x, d.y).state()
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gotWeights, err := m.irls(xs, yc)
+				got, gotWeights, err := m.irls(st)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				want, wantWeights, err := m.irlsRef(xs, yc)
+				want, wantWeights, err := m.irlsRef(st.xs, st.yc)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
@@ -196,7 +196,7 @@ func TestHuberBaseMatchesReference(t *testing.T) {
 						down++
 					}
 				}
-				if len(xs)%4 != 0 {
+				if len(st.xs)%4 != 0 {
 					oddN++
 				}
 				if down%4 != 0 {

@@ -48,10 +48,16 @@ func NewLasso(alpha float64, sel SelectionRule) *Lasso {
 
 // Fit trains the model.
 func (m *Lasso) Fit(x [][]float64, y []float64) error {
-	cd, err := newCDProblem(x, y)
+	return m.FitDesign(NewDesign(x, y))
+}
+
+// FitDesign trains the model on a shared Design's state.
+func (m *Lasso) FitDesign(d *Design) error {
+	st, err := d.state()
 	if err != nil {
 		return err
 	}
+	cd := &st.cd
 	m.scaler, m.center = cd.sc, cd.ct
 	orders := newSweepOrders(m.Selection, cd.p, m.Seed, 0)
 	m.Coef, m.Intercept, m.fitted = cd.solve(m.Alpha, 1, m.MaxIter, m.Tol, &orders), cd.ct.mean, true
@@ -96,23 +102,24 @@ func NewElasticNet(alpha, l1Ratio float64, sel SelectionRule) *ElasticNet {
 
 // Fit trains the model.
 func (m *ElasticNet) Fit(x [][]float64, y []float64) error {
-	return m.fit(x, y, nil)
+	return m.FitDesign(NewDesign(x, y))
 }
 
-// fit trains the model, taking its update orders from orders; nil
-// means a stream of its own for (Selection, Seed).
-func (m *ElasticNet) fit(x [][]float64, y []float64, orders *sweepOrders) error {
-	cd, err := newCDProblem(x, y)
+// FitDesign trains the model on a shared Design's state.
+func (m *ElasticNet) FitDesign(d *Design) error {
+	st, err := d.state()
 	if err != nil {
 		return err
 	}
-	if orders == nil {
-		own := newSweepOrders(m.Selection, cd.p, m.Seed, 0)
-		orders = &own
-	}
+	orders := newSweepOrders(m.Selection, st.cd.p, m.Seed, 0)
+	m.fit(&st.cd, &orders)
+	return nil
+}
+
+// fit solves cd, taking the update orders from orders.
+func (m *ElasticNet) fit(cd *cdProblem, orders *sweepOrders) {
 	m.scaler, m.center = cd.sc, cd.ct
 	m.Coef, m.Intercept, m.fitted = cd.solve(m.Alpha, clampL1Ratio(m.L1Ratio), m.MaxIter, m.Tol, orders), cd.ct.mean, true
-	return nil
 }
 
 // Predict returns predictions for the given rows.
@@ -147,6 +154,14 @@ func NewElasticNetCV(l1Ratio float64, sel SelectionRule) *ElasticNetCV {
 // Fit selects alpha and refits on the full data. NumAlphas 1 means the
 // single grid point 1e-4; NumAlphas ≤ 0 is an error.
 func (m *ElasticNetCV) Fit(x [][]float64, y []float64) error {
+	return m.FitDesign(NewDesign(x, y))
+}
+
+// FitDesign selects alpha and refits on a shared Design: the refit
+// solves the design's own Gram form, and each fold's training block
+// comes from the design's memo of them.
+func (m *ElasticNetCV) FitDesign(d *Design) error {
+	x, y := d.x, d.y
 	if len(x) == 0 || len(x) != len(y) {
 		return errEmptyTraining
 	}
@@ -154,8 +169,10 @@ func (m *ElasticNetCV) Fit(x [][]float64, y []float64) error {
 		return fmt.Errorf("linmodel: ElasticNetCV.NumAlphas = %d, want ≥ 1", m.NumAlphas)
 	}
 	// The validation blocks are scored row by row, so the whole design
-	// must be rectangular, not only the training blocks.
-	if err := checkRectangular(x); err != nil {
+	// must be rectangular, not only the training blocks: its build
+	// checks that.
+	st, err := d.state()
+	if err != nil {
 		return err
 	}
 	alphas := make([]float64, m.NumAlphas)
@@ -176,8 +193,8 @@ func (m *ElasticNetCV) Fit(x [][]float64, y []float64) error {
 		folds = 2
 	}
 	// A fold's scaler, centred target and column norms depend only on
-	// its training block, so each fold's design is built once and
-	// solved for every alpha.
+	// its training block, so each fold's problem is built once per
+	// design and solved for every alpha.
 	type cvFold struct {
 		cd       *cdProblem
 		cut, end int
@@ -189,7 +206,7 @@ func (m *ElasticNetCV) Fit(x [][]float64, y []float64) error {
 		if cut < 2 || end <= cut {
 			continue
 		}
-		cd, err := newCDProblem(x[:cut], y[:cut])
+		cd, err := d.fold(cut)
 		if err != nil {
 			return err
 		}
@@ -221,7 +238,8 @@ func (m *ElasticNetCV) Fit(x [][]float64, y []float64) error {
 	m.BestAlpha = bestAlpha
 	m.inner = NewElasticNet(bestAlpha, m.L1Ratio, m.Selection)
 	m.inner.Seed = m.Seed
-	return m.inner.fit(x, y, &orders)
+	m.inner.fit(&st.cd, &orders)
+	return nil
 }
 
 // Predict returns predictions for the given rows.
@@ -248,8 +266,8 @@ func clampL1Ratio(rho float64) float64 {
 // by coordinate descent for any penalty. With Z the standardized
 // features and yc the centred target it keeps gram = (1/n)·ZᵀZ (p×p,
 // row-major) and xty = (1/n)·Zᵀyc, so a coordinate step costs O(p)
-// whatever n is (glmnet's "covariance updates"). solve reuses c, so
-// one goroutine solves a problem at a time.
+// whatever n is (glmnet's "covariance updates"). A Design builds it;
+// solve only reads it, so concurrent solves may share one.
 type cdProblem struct {
 	sc      scaler
 	ct      centerer
@@ -257,50 +275,6 @@ type cdProblem struct {
 	gram    []float64
 	xty     []float64
 	colNorm []float64 // diag(gram), floored at 1e-12
-	c       []float64 // solve's correlations xty − gram·w
-}
-
-// newCDProblem fits the scaler and the target centring on (x, y) and
-// builds the Gram form of the standardized design in one pass over the
-// rows. An empty x, a y of another length or ragged rows are errors.
-func newCDProblem(x [][]float64, y []float64) (*cdProblem, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, errEmptyTraining
-	}
-	cd := &cdProblem{}
-	if err := cd.sc.fit(x); err != nil {
-		return nil, err
-	}
-	p := len(cd.sc.mean)
-	cd.p = p
-	yc := cd.ct.fit(y)
-	buf := make([]float64, p*p+4*p)
-	take := func(k int) []float64 {
-		s := buf[:k:k]
-		buf = buf[k:]
-		return s
-	}
-	cd.gram, cd.xty, cd.colNorm, cd.c = take(p*p), take(p), take(p), take(p)
-	z := take(p)
-	for i, row := range x {
-		for j, v := range row {
-			z[j] = (v - cd.sc.mean[j]) / cd.sc.std[j]
-		}
-		addOuter(cd.gram, cd.xty, z, 1, yc[i])
-	}
-	// Every entry summed rows 0…n−1 with one accumulator, so the
-	// diagonal has the bits of the column norms (1/n)·‖z_j‖². Features
-	// are unit variance after scaling, so these are ≈ 1.
-	nf := float64(len(x))
-	for j := 0; j < p; j++ {
-		cd.xty[j] /= nf
-		for k := j; k < p; k++ {
-			cd.gram[j*p+k] /= nf
-		}
-		cd.colNorm[j] = max(cd.gram[j*p+j], 1e-12)
-	}
-	mirrorUpper(cd.gram, p)
-	return cd, nil
 }
 
 // addOuter adds wi·row·rowᵀ into the upper triangle of the row-major
@@ -432,8 +406,8 @@ func (s *sweepOrders) sweep(k int) []uint16 {
 // coordinates in the order orders.sweep(k).
 func (cd *cdProblem) solve(alpha, l1Ratio float64, maxIter int, tol float64, orders *sweepOrders) []float64 {
 	p := cd.p
-	w := make([]float64, p)
-	c := cd.c
+	buf := make([]float64, 2*p)
+	w, c := buf[:p:p], buf[p:]
 	copy(c, cd.xty) // c = xty − gram·w with w = 0
 	l1 := float64(alpha * l1Ratio)
 	l2 := float64(alpha * (1 - l1Ratio))

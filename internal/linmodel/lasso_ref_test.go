@@ -218,10 +218,11 @@ func TestGramMatchesResidualAndKKT(t *testing.T) {
 	checked, kkt := 0, 0
 	for si, sh := range shapes {
 		x, y := randomDesign(rng, sh.n, sh.p, sh.degenerate)
-		cd, err := newCDProblem(x, y)
+		st, err := NewDesign(x, y).state()
 		if err != nil {
 			t.Fatal(err)
 		}
+		cd := &st.cd
 		rp := newResidualProblem(t, x, y)
 		for _, l1Ratio := range []float64{0, 0.5, 1} {
 			for _, alpha := range []float64{0, 1e-12, 0.01, 0.3} {

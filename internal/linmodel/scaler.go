@@ -33,8 +33,8 @@ func (s *scaler) fit(x [][]float64) error {
 		return err
 	}
 	p := len(x[0])
-	s.mean = make([]float64, p)
-	s.std = make([]float64, p)
+	buf := make([]float64, 2*p)
+	s.mean, s.std = buf[:p:p], buf[p:]
 	n := float64(len(x))
 	for _, row := range x {
 		for j, v := range row {
@@ -70,14 +70,14 @@ func checkRectangular(x [][]float64) error {
 }
 
 func (s *scaler) transform(x [][]float64) [][]float64 {
-	return s.transformPadded(x, 0)
+	return s.transformInto(x, 0, make([]float64, len(x)*len(s.mean)))
 }
 
-// transformPadded standardizes x into rows of p+pad columns, all backed
-// by one allocation; the pad trailing columns of each row are zero.
-func (s *scaler) transformPadded(x [][]float64, pad int) [][]float64 {
+// transformInto standardizes x into rows of p+pad columns backed by buf,
+// which must hold len(x)·(p+pad) values; the pad trailing columns of
+// each row keep what buf held there.
+func (s *scaler) transformInto(x [][]float64, pad int, buf []float64) [][]float64 {
 	width := len(s.mean) + pad
-	buf := make([]float64, len(x)*width)
 	out := make([][]float64, len(x))
 	for i, row := range x {
 		r := buf[i*width : (i+1)*width : (i+1)*width]
@@ -112,12 +112,17 @@ func (s *scaler) dotRow(coef, row []float64) float64 {
 type centerer struct{ mean float64 }
 
 func (c *centerer) fit(y []float64) []float64 {
+	return c.fitInto(y, make([]float64, len(y)))
+}
+
+// fitInto learns the target mean and writes the centred y into out,
+// which must be as long as y, and returns it.
+func (c *centerer) fitInto(y, out []float64) []float64 {
 	var s float64
 	for _, v := range y {
 		s += v
 	}
 	c.mean = s / float64(len(y))
-	out := make([]float64, len(y))
 	for i, v := range y {
 		out[i] = v - c.mean
 	}
