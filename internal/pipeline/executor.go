@@ -109,7 +109,7 @@ func (gp *GraphPhase) Loss(cfg search.Config, seed int64) (loss float64, nRows i
 		if err != nil {
 			return 0, 0, err
 		}
-		sum += l * float64(n)
+		sum += float64(l * float64(n))
 		weight += float64(n)
 		total += n
 	}

@@ -13,6 +13,7 @@ import (
 
 	"fedforecaster/internal/features"
 	"fedforecaster/internal/fl"
+	"fedforecaster/internal/linmodel"
 	"fedforecaster/internal/model"
 	"fedforecaster/internal/search"
 	"fedforecaster/internal/timeseries"
@@ -79,9 +80,18 @@ var ErrNotEnoughData = errors.New("pipeline: not enough data in client split")
 // copy. Fitting never mutates the matrices (models that standardize
 // copy via their scaler), so one PhaseData may serve concurrent
 // evaluations.
+//
+// design is the linear models' state of the training rows (scaler,
+// centred target, standardized rows and their Gram), built by the
+// first linear candidate that fits here and then shared, read-only, by
+// every later and concurrent one: it lives as long as the PhaseData,
+// which ClientNode caches for the run (DESIGN.md "One design per
+// phase").
 type PhaseData struct {
 	Train *model.Dataset
 	Score *model.Dataset
+
+	design *linmodel.Design
 }
 
 // buildRange engineers one fit/score window: the trend model fits on
@@ -110,19 +120,31 @@ func splitRange(ds *model.Dataset, off, fitEnd, scoreEnd int) (*PhaseData, error
 		scoreRows = rest.Len()
 	}
 	score := &model.Dataset{X: rest.X[:scoreRows], Y: rest.Y[:scoreRows], Names: rest.Names}
-	return &PhaseData{Train: train, Score: score}, nil
+	return &PhaseData{Train: train, Score: score, design: linmodel.NewDesign(train.X, train.Y)}, nil
+}
+
+// designFitter is a linear regressor that fits on a shared
+// linmodel.Design.
+type designFitter interface {
+	FitDesign(*linmodel.Design) error
 }
 
 // fitPredict is the regressor evaluation shared by the chain and both
 // arms of a branched structure: fit cfg on the window's training rows
 // and return raw score-row predictions (fitMerged averages two arms'
-// before the MSE).
+// before the MSE). A linear candidate fits through the phase's shared
+// design, with the bits of a fit on the rows.
 func fitPredict(pd *PhaseData, cfg search.Config, seed int64) ([]float64, error) {
 	m, err := search.Instantiate(cfg, seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Fit(pd.Train.X, pd.Train.Y); err != nil {
+	if df, ok := m.(designFitter); ok {
+		err = df.FitDesign(pd.design)
+	} else {
+		err = m.Fit(pd.Train.X, pd.Train.Y)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("pipeline: fitting %s: %w", cfg.Algorithm, err)
 	}
 	return m.Predict(pd.Score.X), nil
