@@ -186,16 +186,45 @@ func (t leafWiseTree) PredictOne(row []float64) float64 {
 	}
 }
 
+// leafWiseScratch is growLeafWise's scratch, allocated once per fit
+// and reused by every tree: bestHistSplit's histograms, the tree's row
+// permutation, in which every leaf owns a contiguous range, the
+// right-hand rows of a partition in flight, and the open leaves.
+type leafWiseScratch struct {
+	hist   []float64
+	perm   []int
+	spill  []int
+	leaves []leafRange
+}
+
+// leafRange is an open leaf of a leaf-wise tree: its node, its rows
+// perm[lo:hi] and its best split.
+type leafRange struct {
+	nodeID int
+	lo, hi int
+	split  histSplit
+}
+
+// newLeafWiseScratch sizes the scratch for trees of at most maxLeaves
+// leaves over nRows rows binned by b.
+func newLeafWiseScratch(b *binner, nRows, maxLeaves int) *leafWiseScratch {
+	return &leafWiseScratch{
+		hist:   make([]float64, 2*b.maxNumBins()),
+		perm:   make([]int, nRows),
+		spill:  make([]int, nRows),
+		leaves: make([]leafRange, 0, maxLeaves),
+	}
+}
+
 // growLeafWise grows a tree leaf-wise (best-first) to at most
 // maxLeaves leaves — LightGBM's growth strategy — returning the flat
-// node slice. hist is bestHistSplit's scratch.
+// node slice. A split partitions its leaf's range of the row
+// permutation in place, stably: the left rows stay in the range's
+// front in their order, the right rows go through the spill buffer to
+// its back in theirs, so every child sums its rows in the order the
+// parent held them.
 func growLeafWise(binned [][]uint8, b *binner, g, h []float64, rows []int,
-	maxLeaves int, lambda, minChildHess float64, hist []float64) leafWiseTree {
-	type leaf struct {
-		nodeID int
-		rows   []int
-		split  histSplit
-	}
+	maxLeaves int, lambda, minChildHess float64, s *leafWiseScratch) leafWiseTree {
 	leafValue := func(rs []int) float64 {
 		var gs, hs float64
 		for _, i := range rs {
@@ -204,8 +233,12 @@ func growLeafWise(binned [][]uint8, b *binner, g, h []float64, rows []int,
 		}
 		return -gs / (hs + lambda)
 	}
-	nodes := []histNode{{feature: -1, value: leafValue(rows)}}
-	leaves := []leaf{{nodeID: 0, rows: rows, split: bestHistSplit(binned, b, g, h, rows, lambda, minChildHess, hist)}}
+	perm := s.perm[:len(rows)]
+	copy(perm, rows)
+	nodes := make(leafWiseTree, 1, 2*maxLeaves-1)
+	nodes[0] = histNode{feature: -1, value: leafValue(perm)}
+	leaves := append(s.leaves[:0], leafRange{nodeID: 0, lo: 0, hi: len(perm),
+		split: bestHistSplit(binned, b, g, h, perm, lambda, minChildHess, s.hist)})
 	for len(leaves) < maxLeaves {
 		// Pick the leaf with the highest achievable gain.
 		bestIdx, bestGain := -1, 0.0
@@ -219,26 +252,35 @@ func growLeafWise(binned [][]uint8, b *binner, g, h []float64, rows []int,
 		}
 		lf := leaves[bestIdx]
 		thr := b.thresholdOf(lf.split.feature, lf.split.bin)
-		var leftRows, rightRows []int
-		for _, i := range lf.rows {
+		span := perm[lf.lo:lf.hi]
+		nl, nr := 0, 0
+		for _, i := range span {
 			if int(binned[i][lf.split.feature]) <= lf.split.bin {
-				leftRows = append(leftRows, i)
+				span[nl] = i
+				nl++
 			} else {
-				rightRows = append(rightRows, i)
+				s.spill[nr] = i
+				nr++
 			}
 		}
-		if len(leftRows) == 0 || len(rightRows) == 0 {
+		copy(span[nl:], s.spill[:nr])
+		if nl == 0 || nr == 0 {
 			leaves[bestIdx].split.ok = false
 			continue
 		}
+		leftRows, rightRows := span[:nl], span[nl:]
 		leftID := len(nodes)
 		nodes = append(nodes, histNode{feature: -1, value: leafValue(leftRows)})
 		rightID := len(nodes)
 		nodes = append(nodes, histNode{feature: -1, value: leafValue(rightRows)})
 		nodes[lf.nodeID] = histNode{feature: lf.split.feature, threshold: thr, left: leftID, right: rightID}
-		leaves[bestIdx] = leaf{nodeID: leftID, rows: leftRows, split: bestHistSplit(binned, b, g, h, leftRows, lambda, minChildHess, hist)}
-		leaves = append(leaves, leaf{nodeID: rightID, rows: rightRows, split: bestHistSplit(binned, b, g, h, rightRows, lambda, minChildHess, hist)})
+		mid := lf.lo + nl
+		leaves[bestIdx] = leafRange{nodeID: leftID, lo: lf.lo, hi: mid,
+			split: bestHistSplit(binned, b, g, h, leftRows, lambda, minChildHess, s.hist)}
+		leaves = append(leaves, leafRange{nodeID: rightID, lo: mid, hi: lf.hi,
+			split: bestHistSplit(binned, b, g, h, rightRows, lambda, minChildHess, s.hist)})
 	}
+	s.leaves = leaves
 	return nodes
 }
 

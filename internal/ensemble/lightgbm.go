@@ -41,9 +41,9 @@ func (m *LGBMClassifier) Fit(x [][]float64, y []string) error {
 	opts := m.Opts.normalized()
 	b := newBinner(x, maxBins)
 	binned, rows := b.binMatrix(x), allRows(len(x))
-	hist := make([]float64, 2*b.maxNumBins())
+	scratch := newLeafWiseScratch(b, len(rows), opts.NumLeaves)
 	return m.fit(x, y, opts.NumTrees, opts.LearningRate, false, func(_, _ int, g, h []float64) (stageTree, error) {
-		return growLeafWise(binned, b, g, h, rows, opts.NumLeaves, 1, 1e-3, hist), nil
+		return growLeafWise(binned, b, g, h, rows, opts.NumLeaves, 1, 1e-3, scratch), nil
 	})
 }
 
