@@ -269,7 +269,7 @@ func WeightedLoss(losses, sizes []float64) (float64, error) {
 	var total, num float64
 	for i, l := range losses {
 		total += sizes[i]
-		num += sizes[i] * l
+		num += float64(sizes[i] * l)
 	}
 	if total <= 0 {
 		return 0, ErrNoClients
@@ -298,7 +298,7 @@ func FedAvg(weights [][]float64, sizes []float64) ([]float64, error) {
 	for i, w := range weights {
 		f := sizes[i] / total
 		for j, v := range w {
-			avg[j] += f * v
+			avg[j] += float64(f * v)
 		}
 	}
 	return avg, nil

@@ -105,7 +105,7 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 	if p.Jitter == nil {
 		return d
 	}
-	return time.Duration(float64(d) * (0.5 + 0.5*p.Jitter.factor()))
+	return time.Duration(float64(d) * (0.5 + float64(0.5*p.Jitter.factor())))
 }
 
 // callOnce performs a single attempt against client i, bounded by the

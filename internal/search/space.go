@@ -184,10 +184,10 @@ func (s Space) Decode(u []float64) Config {
 		x := clamp01(u[i])
 		switch p.Kind {
 		case Uniform:
-			cfg.Values[p.Name] = p.Lo + x*(p.Hi-p.Lo)
+			cfg.Values[p.Name] = p.Lo + float64(x*(p.Hi-p.Lo))
 		case LogUniform:
 			lo, hi := math.Log(p.Lo), math.Log(p.Hi)
-			cfg.Values[p.Name] = math.Exp(lo + x*(hi-lo))
+			cfg.Values[p.Name] = math.Exp(lo + float64(x*(hi-lo)))
 		case IntUniform:
 			span := p.Hi - p.Lo + 1
 			v := p.Lo + math.Floor(x*span)
