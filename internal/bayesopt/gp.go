@@ -45,10 +45,10 @@ func (g *gp) matern52(a, b []float64) float64 {
 	var d2 float64
 	for i := range a {
 		d := a[i] - b[i]
-		d2 += d * d
+		d2 += float64(d * d)
 	}
 	r := math.Sqrt(d2) / g.lengthscale
-	s := math.Sqrt(5) * r
+	s := float64(math.Sqrt(5) * r)
 	return (1 + s + 5*r*r/3) * math.Exp(-s)
 }
 
@@ -108,7 +108,7 @@ func (g *gp) predict(u []float64) (mu, sigma float64) {
 	if variance < 1e-12 {
 		variance = 1e-12
 	}
-	return muStd*g.yStd + g.yMean, math.Sqrt(variance) * g.yStd
+	return float64(muStd*g.yStd) + g.yMean, math.Sqrt(variance) * g.yStd
 }
 
 // forwardSolveInto solves L·out = b for lower-triangular L, writing
@@ -119,7 +119,7 @@ func forwardSolveInto(out []float64, l *linalg.Matrix, b []float64) {
 		li := l.Row(i)
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= li[k] * out[k]
+			s -= float64(li[k] * out[k])
 		}
 		out[i] = s / li[i]
 	}
@@ -134,5 +134,5 @@ func expectedImprovement(mu, sigma, best, xi float64) float64 {
 	}
 	imp := best - mu - xi
 	z := imp / sigma
-	return imp*stats.NormalCDF(z) + sigma*stats.NormalPDF(z)
+	return float64(imp*stats.NormalCDF(z)) + float64(sigma*stats.NormalPDF(z))
 }

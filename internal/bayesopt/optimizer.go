@@ -292,7 +292,7 @@ func stddev(xs []float64, m float64) float64 {
 	var s float64
 	for _, v := range xs {
 		d := v - m
-		s += d * d
+		s += float64(d * d)
 	}
 	if len(xs) == 0 {
 		return 0

@@ -66,20 +66,22 @@ func (c *clfScan) open(idx []int) (node, bool) {
 	return node{feature: -1}, c.parentImp <= 1e-12
 }
 
-func (c *clfScan) reset([]pair) {
+func (c *clfScan) scan(p []pair, minLeaf int, floor float64) (hi int, gain float64) {
 	copy(c.right, c.total)
 	clear(c.left)
-}
-
-func (c *clfScan) push(run []pair) {
-	for _, p := range run {
-		c.left[c.y[p.i]]++
-		c.right[c.y[p.i]]--
+	gain = floor
+	for k := 0; k < len(p)-minLeaf; k++ {
+		c.left[c.y[p[k].i]]++
+		c.right[c.y[p[k].i]]--
+		//lint:allow floateq sorted feature values compared bitwise to skip zero-width splits
+		if k+1 < minLeaf || p[k+1].v == p[k].v {
+			continue
+		}
+		if v := c.parentImp - giniTimesN(c.left, float64(k+1)) - giniTimesN(c.right, float64(len(p)-k-1)); v > gain {
+			hi, gain = k+1, v
+		}
 	}
-}
-
-func (c *clfScan) gain(left, right int) float64 {
-	return c.parentImp - giniTimesN(c.left, float64(left)) - giniTimesN(c.right, float64(right))
+	return hi, gain
 }
 
 func (c *clfScan) gainAt(x [][]float64, idx []int, f int, thr float64) (float64, int) {

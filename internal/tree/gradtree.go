@@ -176,7 +176,6 @@ type gradScan struct {
 	t                       *GradTree
 	g, h                    []float64
 	gSum, hSum, parentScore float64
-	gl, hl                  float64
 }
 
 func (s *gradScan) open(idx []int) (node, bool) {
@@ -189,23 +188,29 @@ func (s *gradScan) open(idx []int) (node, bool) {
 	return node{feature: -1, value: s.t.leafWeight(s.gSum, s.hSum)}, false
 }
 
-func (s *gradScan) reset([]pair) { s.gl, s.hl = 0, 0 }
-
-func (s *gradScan) push(run []pair) {
-	for _, p := range run {
-		s.gl += s.g[p.i]
-		s.hl += s.h[p.i]
+// scan skips the boundaries that leave either child's hessian sum under
+// MinChildWeight.
+func (s *gradScan) scan(p []pair, minLeaf int, floor float64) (hi int, gain float64) {
+	t, g, h := s.t, s.g, s.h
+	gain = floor
+	var gl, hl float64
+	for k := 0; k < len(p)-minLeaf; k++ {
+		gl += g[p[k].i]
+		hl += h[p[k].i]
+		//lint:allow floateq sorted feature values compared bitwise to skip zero-width splits
+		if k+1 < minLeaf || p[k+1].v == p[k].v {
+			continue
+		}
+		gr := s.gSum - gl
+		hr := s.hSum - hl
+		if hl < t.MinChildWeight || hr < t.MinChildWeight {
+			continue
+		}
+		if v := float64(0.5*(t.score(gl, hl)+t.score(gr, hr)-s.parentScore)) - t.Gamma; v > gain {
+			hi, gain = k+1, v
+		}
 	}
-}
-
-func (s *gradScan) gain(int, int) float64 {
-	t := s.t
-	gr := s.gSum - s.gl
-	hr := s.hSum - s.hl
-	if s.hl < t.MinChildWeight || hr < t.MinChildWeight {
-		return 0
-	}
-	return float64(0.5*(t.score(s.gl, s.hl)+t.score(gr, hr)-s.parentScore)) - t.Gamma
+	return hi, gain
 }
 
 // PredictOne evaluates the tree on one feature row.

@@ -19,13 +19,14 @@ type scanner interface {
 	// open primes the scanner for rows idx and returns them as a leaf;
 	// pure reports a node that no split can improve.
 	open(idx []int) (leaf node, pure bool)
-	// reset starts a feature scan with every row, in sorted order, right.
-	reset(sorted []pair)
-	// push moves a run of tied rows from the right child to the left.
-	push(run []pair)
-	// gain scores the boundary with left and right rows on each side;
-	// it returns 0 for a split the kind forbids.
-	gain(left, right int) float64
+	// scan walks one sorted column of the open node's rows, moving them
+	// from the right child to the left in order, and scores every
+	// boundary between two differing values that leaves at least
+	// minLeaf (≥ 1) rows on each side and that the kind allows. It
+	// returns the first boundary with the largest gain above floor as
+	// hi, the count of rows that go left, or hi 0 and floor when no
+	// boundary gains more.
+	scan(p []pair, minLeaf int, floor float64) (hi int, gain float64)
 }
 
 // thresholdScanner also scores one given threshold over unsorted rows,
@@ -38,8 +39,8 @@ type thresholdScanner interface {
 
 // splitter grows a tree of any kind. It owns the shared half of the
 // split search: the candidate-feature draw, the sorted column of each
-// (node, candidate feature), the tie-skipping boundary walk with
-// midpoint thresholds, the random-threshold mode, and the stable
+// (node, candidate feature), the midpoint threshold of the boundary its
+// scanner picks, the random-threshold mode, and the stable
 // partition of a node's rows. Without cols it sorts each column per
 // node into buffers sized once per Fit and dropped with it; with cols
 // it reads the node's segment of the presorted lists and borrows their
@@ -153,20 +154,8 @@ func (s *splitter) best(sc scanner, idx []int, off int) (feat int, thr, gain flo
 		} else {
 			p = s.sorted(idx, f)
 		}
-		sc.reset(p)
-		for lo := 0; lo < len(p)-1; {
-			hi := lo + 1
-			//lint:allow floateq sorted feature values compared bitwise to skip zero-width splits
-			for hi < len(p) && p[hi].v == p[lo].v {
-				hi++
-			}
-			sc.push(p[lo:hi])
-			if hi < len(p) && hi >= s.o.MinSamplesLeaf && len(p)-hi >= s.o.MinSamplesLeaf {
-				if g := sc.gain(hi, len(p)-hi); g > gain {
-					feat, thr, gain = f, (p[hi-1].v+p[hi].v)/2, g
-				}
-			}
-			lo = hi
+		if hi, g := sc.scan(p, max(s.o.MinSamplesLeaf, 1), gain); hi > 0 {
+			feat, thr, gain = f, (p[hi-1].v+p[hi].v)/2, g
 		}
 	}
 	return feat, thr, gain

@@ -70,9 +70,8 @@ func (t *Regressor) Fit(x [][]float64, y []float64) error {
 
 // regScan accumulates target sums for the decrease of n·variance.
 type regScan struct {
-	y                          []float64
-	parentImp                  float64
-	lSum, lSumSq, tSum, tSumSq float64
+	y         []float64
+	parentImp float64
 }
 
 func (r *regScan) open(idx []int) (node, bool) {
@@ -86,27 +85,32 @@ func (r *regScan) open(idx []int) (node, bool) {
 	return node{feature: -1, value: sum / n}, r.parentImp <= 1e-12
 }
 
-func (r *regScan) reset(sorted []pair) {
-	r.lSum, r.lSumSq, r.tSum, r.tSumSq = 0, 0, 0, 0
-	for _, p := range sorted {
-		r.tSum += r.y[p.i]
-		r.tSumSq += float64(r.y[p.i] * r.y[p.i])
+// scan sums the column's targets in sorted order for the right child's
+// totals before it walks the boundaries.
+func (r *regScan) scan(p []pair, minLeaf int, floor float64) (hi int, gain float64) {
+	y := r.y
+	var lSum, lSumSq, tSum, tSumSq float64
+	for _, q := range p {
+		tSum += y[q.i]
+		tSumSq += float64(y[q.i] * y[q.i])
 	}
-}
-
-func (r *regScan) push(run []pair) {
-	for _, p := range run {
-		r.lSum += r.y[p.i]
-		r.lSumSq += float64(r.y[p.i] * r.y[p.i])
+	gain = floor
+	for k := 0; k < len(p)-minLeaf; k++ {
+		lSum += y[p[k].i]
+		lSumSq += float64(y[p[k].i] * y[p[k].i])
+		//lint:allow floateq sorted feature values compared bitwise to skip zero-width splits
+		if k+1 < minLeaf || p[k+1].v == p[k].v {
+			continue
+		}
+		ln, rn := float64(k+1), float64(len(p)-k-1)
+		rSum := tSum - lSum
+		rSumSq := tSumSq - lSumSq
+		childImp := (lSumSq - lSum*lSum/ln) + (rSumSq - rSum*rSum/rn)
+		if v := r.parentImp - childImp; v > gain {
+			hi, gain = k+1, v
+		}
 	}
-}
-
-func (r *regScan) gain(left, right int) float64 {
-	ln, rn := float64(left), float64(right)
-	rSum := r.tSum - r.lSum
-	rSumSq := r.tSumSq - r.lSumSq
-	childImp := (r.lSumSq - r.lSum*r.lSum/ln) + (rSumSq - rSum*rSum/rn)
-	return r.parentImp - childImp
+	return hi, gain
 }
 
 func (r *regScan) gainAt(x [][]float64, idx []int, f int, thr float64) (float64, int) {

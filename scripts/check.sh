@@ -17,11 +17,9 @@
 # schedules the suite happens to run; the static rules hold on every
 # path, so the two layers are complementary, not redundant.
 #
-# The fmacheck step cross-compiles the gated packages (today
-# internal/ensemble, internal/linalg, internal/linmodel, internal/stats,
-# internal/tree and internal/tsa) for arm64 and fails on any fused
-# multiply-add
-# (scripts/fmacheck.sh): same-seed bit identity must not depend on the
+# The fmacheck step cross-compiles the gated packages (the pkgs line
+# of scripts/fmacheck.sh) for arm64 and fails on any fused
+# multiply-add: same-seed bit identity must not depend on the
 # architecture.
 #
 # The perflint step re-runs just the hot-path performance rules
