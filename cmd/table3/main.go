@@ -42,7 +42,6 @@ func main() {
 		printSpace = flag.Bool("print-space", false, "print the Table 2 search space and exit")
 		sweep      = flag.String("sweep", "", "run a sweep instead: clients | budget")
 		runtime    = flag.Bool("runtime", false, "run the Section 5.2 runtime measurement instead")
-		classical  = flag.Bool("classical", false, "compare against centralized Holt-Winters / AR baselines instead")
 		ablation   = flag.String("ablation", "", "run an ablation instead: warmstart | surrogate | featuresel | globalmeta")
 		datasets   = flag.String("datasets", "", "comma-separated dataset filter")
 	)
@@ -58,18 +57,6 @@ func main() {
 	}
 	if *runtime {
 		rep, err := experiments.RunRuntimeReport(*scale*5, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(rep.Format())
-		return
-	}
-	if *classical {
-		var filter []string
-		if *datasets != "" {
-			filter = splitComma(*datasets)
-		}
-		rep, err := experiments.RunClassicalComparison(*scale, *iters, *seed, filter)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -108,10 +108,6 @@ type Options struct {
 	// Series.Exog map (multivariate extension): their lag-1 values are
 	// added to the shared feature schema.
 	ExogChannels []string
-	// PrivacyEpsilon > 0 makes clients perturb their shared
-	// meta-features with a Laplace mechanism before aggregation
-	// (smaller = noisier = more private).
-	PrivacyEpsilon float64
 	// CallTimeout bounds each per-client protocol call (0 = wait
 	// forever); on the TCP transport it is enforced on the socket.
 	CallTimeout time.Duration
@@ -173,7 +169,6 @@ func (o Options) engineConfig() (core.EngineConfig, error) {
 	cfg.Seed = o.Seed
 	cfg.FeatureSelection = !o.DisableFeatureSelection
 	cfg.ExogChannels = o.ExogChannels
-	cfg.PrivacyEpsilon = o.PrivacyEpsilon
 	cfg.CallTimeout = o.CallTimeout
 	cfg.MaxRetries = o.MaxRetries
 	cfg.MinClientFraction = o.MinClientFraction

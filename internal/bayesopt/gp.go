@@ -103,26 +103,12 @@ func (g *gp) predict(u []float64) (mu, sigma float64) {
 	muStd := linalg.Dot(kStar, g.alpha)
 	// Variance: k(u,u) − k*ᵀ K⁻¹ k* via triangular solve.
 	v := g.vbuf[:n]
-	forwardSolveInto(v, g.chol, kStar)
+	linalg.ForwardSolve(g.chol, v, kStar)
 	variance := g.matern52(u, u) - linalg.Dot(v, v)
 	if variance < 1e-12 {
 		variance = 1e-12
 	}
 	return float64(muStd*g.yStd) + g.yMean, math.Sqrt(variance) * g.yStd
-}
-
-// forwardSolveInto solves L·out = b for lower-triangular L, writing
-// into the caller's buffer (len(out) must be L.Rows).
-func forwardSolveInto(out []float64, l *linalg.Matrix, b []float64) {
-	n := l.Rows
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= float64(li[k] * out[k])
-		}
-		out[i] = s / li[i]
-	}
 }
 
 // expectedImprovement computes EI for minimization at posterior

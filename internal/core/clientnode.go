@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"fedforecaster/internal/features"
@@ -23,11 +22,6 @@ import (
 type ClientNode struct {
 	series *timeseries.Series
 	seed   int64
-	// privacyEps > 0 enables the Laplace perturbation of the shared
-	// meta-features (metafeat.Privatize) — a client-side choice.
-	privacyEps float64
-	privacyRng *rand.Rand
-
 	// rec, when non-nil, receives client-side telemetry (cache
 	// hits/misses, per-candidate evaluation times) tagged with id.
 	rec obs.Recorder
@@ -67,14 +61,6 @@ const maxEvalWorkers = 4
 // participant.
 func NewClientNode(s *timeseries.Series, seed int64) *ClientNode {
 	return &ClientNode{series: s, seed: seed}
-}
-
-// WithPrivacy enables local meta-feature perturbation at the given
-// epsilon (smaller = noisier) and returns the node for chaining.
-func (c *ClientNode) WithPrivacy(epsilon float64) *ClientNode {
-	c.privacyEps = epsilon
-	c.privacyRng = rand.New(rand.NewSource(c.seed ^ 0x5f5f))
-	return c
 }
 
 // WithObs attaches a telemetry recorder and this node's client index
@@ -146,9 +132,6 @@ func (c *ClientNode) properties(req fl.Message) (fl.Message, error) {
 
 	case kindMetaFeatures:
 		cf := metafeat.ExtractClient(c.series, req.Scalars["lo"], req.Scalars["hi"])
-		if c.privacyEps > 0 {
-			cf = metafeat.Privatize(cf, c.privacyEps, c.privacyRng)
-		}
 		resp := fl.NewMessage(kindMetaFeatures)
 		encodeClientFeatures(&resp, cf)
 		return resp, nil

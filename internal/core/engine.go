@@ -62,11 +62,6 @@ type EngineConfig struct {
 	// (multivariate extension); their lag-1 values join the feature
 	// schema.
 	ExogChannels []string
-	// PrivacyEpsilon, when > 0, makes in-process clients perturb their
-	// shared meta-features with the Laplace mechanism (smaller =
-	// noisier). TCP clients configure this themselves via
-	// ClientNode.WithPrivacy.
-	PrivacyEpsilon float64
 	// CallTimeout bounds each client call of every protocol round
 	// (0 = wait forever). On the TCP transport it is enforced on the
 	// socket itself, so a hung client cannot stall a round.
@@ -164,22 +159,12 @@ func NewEngine(meta *metalearn.MetaModel, cfg EngineConfig) *Engine {
 	return &Engine{Meta: meta, Cfg: cfg, jitter: fl.NewJitter(cfg.Seed + 13)}
 }
 
-// Run executes Algorithm 1 against in-process clients built from the
-// given private splits.
+// Run executes Algorithm 1 against a fresh in-process federation
+// built from the given private splits.
 func (e *Engine) Run(clients []*timeseries.Series) (*Result, error) {
-	return e.runInProc(clients, obs.SpanRun, 0, enginePhases())
-}
-
-// runInProc drives one run of the given phases against a fresh
-// in-process federation over the private splits. The ordinal seeds the
-// run's span identity (see runPhases).
-func (e *Engine) runInProc(clients []*timeseries.Series, name string, ordinal int, phases []enginePhase) (*Result, error) {
 	nodes := make([]fl.Client, len(clients))
 	for i, s := range clients {
 		node := NewClientNode(s, e.Cfg.Seed+int64(i)*101)
-		if e.Cfg.PrivacyEpsilon > 0 {
-			node = node.WithPrivacy(e.Cfg.PrivacyEpsilon)
-		}
 		if e.Cfg.Recorder != nil {
 			// In-process simulation: client-side cache and candidate-eval
 			// telemetry joins the same stream (TCP clients wire their own
@@ -190,7 +175,7 @@ func (e *Engine) runInProc(clients []*timeseries.Series, name string, ordinal in
 	}
 	srv := fl.NewServer(fl.NewInProcWire(nodes, e.Cfg.Wire))
 	defer srv.Close()
-	return e.runPhases(context.Background(), srv, name, ordinal, phases)
+	return e.runPhases(context.Background(), srv)
 }
 
 // roundContext is the state one run's phases share: the engine and its
@@ -231,9 +216,9 @@ type roundContext struct {
 // one seed share one trace ID), the open run and phase spans, and the
 // per-run round sequence counter. Every span ID is position-derived
 // (obs.DeriveSpan), so identity — and with it the reconstructed tree
-// shape — is a pure function of the run's decisions and its ordinal,
-// never of event emission order. Rounds within a run are driven
-// sequentially from one goroutine, so seq needs no locking.
+// shape — is a pure function of the run's decisions, never of event
+// emission order. Rounds within a run are driven sequentially from one
+// goroutine, so seq needs no locking.
 type roundTracer struct {
 	trace     uint64
 	runSpan   uint64
@@ -242,37 +227,25 @@ type roundTracer struct {
 }
 
 // enginePhase is one explicitly named stage of a run. Algorithm 1 is
-// the ordered composition of the five phase values below; each is a
-// plain function over the shared roundContext.
+// the ordered composition of the five phases in enginePhases; each is
+// a plain function over the shared roundContext.
 type enginePhase struct {
 	name string
 	run  func(*roundContext) error
 }
 
-// The five phases of a run, in execution order (Figure 1's I-IV with
-// Phase III split into its two halves).
-var (
-	phaseMetaFeatures  = enginePhase{"meta-features", runPhaseMetaFeatures}
-	phaseRecommend     = enginePhase{"recommend", runPhaseRecommend}
-	phaseFeatureSelect = enginePhase{"feature-select", runPhaseFeatureSelect}
-	phaseOptimize      = enginePhase{"optimize", runPhaseOptimize}
-	phaseFinalFit      = enginePhase{"final-fit", runPhaseFinalFit}
-)
-
-// enginePhases returns the run's phase order.
-func enginePhases() []enginePhase {
-	return []enginePhase{
-		phaseMetaFeatures,
-		phaseRecommend,
-		phaseFeatureSelect,
-		phaseOptimize,
-		phaseFinalFit,
-	}
+// enginePhases are the five phases of a run, in execution order
+// (Figure 1's I-IV with Phase III split into its two halves).
+var enginePhases = []enginePhase{
+	{"meta-features", runPhaseMetaFeatures},
+	{"recommend", runPhaseRecommend},
+	{"feature-select", runPhaseFeatureSelect},
+	{"optimize", runPhaseOptimize},
+	{"final-fit", runPhaseFinalFit},
 }
 
-// newRoundContext prepares the shared state for one run; the ordinal
-// seeds the run span's ID.
-func (e *Engine) newRoundContext(srv *fl.Server, ordinal int) *roundContext {
+// newRoundContext prepares the shared state for one run.
+func (e *Engine) newRoundContext(srv *fl.Server) *roundContext {
 	rc := &roundContext{
 		engine: e,
 		srv:    srv,
@@ -285,7 +258,7 @@ func (e *Engine) newRoundContext(srv *fl.Server, ordinal int) *roundContext {
 	}
 	if rc.rec != nil {
 		trace := obs.DeriveTrace(e.Cfg.Seed)
-		rc.tracer = &roundTracer{trace: trace, runSpan: obs.DeriveSpan(trace, obs.SpanRun, ordinal)}
+		rc.tracer = &roundTracer{trace: trace, runSpan: obs.DeriveSpan(trace, obs.SpanRun, 0)}
 	}
 	return rc
 }
@@ -308,19 +281,18 @@ func (e *Engine) RunWithServer(srv *fl.Server) (*Result, error) {
 // they are the goroutine's labels again once a phase returns. The run
 // reads nothing else from ctx; it does not watch it for cancellation.
 func (e *Engine) RunWithServerContext(ctx context.Context, srv *fl.Server) (*Result, error) {
-	return e.runPhases(ctx, srv, obs.SpanRun, 0, enginePhases())
+	return e.runPhases(ctx, srv)
 }
 
-// runPhases drives one run: the phases in order over one shared
-// roundContext, each in a phase span under a run span with the given
-// name. The ordinal tells apart runs at one seed, which share a trace
-// ID: it is the run span's sequence number, and every span ID below it
-// derives from the run span's. Algorithm 1 runs at ordinal 0.
-func (e *Engine) runPhases(ctx context.Context, srv *fl.Server, name string, ordinal int, phases []enginePhase) (*Result, error) {
+// runPhases drives one run: the five phases in order over one shared
+// roundContext, each in a phase span under the run span. The run span
+// is sequence number 0 of the seed's trace, and every span ID below it
+// derives from the run span's.
+func (e *Engine) runPhases(ctx context.Context, srv *fl.Server) (*Result, error) {
 	if srv.NumClients() == 0 {
 		return nil, errors.New("core: no clients connected")
 	}
-	rc := e.newRoundContext(srv, ordinal)
+	rc := e.newRoundContext(srv)
 	var run obs.SpanStart
 	if rc.rec != nil {
 		srv.SetRecorder(rc.rec)
@@ -329,14 +301,14 @@ func (e *Engine) runPhases(ctx context.Context, srv *fl.Server, name string, ord
 			Trace:   obs.HexID(rc.tracer.trace),
 			Span:    obs.HexID(rc.tracer.runSpan),
 			Kind:    obs.SpanRun,
-			Name:    name,
-			Seq:     ordinal,
+			Name:    obs.SpanRun,
+			Seq:     0,
 			Client:  -1,
 			StartNS: rc.startNS,
 		}
 		rc.rec.Record(run)
 	}
-	for i, ph := range phases {
+	for i, ph := range enginePhases {
 		var phase obs.SpanStart
 		if rc.rec != nil {
 			rc.tracer.phaseSpan = obs.DeriveSpan(rc.tracer.runSpan, obs.SpanPhase, i)
@@ -429,12 +401,14 @@ func runPhaseRecommend(rc *roundContext) error {
 	return nil
 }
 
-// runPhaseFeatureSelect is Phase III-a: unified feature engineering +
-// federated feature selection (Figure 1-III, lines 11-13, Section
-// 4.2). The engineer is frozen after this phase; the optimize phase
-// content-addresses it.
+// runPhaseFeatureSelect is Phase III-a: unified feature engineering
+// from the aggregated meta-features and the configured exogenous
+// channels, then federated feature selection (Figure 1-III, lines
+// 11-13, Section 4.2). The engineer is frozen after this phase; the
+// optimize phase content-addresses it.
 func runPhaseFeatureSelect(rc *roundContext) error {
-	eng := rc.schema()
+	eng := features.NewEngineer(rc.agg)
+	eng.ExogNames = append([]string(nil), rc.engine.Cfg.ExogChannels...)
 	rc.result.NumFeatures = len(eng.FeatureNames())
 	if rc.engine.Cfg.FeatureSelection {
 		kept, err := rc.selectFeatures(eng)
@@ -448,15 +422,6 @@ func runPhaseFeatureSelect(rc *roundContext) error {
 	}
 	rc.engineer = eng
 	return nil
-}
-
-// schema builds the unified feature-engineering schema (Section 4.2)
-// from the aggregated meta-features and the configured exogenous
-// channels.
-func (rc *roundContext) schema() *features.Engineer {
-	eng := features.NewEngineer(rc.agg)
-	eng.ExogNames = append([]string(nil), rc.engine.Cfg.ExogChannels...)
-	return eng
 }
 
 // runPhaseOptimize is Phase III-b: hyper-parameter optimization

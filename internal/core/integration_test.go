@@ -110,7 +110,7 @@ func TestGlobalLossAllSkippedErrors(t *testing.T) {
 		Cats:      map[string]string{"selection": "cyclic"},
 	}
 	engine.Cfg.Splits = pipeline.Splits{ValidFrac: 0.15, TestFrac: 0.15}
-	rc := engine.newRoundContext(srv, 0)
+	rc := engine.newRoundContext(srv)
 	rc.engineer = eng
 	if err := rc.prepareEval(); err != nil {
 		t.Fatal(err)
@@ -165,31 +165,6 @@ func exogDataset(t *testing.T) []*timeseries.Series {
 		t.Fatal(err)
 	}
 	return clients
-}
-
-// TestPrivacyEpsilonStillWorks: with local DP noise on meta-features
-// the engine must still complete and produce a sane model (the schema
-// derives from noisy-but-structured aggregates).
-func TestPrivacyEpsilonStillWorks(t *testing.T) {
-	clients := fedDataset(t, 1200, 3, 50)
-	cfg := smallEngineConfig(51)
-	cfg.PrivacyEpsilon = 1.0
-	res, err := NewEngine(nil, cfg).Run(clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(res.TestMSE) || res.TestMSE <= 0 {
-		t.Fatalf("private run test MSE = %v", res.TestMSE)
-	}
-	// The privacy noise should not catastrophically degrade accuracy on
-	// this easy dataset (same order of magnitude as a non-private run).
-	base, err := NewEngine(nil, smallEngineConfig(51)).Run(clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TestMSE > 10*base.TestMSE {
-		t.Errorf("privacy degraded MSE %v vs %v", res.TestMSE, base.TestMSE)
-	}
 }
 
 // TestEngineHandlesMissingValues: clients with NaN gaps must flow

@@ -138,7 +138,7 @@ func globalMoments(clients []*timeseries.Series) (mean, std float64) {
 		for _, v := range s.Values {
 			if !math.IsNaN(v) {
 				d := v - mean
-				ss += d * d
+				ss += float64(d * d)
 			}
 		}
 	}

@@ -73,7 +73,9 @@ func TestNilRecorderRunIdentical(t *testing.T) {
 // checks the stream's shape: one run span, all five phase spans in
 // order, balanced round spans, one attempt span per delivered call at
 // least, BO iterations matching the budget, client-side cache records,
-// and none of the flat records spans replaced.
+// and none of the flat records spans replaced. The run span is
+// sequence number 0 of the seed's trace, so its ID is a function of
+// the seed alone.
 func TestTraceOutCoversAllPhases(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
@@ -98,6 +100,7 @@ func TestTraceOutCoversAllPhases(t *testing.T) {
 	}
 	counts := map[string]int{}
 	var phaseStarts []string
+	var runStart obs.SpanStart
 	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
 		var env envelope
 		if err := json.Unmarshal([]byte(line), &env); err != nil {
@@ -110,10 +113,7 @@ func TestTraceOutCoversAllPhases(t *testing.T) {
 		if env.Event != "span_start" && env.Event != "span_end" {
 			continue
 		}
-		var d struct {
-			Kind string `json:"kind"`
-			Name string `json:"name"`
-		}
+		var d obs.SpanStart
 		if err := json.Unmarshal(env.Data, &d); err != nil {
 			t.Fatal(err)
 		}
@@ -121,6 +121,15 @@ func TestTraceOutCoversAllPhases(t *testing.T) {
 		if env.Event == "span_start" && d.Kind == obs.SpanPhase {
 			phaseStarts = append(phaseStarts, d.Name)
 		}
+		if env.Event == "span_start" && d.Kind == obs.SpanRun {
+			runStart = d
+		}
+	}
+
+	trace := obs.DeriveTrace(cfg.Seed)
+	wantTrace, wantSpan := obs.HexID(trace), obs.HexID(obs.DeriveSpan(trace, obs.SpanRun, 0))
+	if runStart.Trace != wantTrace || runStart.Span != wantSpan || runStart.Seq != 0 {
+		t.Errorf("run span = %+v, want trace %s, span %s, seq 0", runStart, wantTrace, wantSpan)
 	}
 
 	wantPhases := []string{"meta-features", "recommend", "feature-select", "optimize", "final-fit"}

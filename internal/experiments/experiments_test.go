@@ -254,26 +254,3 @@ func TestRunRuntimeReport(t *testing.T) {
 		t.Error("format missing paper reference")
 	}
 }
-
-func TestRunClassicalComparison(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rep, err := RunClassicalComparison(0.03, 2, 1, []string{"nasdaq_Brazil_Saving_Deposits1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	row := rep.Rows[0]
-	if math.IsNaN(row.FedForecaster) {
-		t.Error("FF MSE missing")
-	}
-	if math.IsNaN(row.HoltWinters) && math.IsNaN(row.ARIMA) {
-		t.Error("both classical baselines failed")
-	}
-	if !strings.Contains(rep.Format(), "centralized") {
-		t.Error("format missing the centralization caveat")
-	}
-}

@@ -131,7 +131,7 @@ func f16Ceil(x float64) float64 {
 func dequantInt8(offset, scale float64, q []byte) []float64 {
 	out := make([]float64, len(q))
 	for i, b := range q {
-		out[i] = offset + scale*float64(b)
+		out[i] = offset + float64(scale*float64(b))
 	}
 	return out
 }

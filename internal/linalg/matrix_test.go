@@ -93,6 +93,22 @@ func TestCholeskySolve(t *testing.T) {
 			t.Fatalf("solution mismatch at %d: got %v want %v", i, x[i], xTrue[i])
 		}
 	}
+	// ForwardSolve followed by back substitution is CholeskySolve, bit
+	// for bit.
+	y := make([]float64, n)
+	ForwardSolve(l, y, rhs)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= float64(l.At(k, i) * y[k])
+		}
+		y[i] = s / l.At(i, i)
+	}
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(x[i]) {
+			t.Fatalf("ForwardSolve + back substitution at %d: %v, CholeskySolve %v", i, y[i], x[i])
+		}
+	}
 	// L·Lᵀ must reconstruct A.
 	rec := l.Mul(l.T())
 	for i := 0; i < n; i++ {

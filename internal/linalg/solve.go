@@ -62,13 +62,10 @@ func CholeskySolve(l *Matrix, b []float64) []float64 {
 	return x
 }
 
-// cholSolve solves L·Lᵀ·x = b into x. Forward substitution leaves
-// y = L⁻¹·b in x; back substitution then overwrites it from the last
-// entry up, since entry i reads only the entries after it, which are
-// already final.
-func cholSolve(l *Matrix, x, b []float64) {
+// ForwardSolve solves L·x = b for lower-triangular L into x, which
+// must have L.Rows entries.
+func ForwardSolve(l *Matrix, x, b []float64) {
 	n := l.Rows
-	// Forward substitution: L·y = b.
 	for i := 0; i < n; i++ {
 		li := l.Row(i)
 		s := b[i]
@@ -77,6 +74,15 @@ func cholSolve(l *Matrix, x, b []float64) {
 		}
 		x[i] = s / li[i]
 	}
+}
+
+// cholSolve solves L·Lᵀ·x = b into x. Forward substitution leaves
+// y = L⁻¹·b in x; back substitution then overwrites it from the last
+// entry up, since entry i reads only the entries after it, which are
+// already final.
+func cholSolve(l *Matrix, x, b []float64) {
+	n := l.Rows
+	ForwardSolve(l, x, b)
 	// Back substitution: Lᵀ·x = y.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]

@@ -243,7 +243,6 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/metafeat.ExtractClient":     true,
 			modulePath + "/internal/metafeat.Aggregate":         true,
 			modulePath + "/internal/metalearn.BuildRecord":      true,
-			modulePath + "/internal/metafeat.Privatize":         true,
 			modulePath + "/internal/pipeline.ClientLoss":        true,
 			modulePath + "/internal/features.ClientImportances": true,
 			// Accounting measurement, not transmission: EncodedSize reduces
@@ -265,10 +264,8 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/core.runPhaseOptimize":      true,
 			modulePath + "/internal/core.runPhaseFinalFit":      true,
 			// Orchestration entry points above the phase table.
-			"(*" + modulePath + "/internal/core.Engine).Run":            true,
-			"(*" + modulePath + "/internal/core.Engine).RunWithServer":  true,
-			"(*" + modulePath + "/internal/core.AdaptiveRunner).Deploy": true,
-			"(*" + modulePath + "/internal/core.AdaptiveRunner).Check":  true,
+			"(*" + modulePath + "/internal/core.Engine).Run":           true,
+			"(*" + modulePath + "/internal/core.Engine).RunWithServer": true,
 		},
 		DeadlineSafeFuncs: map[string]bool{
 			// The retry layer: per-attempt watchdog timeouts, bounded
@@ -324,9 +321,8 @@ func DefaultConfig(modulePath string) Config {
 			// them, not the math they exist to do. The tree core, the
 			// ensembles built on it and the linear models are policed:
 			// their inner loops allocate no scratch.
-			modulePath + "/internal/classical": true,
-			modulePath + "/internal/prophet":   true,
-			modulePath + "/internal/model":     true,
+			modulePath + "/internal/prophet": true,
+			modulePath + "/internal/model":   true,
 			// Telemetry: the nil-recorder fast path is the hot path; an
 			// attached recorder is an explicitly purchased tax.
 			modulePath + "/internal/obs": true,

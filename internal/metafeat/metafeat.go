@@ -176,8 +176,8 @@ func Aggregate(clients []ClientFeatures) Aggregated {
 			for i := range pools {
 				mp := pools[i].periodSum / pools[i].weight
 				if math.Abs(p-mp) <= 0.1*mp {
-					pools[i].periodSum += p * w * sc.Strength
-					pools[i].weight += w * sc.Strength
+					pools[i].periodSum += float64(p * w * sc.Strength)
+					pools[i].weight += float64(w * sc.Strength)
 					placed = true
 					break
 				}

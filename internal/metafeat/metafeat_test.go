@@ -236,91 +236,3 @@ func TestConstantRangeHistogramSafe(t *testing.T) {
 		}
 	}
 }
-
-func TestPrivatizePreservesStructure(t *testing.T) {
-	s := seasonalSeries(1024, 24, 0.2, 20)
-	cf := ExtractClient(s, 0, 20)
-	rng := rand.New(rand.NewSource(21))
-	priv := Privatize(cf, 1.0, rng)
-
-	// Binary flags stay binary.
-	for _, v := range []float64{priv.Stationary, priv.StationaryDiff1, priv.StationaryDiff2} {
-		if v != 0 && v != 1 {
-			t.Errorf("flag = %v, want binary", v)
-		}
-	}
-	// Histogram stays a probability vector.
-	var sum float64
-	for _, p := range priv.Histogram {
-		if p < 0 {
-			t.Fatalf("negative histogram bin %v", p)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("privatized histogram sums to %v", sum)
-	}
-	// Counts remain non-negative; instances coarsened to multiples of 50.
-	if priv.MissingPct < 0 || priv.SigLagCount < 0 {
-		t.Error("negative count after privatization")
-	}
-	if math.Mod(priv.NumInstances, 50) != 0 {
-		t.Errorf("instances = %v, want multiple of 50", priv.NumInstances)
-	}
-	// Structural fields untouched.
-	if len(priv.SigLags) != len(cf.SigLags) {
-		t.Error("lags modified")
-	}
-}
-
-func TestPrivatizeEpsilonZeroIsIdentity(t *testing.T) {
-	s := seasonalSeries(800, 12, 0.2, 22)
-	cf := ExtractClient(s, 0, 20)
-	priv := Privatize(cf, 0, rand.New(rand.NewSource(23)))
-	if priv.Skewness != cf.Skewness || priv.NumInstances != cf.NumInstances {
-		t.Error("epsilon 0 should disable the mechanism")
-	}
-}
-
-func TestPrivatizeNoiseDecreasesWithEpsilon(t *testing.T) {
-	s := seasonalSeries(800, 12, 0.2, 24)
-	cf := ExtractClient(s, 0, 20)
-	dev := func(eps float64) float64 {
-		rng := rand.New(rand.NewSource(25))
-		var total float64
-		for trial := 0; trial < 200; trial++ {
-			p := Privatize(cf, eps, rng)
-			total += math.Abs(p.Skewness - cf.Skewness)
-		}
-		return total / 200
-	}
-	if tight, loose := dev(10), dev(0.1); tight >= loose {
-		t.Errorf("noise at eps=10 (%v) not smaller than eps=0.1 (%v)", tight, loose)
-	}
-}
-
-func TestAggregateWithPrivatizedFeatures(t *testing.T) {
-	clients := []*timeseries.Series{
-		seasonalSeries(900, 24, 0.3, 26),
-		seasonalSeries(1100, 24, 0.3, 27),
-	}
-	agg, feats := ComputeAggregated(clients)
-	rng := rand.New(rand.NewSource(28))
-	priv := make([]ClientFeatures, len(feats))
-	for i, f := range feats {
-		priv[i] = Privatize(f, 1.0, rng)
-	}
-	aggPriv := Aggregate(priv)
-	// The privatized aggregate must stay finite and in the same ballpark.
-	vp := aggPriv.Vector()
-	vo := agg.Vector()
-	for i := range vp {
-		if math.IsNaN(vp[i]) || math.IsInf(vp[i], 0) {
-			t.Fatalf("privatized vector[%d] = %v", i, vp[i])
-		}
-	}
-	// Instance sums coarse but close (within 10%).
-	if math.Abs(vp[2]-vo[2]) > 0.1*vo[2] {
-		t.Errorf("privatized instance sum %v far from %v", vp[2], vo[2])
-	}
-}

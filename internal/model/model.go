@@ -94,7 +94,7 @@ func MSE(pred, truth []float64) float64 {
 	var s float64
 	for i := range pred {
 		d := pred[i] - truth[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(pred))
 }

@@ -148,7 +148,7 @@ func (s *Series) Interpolate() *Series {
 			span := float64(i - prev)
 			for j := prev + 1; j < i; j++ {
 				frac := float64(j-prev) / span
-				vals[j] = vals[prev]*(1-frac) + vals[i]*frac
+				vals[j] = float64(vals[prev]*(1-frac)) + float64(vals[i]*frac)
 			}
 		}
 		prev = i

@@ -34,9 +34,43 @@ var errSeriesTooShort = errors.New("tsa: series too short for ADF test")
 // choice or an explicit non-negative value to fix it. The null
 // hypothesis is that the series has a unit root (is non-stationary).
 func ADF(xs []float64, lags int) (ADFResult, error) {
+	x, y, lags, err := adfRegression(xs, lags)
+	if err != nil {
+		return ADFResult{}, err
+	}
+	rows := x.Rows
+	beta, se, err := olsWithSE(x, y, 1)
+	if err != nil {
+		return ADFResult{}, err
+	}
+	if se <= 0 || math.IsNaN(se) {
+		// Degenerate regression (e.g. constant series): treat as
+		// maximally stationary — there is no unit root to find.
+		return ADFResult{Statistic: math.Inf(-1), PValue: 0, Lags: lags, NObs: rows, Stationary: true}, nil
+	}
+	tau := beta[1] / se
+	nEff := float64(rows)
+	crit := func(level int) float64 {
+		c := adfCriticalSurface[level]
+		return c[0] + c[1]/nEff + c[2]/(nEff*nEff)
+	}
+	p := adfPValue(tau, crit(0), crit(1), crit(2))
+	return ADFResult{
+		Statistic:  tau,
+		PValue:     p,
+		Lags:       lags,
+		NObs:       rows,
+		Stationary: tau < crit(1),
+	}, nil
+}
+
+// adfRegression builds ADF's design matrix and response for the
+// requested lag count (< 0 = Schwert's rule) and returns the lag count
+// it used.
+func adfRegression(xs []float64, lags int) (x *linalg.Matrix, y []float64, used int, err error) {
 	n := len(xs)
 	if n < 12 {
-		return ADFResult{}, errSeriesTooShort
+		return nil, nil, 0, errSeriesTooShort
 	}
 	if lags < 0 {
 		lags = int(math.Floor(12 * math.Pow(float64(n)/100, 0.25)))
@@ -54,10 +88,10 @@ func ADF(xs []float64, lags int) (ADFResult, error) {
 	rows := len(dy) - lags
 	cols := 2 + lags // intercept, y_{t-1}, lagged differences
 	if rows <= cols {
-		return ADFResult{}, errSeriesTooShort
+		return nil, nil, 0, errSeriesTooShort
 	}
-	x := linalg.NewMatrix(rows, cols)
-	y := make([]float64, rows)
+	x = linalg.NewMatrix(rows, cols)
+	y = make([]float64, rows)
 	for i := 0; i < rows; i++ {
 		t := i + lags // index into dy
 		r := x.Row(i)
@@ -69,30 +103,7 @@ func ADF(xs []float64, lags int) (ADFResult, error) {
 		y[i] = dy[t]
 	}
 	// Note: dy[t] = xs[t+1] − xs[t], so the level regressor is xs[t].
-
-	beta, se, err := olsWithSE(x, y)
-	if err != nil {
-		return ADFResult{}, err
-	}
-	if se[1] <= 0 || math.IsNaN(se[1]) {
-		// Degenerate regression (e.g. constant series): treat as
-		// maximally stationary — there is no unit root to find.
-		return ADFResult{Statistic: math.Inf(-1), PValue: 0, Lags: lags, NObs: rows, Stationary: true}, nil
-	}
-	tau := beta[1] / se[1]
-	nEff := float64(rows)
-	crit := func(level int) float64 {
-		c := adfCriticalSurface[level]
-		return c[0] + c[1]/nEff + c[2]/(nEff*nEff)
-	}
-	p := adfPValue(tau, crit(0), crit(1), crit(2))
-	return ADFResult{
-		Statistic:  tau,
-		PValue:     p,
-		Lags:       lags,
-		NObs:       rows,
-		Stationary: tau < crit(1),
-	}, nil
+	return x, y, lags, nil
 }
 
 // adfPValue interpolates an approximate p-value from the tau statistic
@@ -136,9 +147,10 @@ func adfPValue(tau, c1, c5, c10 float64) float64 {
 	return 0.5
 }
 
-// olsWithSE fits ordinary least squares and returns coefficients and
-// their standard errors from the diagonal of σ²·(XᵀX)⁻¹.
-func olsWithSE(x *linalg.Matrix, y []float64) (beta, se []float64, err error) {
+// olsWithSE fits ordinary least squares and returns the coefficients
+// and the standard error of coefficient c, the square root of entry
+// (c, c) of σ²·(XᵀX)⁻¹, read off one solve against the unit vector e_c.
+func olsWithSE(x *linalg.Matrix, y []float64, c int) (beta []float64, se float64, err error) {
 	p := x.Cols
 	xtx := linalg.NewMatrix(p, p)
 	xty := make([]float64, p)
@@ -161,7 +173,7 @@ func olsWithSE(x *linalg.Matrix, y []float64) (beta, se []float64, err error) {
 	if cerr != nil {
 		l, cerr = linalg.Cholesky(xtx.Clone().AddScaledIdentity(1e-8))
 		if cerr != nil {
-			return nil, nil, cerr
+			return nil, 0, cerr
 		}
 	}
 	beta = linalg.CholeskySolve(l, xty)
@@ -176,18 +188,10 @@ func olsWithSE(x *linalg.Matrix, y []float64) (beta, se []float64, err error) {
 		dof = 1
 	}
 	sigma2 := rss / dof
-	// Diagonal of (XᵀX)⁻¹ via unit-vector solves.
-	se = make([]float64, p)
 	e := make([]float64, p)
-	for j := 0; j < p; j++ {
-		for k := range e {
-			e[k] = 0
-		}
-		e[j] = 1
-		col := linalg.CholeskySolve(l, e)
-		se[j] = math.Sqrt(sigma2 * col[j])
-	}
-	return beta, se, nil
+	e[c] = 1
+	col := linalg.CholeskySolve(l, e)
+	return beta, math.Sqrt(sigma2 * col[c]), nil
 }
 
 // IsStationary is a convenience wrapper returning the 5%-level ADF

@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-pkgs=(./internal/bayesopt ./internal/ensemble ./internal/fl ./internal/linalg ./internal/linmodel ./internal/pipeline ./internal/search ./internal/stats ./internal/tree ./internal/tsa)
+pkgs=(./internal/bayesopt ./internal/core ./internal/ensemble ./internal/fl ./internal/fl/codec ./internal/linalg ./internal/linmodel ./internal/metafeat ./internal/model ./internal/pipeline ./internal/search ./internal/stats ./internal/timeseries ./internal/tree ./internal/tsa)
 
 asm="$(GOARCH=arm64 go build -gcflags=-S "${pkgs[@]}" 2>&1)"
 if ! grep -q 'STEXT' <<<"$asm"; then
