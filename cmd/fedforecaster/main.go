@@ -50,7 +50,7 @@ func main() {
 		callTimeout = flag.Duration("call-timeout", 0, "per-client call deadline, e.g. 30s (0 = wait forever)")
 		maxRetries  = flag.Int("max-retries", 0, "retries per failed client call (exponential backoff + jitter)")
 		minClients  = flag.Float64("min-client-fraction", 0, "quorum fraction in (0,1]: rounds succeed when ≥ this fraction of clients respond (0 = require all)")
-		wire        = flag.String("wire", "v1", "wire format: v1 (lossless), v1+q8 or v1+q16 (int8/float16 payload quantization)")
+		wire        = flag.String("wire", "v1", "wire format: v1 (lossless) or v1+q8 (int8 payload quantization)")
 
 		obsAddr  = flag.String("obs-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :6060; empty = off)")
 		traceOut = flag.String("trace-out", "", "write the typed telemetry event stream as JSON lines to this file (empty = off)")

@@ -24,7 +24,7 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of text")
 	waterfall := flag.Bool("waterfall", false, "render the span forest as a time-aligned waterfall")
-	structure := flag.Bool("structure", false, "emit the timestamp-free structural view (deterministic at fixed seed)")
+	structure := flag.Bool("structure", false, "emit the timestamp-free span tree, without the timing-derived attribution (deterministic at fixed seed)")
 	top := flag.Int("top", 0, "keep only the top K stragglers (0 = all)")
 	flag.Usage = func() {
 		//lint:allow errdrop usage text is best-effort console output

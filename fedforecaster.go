@@ -34,7 +34,7 @@ import (
 )
 
 // Series is a univariate time series (see timeseries.Series for the
-// full method set: Interpolate, TrainValidSplit, PartitionClients...).
+// full method set: Interpolate, Slice, PartitionClients...).
 type Series = timeseries.Series
 
 // Sampling rates of a Series.
@@ -108,8 +108,10 @@ type Options struct {
 	// Series.Exog map (multivariate extension): their lag-1 values are
 	// added to the shared feature schema.
 	ExogChannels []string
-	// CallTimeout bounds each per-client protocol call (0 = wait
-	// forever); on the TCP transport it is enforced on the socket.
+	// CallTimeout bounds each attempt of a per-client protocol call
+	// (0 = wait forever). On the TCP transport it is the socket
+	// deadline, and a timed-out attempt drops the client's connection
+	// for the rest of the run.
 	CallTimeout time.Duration
 	// MaxRetries retries failed client calls with exponential backoff
 	// before dropping the client from the round (default 0).
@@ -125,8 +127,8 @@ type Options struct {
 	// via constant-liar q-EI proposals.
 	BatchSize int
 	// Wire selects the wire format in the -wire flag syntax: "" or "v1"
-	// for lossless frames, "v1+q8" or "v1+q16" for int8/float16 payload
-	// quantization. Invalid strings make Run fail fast.
+	// for lossless frames, "v1+q8" for int8 payload quantization.
+	// Invalid strings make Run fail fast.
 	Wire string
 	// Recorder receives the typed telemetry stream (run, phase, round,
 	// call and attempt spans, client drops, BO iterations) when non-nil.
@@ -193,8 +195,7 @@ func Run(clients []*Series, opts Options) (*Result, error) {
 // Deployment holds per-client fitted forecasters produced by Deploy.
 type Deployment = core.Deployment
 
-// LocalModel is one client's deployed forecaster; see Forecast and
-// PredictNext.
+// LocalModel is one client's deployed forecaster; see Forecast.
 type LocalModel = core.LocalModel
 
 // Deploy fits a run's best configuration on every client's complete

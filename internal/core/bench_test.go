@@ -42,12 +42,11 @@ func BenchmarkEngineRounds(b *testing.B) {
 
 // BenchmarkEngineWire is the wire-format dimension of the engine
 // benchmark: the same q=8 workload as BenchmarkEngineRounds, run over
-// every wire tier — lossless v1 and the int8 and float16 quantized
-// tiers. Byte metrics are exact encoded frame lengths, the accounting
+// both wire tiers — lossless v1 and int8-quantized v1+q8. Byte metrics are exact encoded frame lengths, the accounting
 // in Result.Comms. scripts/bench.sh parses this output into
 // BENCH_engine.json's wire_formats section.
 func BenchmarkEngineWire(b *testing.B) {
-	for _, ws := range []string{"v1", "v1+q8", "v1+q16"} {
+	for _, ws := range []string{"v1", "v1+q8"} {
 		b.Run("wire="+ws, func(b *testing.B) {
 			w, err := fl.ParseWireOpts(ws)
 			if err != nil {

@@ -62,9 +62,11 @@ type EngineConfig struct {
 	// (multivariate extension); their lag-1 values join the feature
 	// schema.
 	ExogChannels []string
-	// CallTimeout bounds each client call of every protocol round
-	// (0 = wait forever). On the TCP transport it is enforced on the
-	// socket itself, so a hung client cannot stall a round.
+	// CallTimeout bounds each attempt of a client call in every
+	// protocol round (0 = wait forever). On the TCP transport it is the
+	// socket deadline: a hung client stalls only its first timed-out
+	// attempt, which drops its connection, and later rounds skip it at
+	// once as dead.
 	CallTimeout time.Duration
 	// MaxRetries is the number of additional attempts per failed client
 	// call (transient faults are retried with exponential backoff +

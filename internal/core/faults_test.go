@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"math"
+	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -337,5 +339,113 @@ func TestEngineBatchedHealsMissedPrepare(t *testing.T) {
 		if resp.Scalars["need_prepare"] != 1 {
 			t.Errorf("uncached client response = %+v, want need_prepare=1", resp.Scalars)
 		}
+	}
+}
+
+// TestEngineOverTCPHungClient runs the engine over TCP with one client
+// that dials in and never answers, under the engine's own resilience
+// knobs (CallTimeout 100ms, MaxRetries 2, quorum 0.5). The socket
+// deadline times the hung client's first attempt out and poisons its
+// connection, so every later attempt fails at once as dead; the run
+// completes, Close returns promptly and no goroutine is left behind.
+// Feature selection is off: a timed-out TCP attempt drops even a
+// healthy client, and its importance round takes ~60ms bare and
+// ~350ms under -race, where every other attempt stays under ~20ms.
+func TestEngineOverTCPHungClient(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	clients := fedDataset(t, 1200, 3, 15)
+	addrCh := make(chan string, 1)
+	type listenResult struct {
+		tr  *fl.TCPTransport
+		err error
+	}
+	resCh := make(chan listenResult, 1)
+	go func() {
+		tr, err := fl.ListenTCP("127.0.0.1:0", len(clients)+1, 10*time.Second, addrCh, fl.WireOpts{})
+		resCh <- listenResult{tr, err}
+	}()
+	addr := <-addrCh
+	hung, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	for i, s := range clients {
+		go func(i int, s *timeseries.Series) {
+			_ = fl.ServeTCP(addr, NewClientNode(s, int64(i)), stop, fl.WireOpts{})
+		}(i, s)
+	}
+	lr := <-resCh
+	if lr.err != nil {
+		t.Fatal(lr.err)
+	}
+	srv := fl.NewServer(lr.tr)
+
+	cfg := smallEngineConfig(16)
+	cfg.Iterations = 3
+	cfg.FeatureSelection = false
+	cfg.CallTimeout = 100 * time.Millisecond
+	cfg.MaxRetries = 2
+	cfg.MinClientFraction = 0.5
+	col := fedtrace.NewCollector()
+	cfg.Recorder = col
+	res, runErr := NewEngine(nil, cfg).RunWithServer(srv)
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Server.Close blocked on the hung client's connection")
+	}
+	// Hanging up the hung client unblocks a stuck Close.
+	//lint:allow errdrop test teardown
+	hung.Close()
+	close(stop)
+
+	if runErr != nil {
+		t.Fatalf("run with a hung client: %v", runErr)
+	}
+	if math.IsNaN(res.TestMSE) || res.TestMSE <= 0 {
+		t.Errorf("test MSE = %v", res.TestMSE)
+	}
+	outcomes := map[int][]string{}
+	for _, ev := range col.Events() {
+		if e, ok := ev.(obs.SpanEnd); ok && e.Kind == obs.SpanAttempt {
+			outcomes[e.Client] = append(outcomes[e.Client], e.Outcome)
+		}
+	}
+	var failing []int
+	for c, outs := range outcomes {
+		for _, o := range outs {
+			if o != obs.OutcomeOK {
+				failing = append(failing, c)
+				break
+			}
+		}
+	}
+	if len(failing) != 1 {
+		t.Fatalf("clients with failed attempts = %v, want only the hung one", failing)
+	}
+	hungOutcomes := outcomes[failing[0]]
+	if len(hungOutcomes) < 2 || hungOutcomes[0] != obs.OutcomeTimeout {
+		t.Fatalf("hung client's attempts = %v, want one timeout then dead", hungOutcomes)
+	}
+	for i, o := range hungOutcomes[1:] {
+		if o != obs.OutcomeDead {
+			t.Errorf("hung client's attempt %d = %q after its timeout, want dead (all: %v)", i+2, o, hungOutcomes)
+			break
+		}
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Errorf("goroutines = %d after the run, want ≤ %d", runtime.NumGoroutine(), baseline)
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -18,7 +18,6 @@ type LocalModel struct {
 	series *timeseries.Series
 	eng    *features.Engineer
 	reg    model.Regressor
-	cfg    search.Config
 }
 
 // Deployment holds the per-client models produced by Deploy.
@@ -74,11 +73,8 @@ func fitLocal(s *timeseries.Series, eng *features.Engineer, cfg search.Config, s
 	// Keep a private copy of the engineer so Keep mutations elsewhere
 	// cannot skew this model's schema.
 	engCopy := *eng
-	return &LocalModel{series: s.Clone(), eng: &engCopy, reg: reg, cfg: cfg}, nil
+	return &LocalModel{series: s.Clone(), eng: &engCopy, reg: reg}, nil
 }
-
-// Config returns the configuration this model was fitted with.
-func (m *LocalModel) Config() search.Config { return m.cfg.Clone() }
 
 // Forecast predicts the next horizon values after the client's series
 // by iterated one-step prediction: each predicted value is appended to
@@ -113,25 +109,4 @@ func (m *LocalModel) Forecast(horizon int) ([]float64, error) {
 		out = append(out, pred)
 	}
 	return out, nil
-}
-
-// PredictNext returns the single next-step forecast.
-func (m *LocalModel) PredictNext() (float64, error) {
-	fc, err := m.Forecast(1)
-	if err != nil {
-		return 0, err
-	}
-	return fc[0], nil
-}
-
-// Refresh re-fits the model after the client's series has grown
-// (observations appended in place by the caller providing the updated
-// series).
-func (m *LocalModel) Refresh(updated *timeseries.Series, seed int64) error {
-	lm, err := fitLocal(updated, m.eng, m.cfg, seed)
-	if err != nil {
-		return err
-	}
-	*m = *lm
-	return nil
 }

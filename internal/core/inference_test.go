@@ -39,12 +39,12 @@ func TestDeployAndForecast(t *testing.T) {
 				t.Fatalf("implausible forecast %v (series mean ≈ 20)", v)
 			}
 		}
-		next, err := m.PredictNext()
+		next, err := m.Forecast(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(next-fc[0]) > 1e-9 {
-			t.Error("PredictNext disagrees with Forecast(1)")
+		if math.Abs(next[0]-fc[0]) > 1e-9 {
+			t.Error("Forecast(1) disagrees with the first step of Forecast(12)")
 		}
 	}
 }
@@ -86,38 +86,6 @@ func TestDeployRequiresResult(t *testing.T) {
 	}
 	if _, err := Deploy(clients, &Result{}, 0); err == nil {
 		t.Error("empty result accepted")
-	}
-}
-
-func TestLocalModelRefresh(t *testing.T) {
-	clients := fedDataset(t, 1200, 2, 67)
-	res, err := NewEngine(nil, smallEngineConfig(68)).Run(clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := Deploy(clients, res, 69)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := dep.Models[0]
-	before, err := m.PredictNext()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Grow the series with a strong level shift and refresh.
-	grown := clients[0].Clone()
-	for i := 0; i < 200; i++ {
-		grown.Values = append(grown.Values, 40)
-	}
-	if err := m.Refresh(grown, 70); err != nil {
-		t.Fatal(err)
-	}
-	after, err := m.PredictNext()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(after-40) > math.Abs(before-40) {
-		t.Errorf("refresh did not adapt: before=%v after=%v (new level 40)", before, after)
 	}
 }
 

@@ -118,8 +118,8 @@ func Analyze(events []obs.Event) (*Report, error) {
 		return cs
 	}
 
-	for _, raw := range events {
-		switch ev := deref(raw).(type) {
+	for _, ev := range events {
+		switch ev := ev.(type) {
 		case obs.ClientDropped:
 			client(ev.Client).Drops++
 		case obs.ChaosInject:

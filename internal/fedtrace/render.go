@@ -117,29 +117,16 @@ func (r *Report) WriteWaterfall(w io.Writer) error {
 }
 
 // WriteStructure emits the run's causal structure with all timing
-// stripped: the span tree (kind, name, seq, client, error state) plus
-// the attribution ordering (per-round critical client and chain, the
-// straggler ranking). The span tree is byte-identical across two runs
-// at the same seed — identity is position-derived, never clock-derived.
-// The attribution lines are additionally stable whenever one client's
-// timing semantically dominates a round (an injected delay, a straggler
-// machine); in fault-free rounds where clients are near-tied they
-// reflect genuine measurement noise.
+// stripped: the span tree (kind, name, seq, client, error state). It
+// is byte-identical across two runs at the same seed — identity is
+// position-derived, never clock-derived. The timing-derived
+// attribution (critical paths, straggler ranking) stays in WriteText
+// and WriteJSON.
 func (r *Report) WriteStructure(w io.Writer) error {
 	var buf bytes.Buffer
 	walkSpans(r.Forest, func(n *spanAt) {
 		fmt.Fprintf(&buf, "%s%s\n", strings.Repeat("  ", n.depth), spanLabel(n))
 	})
-	for _, rd := range r.Rounds {
-		crit := "-"
-		if rd.CriticalClient >= 0 {
-			crit = strings.Join(rd.CriticalPath, " > ")
-		}
-		fmt.Fprintf(&buf, "round %d %s/%s: critical %s\n", rd.Index, rd.Phase, rd.Kind, crit)
-	}
-	for i, s := range r.Stragglers {
-		fmt.Fprintf(&buf, "straggler %d: client %d critical in %d rounds%s\n", i, s.Client, s.CriticalRounds, chaosSuffix(s.Chaos))
-	}
 	_, err := w.Write(buf.Bytes())
 	return err
 }

@@ -188,12 +188,17 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
+// TestBroadcastQuorumSurvivors: a chaos-killed client drops out of a
+// quorum round; the survivors come back in ascending client order and
+// only they are billed, the killed client's attempt as waste; a
+// transport with no clients fails the round with ErrNoClients.
 func TestBroadcastQuorumSurvivors(t *testing.T) {
 	chaos, _ := newEchoChaos(4, 1)
 	chaos.Kill(2)
 	srv := NewServer(chaos)
 	defer srv.Close()
-	resps, idx, err := srv.BroadcastQuorum(NewMessage("props"), QuorumConfig{MinFraction: 0.5})
+	req := NewMessage("props")
+	resps, idx, err := srv.BroadcastQuorum(req, QuorumConfig{MinFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +206,7 @@ func TestBroadcastQuorumSurvivors(t *testing.T) {
 		t.Fatalf("survivors = %d responses / %v indices", len(resps), idx)
 	}
 	want := []int{0, 1, 3}
+	var wantUp int64
 	for k, c := range want {
 		if idx[k] != c {
 			t.Fatalf("survivor indices = %v, want %v", idx, want)
@@ -208,6 +214,16 @@ func TestBroadcastQuorumSurvivors(t *testing.T) {
 		if resps[k].Scalars["id"] != float64(c) {
 			t.Errorf("survivor %d response id = %v", c, resps[k].Scalars["id"])
 		}
+		wantUp += losslessSize(resps[k])
+	}
+	down := losslessSize(req)
+	wantStats := Stats{Rounds: 1, Calls: 3, BytesDown: 3 * down, BytesUp: wantUp, WastedCalls: 1, WastedBytes: down}
+	if st := srv.Stats(); st != wantStats {
+		t.Errorf("stats = %+v, want %+v", st, wantStats)
+	}
+	empty := NewServer(NewInProcWire(nil, WireOpts{}))
+	if _, _, err := empty.BroadcastQuorum(req, QuorumConfig{}); !errors.Is(err, ErrNoClients) {
+		t.Errorf("zero-client round err = %v, want ErrNoClients", err)
 	}
 }
 
@@ -232,28 +248,6 @@ func TestBroadcastQuorumNotMet(t *testing.T) {
 	// Full participation over the same wreckage also fails.
 	if _, _, err := srv.BroadcastQuorum(NewMessage("props"), QuorumConfig{}); !errors.Is(err, ErrQuorumNotMet) {
 		t.Errorf("full-participation err = %v", err)
-	}
-}
-
-func TestCallSubsetQuorum(t *testing.T) {
-	chaos, _ := newEchoChaos(4, 1)
-	chaos.Kill(3)
-	srv := NewServer(chaos)
-	defer srv.Close()
-	// Subset order is preserved for survivors.
-	resps, idx, err := srv.CallSubsetQuorum([]int{3, 1, 0}, NewMessage("props"), QuorumConfig{MinFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 2 || idx[0] != 1 || idx[1] != 0 {
-		t.Fatalf("survivor indices = %v, want [1 0]", idx)
-	}
-	if resps[0].Scalars["id"] != 1 || resps[1].Scalars["id"] != 0 {
-		t.Errorf("responses out of order: %v %v", resps[0].Scalars, resps[1].Scalars)
-	}
-	// Empty subset errors.
-	if _, _, err := srv.CallSubsetQuorum(nil, NewMessage("props"), QuorumConfig{}); !errors.Is(err, ErrNoClients) {
-		t.Errorf("empty subset err = %v", err)
 	}
 }
 

@@ -48,7 +48,7 @@ import (
 //	           numbers and small magnitudes have low-entropy trailing
 //	           mantissa bytes, which byte reversal turns into leading
 //	           zeros the varint drops (the same trick gob uses)
-//	qfloat   = lossless tier: varfloat. Lossy tiers: 2 bytes LE of the
+//	qfloat   = lossless tier: varfloat. Lossy tier: 2 bytes LE of the
 //	           value's binary16 round-to-nearest bits; values binary16
 //	           cannot hold (NaN, ±Inf, |x| > 65504) ship the escape
 //	           pattern 0x7c01 (a binary16 NaN the rounder never emits)
@@ -57,13 +57,12 @@ import (
 //	           0x00 dense:   uvarint n, n × qfloat
 //	           0x01 int8:    uvarint n, varfloat offset, qfloat scale,
 //	                         n × uint8 level
-//	           0x02 float16: uvarint n, n × uint16 little-endian
 //
-// Scalars and dense vector elements are qfloats: under a lossy tier
+// Scalars and dense vector elements are qfloats: under the lossy tier
 // they ship as binary16 — full-entropy statistics shrink from ~9
-// varfloat bytes to 2 while staying inside the same float16 error
-// bound the quantized tensors document, and ineligible values ship at
-// full precision behind the escape. The lossless tier never rounds
+// varfloat bytes to 2 while staying inside binary16's rounding bound
+// (Float16RelError), and ineligible values ship at full precision
+// behind the escape. The lossless tier never rounds
 // anything. An int8 tensor's offset is always a full-precision
 // varfloat — it must be exact for the constant-tensor guarantee — but
 // its scale is pre-rounded up to a binary16 value by quantInt8, so
@@ -83,7 +82,7 @@ const Version1 = 1
 
 // QuantMode selects the lossy tier applied to float vectors of at
 // least quantMinLen elements; shorter vectors and ineligible tensors
-// (non-finite values, float16 overflow) stay dense regardless.
+// (non-finite values, or a range that overflows) stay dense regardless.
 type QuantMode uint8
 
 const (
@@ -94,9 +93,6 @@ const (
 	// per-tensor offset/scale header: 1 byte per element, error ≤
 	// Int8RangeError × (max−min).
 	QuantInt8 QuantMode = 1
-	// QuantFloat16 stores eligible tensors as IEEE 754 binary16:
-	// 2 bytes per element, relative error ≤ Float16RelError.
-	QuantFloat16 QuantMode = 2
 )
 
 // flags byte layout.
@@ -107,9 +103,8 @@ const (
 
 // vector tags.
 const (
-	tagDense   = 0x00
-	tagInt8    = 0x01
-	tagFloat16 = 0x02
+	tagDense = 0x00
+	tagInt8  = 0x01
 )
 
 // ErrMalformed wraps every decode failure, so transports can
@@ -279,7 +274,7 @@ func f16Eligible(x float64) bool {
 
 // appendFloatQ emits a qfloat: a full-precision varfloat under the
 // lossless tier, binary16 bits (or the escaped varfloat for values
-// binary16 cannot hold) under the lossy tiers.
+// binary16 cannot hold) under the lossy tier.
 func appendFloatQ(b []byte, f float64, q QuantMode) []byte {
 	if q == QuantNone {
 		return appendFloat(b, f)
@@ -303,13 +298,6 @@ func appendVector(b []byte, v []float64, q QuantMode) []byte {
 		b = appendFloatQ(b, scale, q) // binary16-exact by construction
 
 		return append(b, levels...)
-	case q == QuantFloat16 && float16Quantizable(v):
-		b = append(b, tagFloat16)
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		for _, h := range quantFloat16(v) {
-			b = binary.LittleEndian.AppendUint16(b, h)
-		}
-		return b
 	default:
 		b = append(b, tagDense)
 		b = binary.AppendUvarint(b, uint64(len(v)))
@@ -337,7 +325,7 @@ func Decode(data []byte) (Message, error) {
 	if flags&^quantFlagMask != 0 {
 		return Message{}, fmt.Errorf("%w: unknown flag bits 0x%02x", ErrMalformed, flags)
 	}
-	if q := QuantMode(flags >> quantShift & 0x3); q > QuantFloat16 {
+	if q := QuantMode(flags >> quantShift & 0x3); q > QuantInt8 {
 		return Message{}, fmt.Errorf("%w: unknown quant mode %d", ErrMalformed, q)
 	}
 	d := decoder{buf: data[2:], lossy: flags&quantFlagMask != 0}
@@ -509,17 +497,6 @@ func (d *decoder) vector() ([]float64, error) {
 		levels := d.buf[d.pos : d.pos+n]
 		d.pos += n
 		return dequantInt8(offset, scale, levels), nil
-	case tagFloat16:
-		n, err := d.count(2)
-		if err != nil {
-			return nil, err
-		}
-		halves := make([]uint16, n)
-		for i := range halves {
-			halves[i] = binary.LittleEndian.Uint16(d.buf[d.pos:])
-			d.pos += 2
-		}
-		return dequantFloat16(halves), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown vector tag 0x%02x", ErrMalformed, tag)
 	}

@@ -77,7 +77,7 @@ func checkLossyMessage(want, got Message, q QuantMode) error {
 
 // allQuants enumerates every encoder tier the wire can ship.
 func allQuants() []QuantMode {
-	return []QuantMode{QuantNone, QuantInt8, QuantFloat16}
+	return []QuantMode{QuantNone, QuantInt8}
 }
 
 // fixtureMessages is the shared corpus of protocol-shaped and
@@ -156,7 +156,7 @@ func TestLosslessRoundTripIdentity(t *testing.T) {
 	}
 }
 
-// TestQuantizedRoundTripShape: under the lossy tiers the decoded
+// TestQuantizedRoundTripShape: under every tier the decoded
 // message keeps the exact key structure, string/int sections, and
 // vector lengths; float values may move at most by the documented
 // bound.
@@ -234,6 +234,20 @@ func TestAppendEncodeAppends(t *testing.T) {
 	}
 }
 
+// retiredTagFrame is a lossless frame whose one float vector carries
+// the retired float16 tier's tag 0x02.
+func retiredTagFrame(t testing.TB) []byte {
+	vec := NewMessage("zz9")
+	vec.Floats["qq7"] = []float64{1}
+	frame := Encode(vec, QuantNone)
+	const tagAt = 12 // version, flags, kind, nScalars, nFloats, key
+	if frame[tagAt] != tagDense {
+		t.Fatalf("vector tag not at byte %d of % x", tagAt, frame)
+	}
+	frame[tagAt] = 0x02
+	return frame
+}
+
 // TestDecodeMalformed: corrupt frames error (wrapping ErrMalformed)
 // rather than panicking or over-allocating.
 func TestDecodeMalformed(t *testing.T) {
@@ -244,6 +258,7 @@ func TestDecodeMalformed(t *testing.T) {
 		"unknown version":  {0x7f, 0x00},
 		"version zero":     {0x00, 0x00},
 		"unknown flags":    {Version1, 0xF8},
+		"quant mode 2":     append([]byte{Version1, 0x04}, valid[2:]...),
 		"quant mode 3":     {Version1, 0x06},
 		"truncated body":   valid[:len(valid)-3],
 		"trailing bytes":   append(append([]byte{}, valid...), 0x00),
@@ -251,6 +266,7 @@ func TestDecodeMalformed(t *testing.T) {
 		"flag bit 0":       append([]byte{Version1, 0x01}, valid[2:]...),
 		"unterminated len": {Version1, 0x00, 0xFF},
 	}
+	cases["vector tag 0x02"] = retiredTagFrame(t)
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)

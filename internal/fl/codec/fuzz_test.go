@@ -45,13 +45,13 @@ func (r *fuzzReader) str() string {
 }
 
 // buildFuzzMessage derives a message and encoder tier from raw fuzz
-// bytes (the first byte's bits 2..1; bit 0 is unused, which keeps the
+// bytes (the first byte's bit 1; bit 0 is unused, which keeps the
 // committed seed corpus meaningful). The shape distribution is bounded (≤ 3 entries per section,
 // vectors ≤ 19 elements) so the fuzzer spends its budget on value and
 // key edge cases rather than on huge allocations.
 func buildFuzzMessage(data []byte) (Message, QuantMode) {
 	r := &fuzzReader{data: data}
-	q := QuantMode(r.byte() >> 1 % 3)
+	q := QuantMode(r.byte() >> 1 % 2)
 	m := NewMessage(r.str())
 	for i := int(r.byte()) % 4; i > 0; i-- {
 		m.Scalars[r.str()] = r.float()
@@ -78,7 +78,7 @@ func buildFuzzMessage(data []byte) (Message, QuantMode) {
 
 // FuzzMessageRoundTrip: for any message derivable from fuzz bytes,
 // the lossless tier round-trips to identity after Normalize(), and
-// every lossy tier round-trips to the same shape within the documented
+// the lossy tier round-trips to the same shape within the documented
 // error bounds.
 func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add([]byte{})
@@ -134,6 +134,10 @@ func FuzzCodecDecode(f *testing.F) {
 	f.Add([]byte{Version1, 0x01, 0x03, 0x00})
 	f.Add([]byte{Version1, 0x06})
 	f.Add([]byte{0xff, 0xff, 0xff})
+	// The retired float16 tier: quant mode 2 on a tensor frame, and a
+	// vector under its tag 0x02.
+	f.Add(append([]byte{Version1, 0x04}, Encode(fixtureMessages()[3], QuantInt8)[2:]...))
+	f.Add(retiredTagFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {

@@ -34,7 +34,6 @@ func goldenCases() []struct {
 		{"graph.v1", fix[5], QuantNone},
 		{"tensors.v1", fix[3], QuantNone},
 		{"tensors.v1q8", fix[3], QuantInt8},
-		{"tensors.v1q16", fix[3], QuantFloat16},
 	}
 }
 

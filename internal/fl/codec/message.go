@@ -15,8 +15,7 @@
 //  3. Compactness: varint lengths, byte-reversed varint float64
 //     scalars (gob's trick: small magnitudes and round numbers
 //     shrink), zigzag varint ints, an intern table for protocol
-//     strings, and optional int8/float16 quantization of float
-//     vectors.
+//     strings, and optional int8 quantization of float vectors.
 package codec
 
 // Message is the unit of client↔server communication: a kind tag plus

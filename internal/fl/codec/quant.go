@@ -2,29 +2,30 @@ package codec
 
 import "math"
 
-// Quantization of float vectors. Both modes are per-tensor and
-// self-describing on the wire; both are gated behind eligibility
-// checks so a vector that cannot be represented within the documented
-// bound falls back to the dense (lossless) form — Decode never needs
-// to know which gate fired, it just reads the tag.
+// Quantization of float vectors. The int8 tier is per-tensor and
+// self-describing on the wire, gated behind an eligibility check so a
+// vector that cannot be represented within the documented bound falls
+// back to the dense form — Decode never needs to know whether the gate
+// fired, it just reads the tag.
 //
 // Documented error bounds (property-tested in quant_test.go):
 //
-//   - int8:    |dequant(quant(x)) − x| ≤ (max−min)/508 + 2⁻²⁵ per
+//   - int8:     |dequant(quant(x)) − x| ≤ (max−min)/508 + 2⁻²⁵ per
 //     element — half the quantization step of 255 uniform levels
 //     spanning the tensor's [min, max] range, widened by the scale
 //     shipping as a rounded-up binary16 (factor ≤ 1+2⁻¹⁰, plus the
 //     subnormal ulp), plus float64 rounding slop.
-//   - float16: |dequant(quant(x)) − x| ≤ max(|x|·2⁻¹¹, 2⁻²⁵) per
-//     element — half-ULP of IEEE 754 binary16 round-to-nearest for
-//     normal values, absolute 2⁻²⁵ in the subnormal range.
+//   - binary16: |float16Value(float16Bits(x)) − x| ≤ max(|x|·2⁻¹¹,
+//     2⁻²⁵) — half-ULP of IEEE 754 binary16 round-to-nearest for
+//     normal values, absolute 2⁻²⁵ in the subnormal range. The lossy
+//     tier's scalars and dense vector elements round through it.
 
 // quantMinLen is the shortest float vector tensor quantization
 // applies to: per-tensor offset/scale headers only pay for themselves
 // on real tensors (weight vectors, loss batches, histograms,
 // importances). Shorter vectors — hyper-parameter values, seasonal
 // strengths — ship dense, where the lossy tier still applies the
-// per-element binary16 rounding of denseRound.
+// per-element binary16 rounding of its qfloats.
 const quantMinLen = 8
 
 // Int8RangeError is the int8 tier's error bound as a fraction of the
@@ -38,14 +39,15 @@ const quantMinLen = 8
 //lint:allow deadexport documented error bound of the wire format; the quantizer tests assert it
 const Int8RangeError = 1.0 / 508
 
-// Float16RelError is the float16 tier's relative error bound for
-// values in the binary16 normal range.
+// Float16RelError is the relative error bound of a binary16 qfloat
+// (the lossy tier's scalars and dense elements) for values in the
+// binary16 normal range.
 //
 //lint:allow deadexport documented error bound of the wire format; the quantizer tests assert it
 const Float16RelError = 1.0 / 2048 // 2⁻¹¹
 
-// Float16SubnormalAbsError is the float16 tier's absolute error bound
-// for values below the binary16 normal range.
+// Float16SubnormalAbsError is a binary16 qfloat's absolute error
+// bound for values below the binary16 normal range.
 //
 //lint:allow deadexport documented error bound of the wire format; the quantizer tests assert it
 const Float16SubnormalAbsError = 1.0 / (1 << 25)
@@ -136,21 +138,6 @@ func dequantInt8(offset, scale float64, q []byte) []float64 {
 	return out
 }
 
-// float16Quantizable reports whether v may be float16-quantized: long
-// enough, every element finite and within binary16's finite range
-// (overflow would round to ±Inf, breaking the bounded-error contract).
-func float16Quantizable(v []float64) bool {
-	if len(v) < quantMinLen {
-		return false
-	}
-	for _, x := range v {
-		if math.IsNaN(x) || math.Abs(x) > float16Max {
-			return false
-		}
-	}
-	return true
-}
-
 // float16Bits converts a float64 to IEEE 754 binary16 bits with
 // round-to-nearest-even, the conversion hardware FP units implement.
 // Callers must have checked the value is finite and |x| ≤ 65504.
@@ -209,23 +196,4 @@ func float16Value(h uint16) float64 {
 	default:
 		return sign * math.Ldexp(float64(1024+mant), exp-15-10)
 	}
-}
-
-// quantFloat16 converts each element to binary16 bits. Callers must
-// have checked float16Quantizable.
-func quantFloat16(v []float64) []uint16 {
-	out := make([]uint16, len(v))
-	for i, x := range v {
-		out[i] = float16Bits(x)
-	}
-	return out
-}
-
-// dequantFloat16 reverses quantFloat16.
-func dequantFloat16(h []uint16) []float64 {
-	out := make([]float64, len(h))
-	for i, b := range h {
-		out[i] = float16Value(b)
-	}
-	return out
 }

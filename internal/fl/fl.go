@@ -74,8 +74,7 @@ type Transport interface {
 // attempts that failed and had to be retried or dropped — is tracked
 // separately in WastedCalls / WastedBytes by the quorum retry layer.
 type Stats struct {
-	// Rounds counts multi-client rounds driven (BroadcastQuorum,
-	// CallSubsetQuorum).
+	// Rounds counts quorum rounds driven (BroadcastQuorum).
 	Rounds int
 	// Calls counts successful logical client calls.
 	Calls int
@@ -207,10 +206,12 @@ func outcomeOf(err error) string {
 	switch {
 	case err == nil:
 		return obs.OutcomeOK
+	case errors.Is(err, ErrCallTimeout):
+		// Ahead of dead: a TCP attempt that times out on the socket
+		// also poisons the connection, and its error carries both.
+		return obs.OutcomeTimeout
 	case errors.Is(err, ErrClientDead):
 		return obs.OutcomeDead
-	case errors.Is(err, ErrCallTimeout):
-		return obs.OutcomeTimeout
 	case errors.Is(err, ErrTransient):
 		return obs.OutcomeTransient
 	default:
@@ -231,27 +232,16 @@ func (s *Server) Stats() Stats {
 // account charges one round: the request is billed downstream once per
 // successful response, each response upstream. Called once per round
 // after its barrier, from a single goroutine.
-func (s *Server) account(round bool, req Message, resps []Message) {
+func (s *Server) account(req Message, resps []Message) {
 	down := s.size(req)
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	if round {
-		s.stats.Rounds++
-	}
+	s.stats.Rounds++
 	for _, r := range resps {
 		s.stats.Calls++
 		s.stats.BytesDown += down
 		s.stats.BytesUp += s.size(r)
 	}
-}
-
-// Call reaches a single client.
-func (s *Server) Call(i int, req Message) (Message, error) {
-	resp, err := s.transport.Call(i, req)
-	if err == nil {
-		s.account(false, req, []Message{resp})
-	}
-	return resp, err
 }
 
 // Close shuts down the transport.

@@ -113,8 +113,8 @@ func TestBroadcastPropagatesError(t *testing.T) {
 }
 
 func TestInProcOutOfRange(t *testing.T) {
-	srv := NewServer(NewInProcWire([]Client{&echoClient{}}, WireOpts{}))
-	if _, err := srv.Call(5, NewMessage("props")); err == nil {
+	tr := NewInProcWire([]Client{&echoClient{}}, WireOpts{})
+	if _, err := tr.Call(5, NewMessage("props")); err == nil {
 		t.Error("out-of-range call accepted")
 	}
 }
@@ -234,27 +234,5 @@ func TestTCPClientErrorSurfaces(t *testing.T) {
 func TestListenTCPTimeout(t *testing.T) {
 	if _, err := ListenTCP("127.0.0.1:0", 1, 50*time.Millisecond, nil, WireOpts{}); err == nil {
 		t.Fatal("listen with no clients should time out")
-	}
-}
-
-func TestCallSubset(t *testing.T) {
-	srv := NewServer(NewInProcWire([]Client{
-		&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2},
-	}, WireOpts{}))
-	req := NewMessage("fit/x")
-	resps, idx, err := srv.CallSubsetQuorum([]int{2, 0}, req, QuorumConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != 2 || idx[0] != 2 || idx[1] != 0 {
-		t.Fatalf("responses = %d from %v, want 2 from [2 0]", len(resps), idx)
-	}
-	if resps[0].Scalars["loss"] != 2 || resps[1].Scalars["loss"] != 0 {
-		t.Errorf("subset order wrong: %v %v", resps[0].Scalars, resps[1].Scalars)
-	}
-	// Error propagation.
-	srv2 := NewServer(NewInProcWire([]Client{&echoClient{id: 0, fail: true}}, WireOpts{}))
-	if _, _, err := srv2.CallSubsetQuorum([]int{0}, req, QuorumConfig{}); err == nil {
-		t.Error("subset error not propagated")
 	}
 }

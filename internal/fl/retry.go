@@ -58,9 +58,10 @@ func (j *Jitter) factor() float64 {
 // deterministic (unjittered) backoff — the original behaviour of
 // Server.Broadcast.
 type RetryPolicy struct {
-	// Timeout is the per-attempt deadline (0 = wait forever). The TCP
-	// transport additionally enforces it on the socket via SetDeadline,
-	// which also unblocks the watchdog goroutine used here.
+	// Timeout is the per-attempt deadline (0 = wait forever). On the
+	// TCP transport it is the socket deadline, so a timed-out attempt
+	// also poisons the connection; other transports run the attempt
+	// under a watchdog goroutine (callOnce).
 	Timeout time.Duration
 	// MaxRetries is the number of additional attempts after the first
 	// (0 = no retry). Permanent failures (ErrClientDead) are never
@@ -109,13 +110,18 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 }
 
 // callOnce performs a single attempt against client i, bounded by the
-// timeout. The transport call runs in a watchdog goroutine: if it hangs
-// past the deadline we return ErrCallTimeout and the goroutine drains
-// in the background (the TCP transport's own SetDeadline guarantees it
-// eventually unblocks; in-process clients are expected to return).
+// timeout. On the TCP transport the timeout is the socket deadline: the
+// read returns when it passes, poisoning the connection, and nothing
+// is left running. Any other transport's call runs in a watchdog
+// goroutine: if it hangs past the deadline we return ErrCallTimeout
+// and the goroutine drains in the background (in-process clients are
+// expected to return).
 func callOnce(t Transport, i int, req Message, timeout time.Duration) (Message, error) {
 	if timeout <= 0 {
 		return t.Call(i, req)
+	}
+	if tcp, ok := t.(*TCPTransport); ok {
+		return tcp.call(i, req, timeout)
 	}
 	type result struct {
 		msg Message
@@ -217,23 +223,12 @@ func (q QuorumConfig) need(n int) int {
 
 // BroadcastQuorum sends the request to every client under the quorum
 // config and returns the survivors' responses plus their client
-// indices (ascending). It fails with ErrQuorumNotMet when fewer than
-// ⌈MinFraction·N⌉ clients respond. Aggregate over the survivors with
+// indices (ascending). It fails with ErrNoClients on a transport with
+// no clients and with ErrQuorumNotMet when fewer than ⌈MinFraction·N⌉
+// clients respond. Aggregate over the survivors with
 // WeightedLoss/FedAvg using the returned indices.
 func (s *Server) BroadcastQuorum(req Message, q QuorumConfig) ([]Message, []int, error) {
 	n := s.transport.NumClients()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	return s.CallSubsetQuorum(all, req, q)
-}
-
-// CallSubsetQuorum is BroadcastQuorum over an explicit client subset.
-// Responses and indices are returned
-// in the subset's order, restricted to survivors.
-func (s *Server) CallSubsetQuorum(clients []int, req Message, q QuorumConfig) ([]Message, []int, error) {
-	n := len(clients)
 	if n == 0 {
 		return nil, nil, ErrNoClients
 	}
@@ -260,10 +255,10 @@ func (s *Server) CallSubsetQuorum(clients []int, req Message, q QuorumConfig) ([
 		emitAttemptSpans(rec, q.Span, client, attempt, startNS, endNS, bytes, resp, err)
 	}
 	var wg sync.WaitGroup
-	for i, c := range clients {
+	for c := 0; c < n; c++ {
 		wg.Add(1)
 		//lint:allow hotalloc federated fan-out is one goroutine per client per round by design
-		go func(i, c int) {
+		go func(c int) {
 			defer wg.Done()
 			var call obs.SpanStart
 			if traced {
@@ -279,35 +274,35 @@ func (s *Server) CallSubsetQuorum(clients []int, req Message, q QuorumConfig) ([
 				}
 				rec.Record(call)
 			}
-			out[i], errs[i] = callWithPolicy(s.transport, c, req, q.Retry, hook)
+			out[c], errs[c] = callWithPolicy(s.transport, c, req, q.Retry, hook)
 			if traced {
-				rec.Record(call.End(obs.NowNanos(), errs[i]))
+				rec.Record(call.End(obs.NowNanos(), errs[c]))
 			}
-		}(i, c)
+		}(c)
 	}
 	wg.Wait()
 
 	msgs := make([]Message, 0, n)
 	idx := make([]int, 0, n)
 	var firstDrop error
-	for i, c := range clients {
-		if errs[i] == nil {
-			msgs = append(msgs, out[i])
+	for c, err := range errs {
+		if err == nil {
+			msgs = append(msgs, out[c])
 			idx = append(idx, c)
 			continue
 		}
 		if firstDrop == nil {
-			firstDrop = fmt.Errorf("client %d: %v", c, errs[i]) //lint:allow iboxing drop-path diagnostics, not steady-state iteration work
+			firstDrop = fmt.Errorf("client %d: %v", c, err) //lint:allow iboxing drop-path diagnostics, not steady-state iteration work
 		}
 		if q.OnDrop != nil {
-			q.OnDrop(c, errs[i])
+			q.OnDrop(c, err)
 		}
 	}
 	if need := q.need(n); len(idx) < need {
 		return nil, nil, fmt.Errorf("%w: %d/%d clients responded, need %d (first drop: %v)",
 			ErrQuorumNotMet, len(idx), n, need, firstDrop)
 	}
-	s.account(true, req, msgs)
+	s.account(req, msgs)
 	return msgs, idx, nil
 }
 

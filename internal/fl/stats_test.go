@@ -21,7 +21,7 @@ func (rawClient) Evaluate(req Message) (Message, error) { return Message{Kind: "
 func losslessSize(m Message) int64 { return WireOpts{}.Size(m) }
 
 // TestServerStatsAccounting: rounds, calls, and byte totals accumulate
-// across BroadcastQuorum/CallSubsetQuorum/Call; Sub scopes a window.
+// across rounds; Sub scopes a window.
 func TestServerStatsAccounting(t *testing.T) {
 	clients := []Client{&echoClient{id: 0}, &echoClient{id: 1}, &echoClient{id: 2}}
 	srv := NewServer(NewInProcWire(clients, WireOpts{}))
@@ -46,24 +46,16 @@ func TestServerStatsAccounting(t *testing.T) {
 		t.Errorf("bytes = %d down / %d up, want %d / %d", st.BytesDown, st.BytesUp, wantDown, wantUp)
 	}
 
-	if _, _, err := srv.CallSubsetQuorum([]int{0, 2}, req, QuorumConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if st = srv.Stats(); st.Rounds != 2 || st.Calls != 5 {
-		t.Errorf("after subset: %+v, want 2 rounds / 5 calls", st)
-	}
-
-	// A single Call is accounted but is not a round.
+	// A second round's window bills it alone.
 	base := srv.Stats()
-	if _, err := srv.Call(1, NewMessage("props")); err != nil {
+	if _, _, err := srv.BroadcastQuorum(req, QuorumConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	delta := srv.Stats().Sub(base)
-	if delta.Rounds != 0 || delta.Calls != 1 {
-		t.Errorf("single call delta = %+v, want 0 rounds / 1 call", delta)
+	if delta := srv.Stats().Sub(base); delta != (Stats{Rounds: 1, Calls: 3, BytesDown: wantDown, BytesUp: wantUp}) {
+		t.Errorf("second round delta = %+v, want 1 round / 3 calls / %d down / %d up", delta, wantDown, wantUp)
 	}
-	if delta.BytesDown <= 0 || delta.BytesUp <= 0 {
-		t.Errorf("single call byte delta = %+v", delta)
+	if st = srv.Stats(); st.Rounds != 2 || st.Calls != 6 {
+		t.Errorf("after two rounds: %+v, want 2 rounds / 6 calls", st)
 	}
 }
 
@@ -91,7 +83,7 @@ func TestQuorumRoundAccounted(t *testing.T) {
 // the TCP transport, so server code never branches on transport.
 func TestNormalizeCrossTransportEquivalence(t *testing.T) {
 	// In-process path.
-	inproc := NewServer(NewInProcWire([]Client{rawClient{}}, WireOpts{}))
+	inproc := NewInProcWire([]Client{rawClient{}}, WireOpts{})
 	defer inproc.Close()
 	inResp, err := inproc.Call(0, Message{Kind: "props"}) // nil-map request too
 	if err != nil {

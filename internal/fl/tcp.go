@@ -18,18 +18,14 @@ import (
 // and quantization is an encoder-side tier — each end encodes under
 // its own WireOpts and any v1 decoder reads any tier.
 //
-// The connection table is guarded by mu: Call, NumClients, Close and
-// SetCallTimeout may run concurrently (quorum broadcasts race with
-// shutdown), so every access to conns/callTimeout takes the lock.
+// The connection table is guarded by mu: Call, NumClients and Close
+// may run concurrently (quorum broadcasts race with shutdown), so
+// every access to conns takes the lock.
 type TCPTransport struct {
 	listener net.Listener
 	wire     WireOpts
 	mu       sync.Mutex
 	conns    []*tcpConn // guarded by mu
-	// callTimeout, when > 0, bounds each Call via net.Conn.SetDeadline
-	// so a hung or partitioned client errors out instead of blocking a
-	// round forever. guarded by mu.
-	callTimeout time.Duration
 }
 
 type tcpConn struct {
@@ -138,17 +134,6 @@ func ListenTCP(addr string, expectClients int, timeout time.Duration, addrCh cha
 // the server's.
 func (t *TCPTransport) Wire() WireOpts { return t.wire }
 
-// SetCallTimeout installs a per-call deadline (0 disables). Safe to
-// call concurrently with in-flight rounds; it applies from the next
-// Call.
-//
-//lint:allow deadexport test hook: the TCP fault tests put a socket deadline on each call
-func (t *TCPTransport) SetCallTimeout(d time.Duration) {
-	t.mu.Lock()
-	t.callTimeout = d
-	t.mu.Unlock()
-}
-
 // NumClients reports the connected client count.
 func (t *TCPTransport) NumClients() int {
 	t.mu.Lock()
@@ -156,24 +141,30 @@ func (t *TCPTransport) NumClients() int {
 	return len(t.conns)
 }
 
-// Call sends the request to client i and waits for its reply, bounded
-// by the configured call timeout. Calls to the same client serialize;
-// calls to distinct clients proceed in parallel. A connection whose
-// stream fails (timeout, peer death, a frame that does not decode) is
-// dropped: it is closed and every later call to it returns
-// ErrClientDead immediately, so quorum rounds skip it without waiting.
+// Call sends the request to client i and waits for its reply with no
+// deadline. Quorum rounds under a RetryPolicy.Timeout reach the
+// transport through call instead (see callOnce), which puts the
+// per-attempt timeout on the socket.
+func (t *TCPTransport) Call(i int, req Message) (Message, error) { return t.call(i, req, 0) }
+
+// call sends the request to client i and waits for its reply, bounded
+// by timeout on the socket (0 = no deadline). Calls to the same client
+// serialize; calls to distinct clients proceed in parallel. A
+// connection whose stream fails (timeout, peer death, a frame that
+// does not decode) is dropped: it is closed and every later call to it
+// returns ErrClientDead immediately, so quorum rounds skip it without
+// waiting.
 //
 // The reply is a status byte followed by either a codec frame
 // (statusOK) or an error string (statusErr — an application-level
 // error: the stream stays in sync and the call is retryable).
-func (t *TCPTransport) Call(i int, req Message) (Message, error) {
+func (t *TCPTransport) call(i int, req Message, timeout time.Duration) (Message, error) {
 	t.mu.Lock()
 	if i < 0 || i >= len(t.conns) {
 		t.mu.Unlock()
 		return Message{}, fmt.Errorf("fl: client index %d out of range", i)
 	}
 	c := t.conns[i]
-	timeout := t.callTimeout
 	wire := t.wire
 	t.mu.Unlock()
 

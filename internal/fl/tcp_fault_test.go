@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -101,7 +102,7 @@ func TestTCPKillMidRound(t *testing.T) {
 			deadIdx = i
 		}
 	}
-	if _, err := srv.Call(deadIdx, NewMessage("props")); !errors.Is(err, ErrClientDead) {
+	if _, err := res.tr.Call(deadIdx, NewMessage("props")); !errors.Is(err, ErrClientDead) {
 		t.Errorf("dead client call err = %v, want ErrClientDead", err)
 	}
 
@@ -112,8 +113,9 @@ func TestTCPKillMidRound(t *testing.T) {
 }
 
 // TestTCPHungClientDeadline connects a client that accepts the request
-// but never replies, and asserts the per-call deadline trips instead of
-// blocking the round forever — and that the connection is then poisoned.
+// but never replies, and asserts the per-attempt deadline callOnce puts
+// on the socket trips instead of blocking forever — and that the
+// connection is then poisoned.
 func TestTCPHungClientDeadline(t *testing.T) {
 	type listenResult struct {
 		tr  *TCPTransport
@@ -132,18 +134,18 @@ func TestTCPHungClientDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-
 	res := <-resCh
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
 	tr := res.tr
+	// The hung client hangs up first, so a failing run cannot block
+	// in Close.
 	defer tr.Close()
-	tr.SetCallTimeout(100 * time.Millisecond)
+	defer conn.Close()
 
 	start := time.Now()
-	_, err = tr.Call(0, NewMessage("props"))
+	_, err = callOnce(tr, 0, NewMessage("props"), 100*time.Millisecond)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("call to hung client succeeded")
@@ -159,8 +161,8 @@ func TestTCPHungClientDeadline(t *testing.T) {
 	}
 	// Subsequent calls fail fast without waiting for another deadline.
 	start = time.Now()
-	if _, err := tr.Call(0, NewMessage("props")); !errors.Is(err, ErrClientDead) {
-		t.Errorf("second call err = %v", err)
+	if _, err := callOnce(tr, 0, NewMessage("props"), 100*time.Millisecond); !errors.Is(err, ErrClientDead) || errors.Is(err, ErrCallTimeout) {
+		t.Errorf("second call err = %v, want ErrClientDead without a timeout", err)
 	}
 	if since := time.Since(start); since > 50*time.Millisecond {
 		t.Errorf("dead connection still waited %v", since)
@@ -168,8 +170,12 @@ func TestTCPHungClientDeadline(t *testing.T) {
 }
 
 // TestTCPHungClientViaRetryPolicy exercises the full resilience stack
-// over the wire: one hung client plus one healthy client, quorum 0.5
-// with a call timeout — the round must complete promptly.
+// over the wire, configured as the engine configures it: one hung
+// client plus one healthy client, quorum 0.5, and a RetryPolicy whose
+// Timeout is the only deadline. The first round times the hung client
+// out once on the socket, which poisons its connection; later rounds
+// drop it at once with ErrClientDead. No goroutine is left behind, and
+// Close returns promptly.
 func TestTCPHungClientViaRetryPolicy(t *testing.T) {
 	type listenResult struct {
 		tr  *TCPTransport
@@ -187,7 +193,6 @@ func TestTCPHungClientViaRetryPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hung.Close()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() { _ = ServeTCP(addr, &echoClient{id: 1}, stop, WireOpts{}) }()
@@ -196,24 +201,58 @@ func TestTCPHungClientViaRetryPolicy(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	tr := res.tr
-	tr.SetCallTimeout(100 * time.Millisecond)
-	srv := NewServer(tr)
+	srv := NewServer(res.tr)
+	// Deferred calls run last-in first-out: the hung client hangs up
+	// before the server closes, so a failing run cannot block here.
 	defer srv.Close()
+	defer hung.Close()
 
-	start := time.Now()
-	resps, idx, err := srv.BroadcastQuorum(NewMessage("props"), QuorumConfig{
+	baseline := runtime.NumGoroutine()
+	var drops []error
+	q := QuorumConfig{
 		MinFraction: 0.5,
-		Retry:       RetryPolicy{Timeout: 150 * time.Millisecond, MaxRetries: 1, BaseBackoff: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatalf("quorum round with hung client: %v", err)
+		Retry:       RetryPolicy{Timeout: 100 * time.Millisecond, MaxRetries: 2},
+		OnDrop:      func(_ int, err error) { drops = append(drops, err) },
 	}
-	if len(resps) != 1 || len(idx) != 1 {
-		t.Fatalf("survivors = %d (idx %v), want 1", len(resps), idx)
+	for round := 0; round < 3; round++ {
+		drops = nil
+		start := time.Now()
+		resps, idx, err := srv.BroadcastQuorum(NewMessage("props"), q)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("round %d with hung client: %v", round, err)
+		}
+		if len(resps) != 1 || len(idx) != 1 || len(drops) != 1 {
+			t.Fatalf("round %d: survivors = %d (idx %v), drops %v; want 1 and 1", round, len(resps), idx, drops)
+		}
+		if !errors.Is(drops[0], ErrClientDead) {
+			t.Errorf("round %d: drop err = %v, want ErrClientDead", round, drops[0])
+		}
+		if timedOut := errors.Is(drops[0], ErrCallTimeout); timedOut != (round == 0) {
+			t.Errorf("round %d: drop err = %v; only the first round may time out", round, drops[0])
+		}
+		if elapsed > time.Second {
+			t.Errorf("round %d took %v with a 100ms call deadline", round, elapsed)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("round took %v with a 100ms call deadline", elapsed)
+
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Errorf("goroutines = %d after the rounds, want ≤ %d", runtime.NumGoroutine(), baseline)
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close blocked on the hung client's connection")
 	}
 }
 

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -182,6 +183,8 @@ func TestOutcomeOf(t *testing.T) {
 		{nil, obs.OutcomeOK},
 		{ErrClientDead, obs.OutcomeDead},
 		{ErrCallTimeout, obs.OutcomeTimeout},
+		// A TCP socket timeout also poisons the connection.
+		{fmt.Errorf("%w: %w", ErrCallTimeout, ErrClientDead), obs.OutcomeTimeout},
 		{ErrTransient, obs.OutcomeTransient},
 		{ErrQuorumNotMet, obs.OutcomeError},
 	}

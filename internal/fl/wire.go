@@ -23,28 +23,22 @@ func (w WireOpts) Size(m Message) int64 {
 
 // String renders the options in the -wire flag syntax.
 func (w WireOpts) String() string {
-	switch w.Quant {
-	case codec.QuantInt8:
+	if w.Quant == codec.QuantInt8 {
 		return "v1+q8"
-	case codec.QuantFloat16:
-		return "v1+q16"
-	default:
-		return "v1"
 	}
+	return "v1"
 }
 
-// ParseWireOpts parses the -wire flag syntax: "v1" (lossless), "v1+q8"
-// (int8 quantization) or "v1+q16" (float16 quantization).
+// ParseWireOpts parses the -wire flag syntax: "v1" (lossless) or
+// "v1+q8" (int8 quantization).
 func ParseWireOpts(s string) (WireOpts, error) {
 	switch s {
 	case "v1":
 		return WireOpts{}, nil
 	case "v1+q8":
 		return WireOpts{Quant: codec.QuantInt8}, nil
-	case "v1+q16":
-		return WireOpts{Quant: codec.QuantFloat16}, nil
 	}
-	return WireOpts{}, fmt.Errorf("fl: wire %q: want v1, v1+q8 or v1+q16", s)
+	return WireOpts{}, fmt.Errorf("fl: wire %q: want v1 or v1+q8", s)
 }
 
 // WireTransport is implemented by transports that know which wire

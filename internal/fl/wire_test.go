@@ -78,15 +78,14 @@ func equalWireMessages(a, b Message) bool {
 // tier the -wire flag accepts.
 func wireMatrixOpts() map[string]WireOpts {
 	return map[string]WireOpts{
-		"v1":     {},
-		"v1+q8":  {Quant: codec.QuantInt8},
-		"v1+q16": {Quant: codec.QuantFloat16},
+		"v1":    {},
+		"v1+q8": {Quant: codec.QuantInt8},
 	}
 }
 
 // checkWireResponse asserts a mirrored fixture against its tier's
-// contract: exact identity for lossless tiers, same shape with
-// bounded per-element error for quantized ones. The bound is doubled:
+// contract: exact identity for the lossless tier, same shape with
+// bounded per-element error for the quantized one. The bound is doubled:
 // the payload crosses the wire twice (request, response), and while
 // both lossy maps are idempotent up to float64 rounding, the matrix
 // test does not rely on that.
@@ -109,8 +108,8 @@ func checkWireResponse(t *testing.T, label string, sent, got Message, w WireOpts
 	if len(got.Scalars) != len(want.Scalars) {
 		t.Fatalf("%s: scalar keys lost", label)
 	}
-	// Scalars travel dense under every tier: the lossy tiers round them
-	// to binary16, so the float16 bound applies.
+	// Scalars travel dense under every tier: the lossy tier rounds them
+	// to binary16, so the binary16 bound applies.
 	f16Bound := func(x float64) float64 {
 		return math.Max(math.Abs(x)*codec.Float16RelError, codec.Float16SubnormalAbsError)
 	}
@@ -140,14 +139,8 @@ func checkWireResponse(t *testing.T, label string, sent, got Message, w WireOpts
 		for _, x := range wv {
 			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
+		bound := 2*(codec.Int8RangeError*(hi-lo)+codec.Float16SubnormalAbsError) + 1e-9*math.Max(math.Abs(lo), math.Abs(hi))
 		for i := range wv {
-			var bound float64
-			if w.Quant == codec.QuantInt8 {
-				bound = codec.Int8RangeError*(hi-lo) + codec.Float16SubnormalAbsError
-			} else {
-				bound = f16Bound(wv[i])
-			}
-			bound = 2*bound + 1e-9*math.Max(math.Abs(lo), math.Abs(hi))
 			if diff := math.Abs(gv[i] - wv[i]); !(diff <= bound) {
 				t.Errorf("%s: %q[%d] error %g exceeds bound %g", label, k, i, diff, bound)
 			}
@@ -186,7 +179,7 @@ func startWireTCP(t *testing.T, server, client WireOpts) *TCPTransport {
 }
 
 // TestWireMatrixEquivalence drives every fixture through
-// {inproc, TCP} × {v1, v1+q8, v1+q16} and asserts the
+// {inproc, TCP} × {v1, v1+q8} and asserts the
 // same canonical result in every cell — the PR 4 nil-vs-empty parity
 // guarantee extended across wire formats.
 func TestWireMatrixEquivalence(t *testing.T) {
@@ -269,9 +262,8 @@ func TestWireForeignPeer(t *testing.T) {
 		if res.err != nil {
 			t.Fatal(res.err)
 		}
-		// Bounds the calls should the frame be accepted: the raw peer
-		// answers only once.
-		res.tr.SetCallTimeout(2 * time.Second)
+		// The deadline bounds the call should the frame be accepted:
+		// the raw peer answers only once.
 		peerErr := make(chan error, 1)
 		go func() {
 			if _, err := readFrame(raw); err != nil {
@@ -280,7 +272,7 @@ func TestWireForeignPeer(t *testing.T) {
 			}
 			peerErr <- writeFrame(raw, append(append(newFrame(), statusOK), foreignFrame(fixture, vers)...))
 		}()
-		if _, err := res.tr.Call(0, fixture); !errors.Is(err, ErrClientDead) {
+		if _, err := callOnce(res.tr, 0, fixture, 2*time.Second); !errors.Is(err, ErrClientDead) {
 			t.Errorf("version 0x%02x client: call err = %v, want ErrClientDead", vers, err)
 		}
 		if err := <-peerErr; err != nil {
@@ -338,9 +330,8 @@ func TestWireForeignPeer(t *testing.T) {
 // rejection of retired formats and conflicting or repeated tiers.
 func TestParseWireOpts(t *testing.T) {
 	good := map[string]WireOpts{
-		"v1":     {},
-		"v1+q8":  {Quant: codec.QuantInt8},
-		"v1+q16": {Quant: codec.QuantFloat16},
+		"v1":    {},
+		"v1+q8": {Quant: codec.QuantInt8},
 	}
 	for s, want := range good {
 		got, err := ParseWireOpts(s)
@@ -362,7 +353,7 @@ func TestParseWireOpts(t *testing.T) {
 			t.Errorf("ParseWireOpts(%q) accepted invalid input", s)
 			continue
 		}
-		if !strings.Contains(err.Error(), "v1, v1+q8 or v1+q16") {
+		if !strings.Contains(err.Error(), "v1 or v1+q8") {
 			t.Errorf("ParseWireOpts(%q) error %q does not name the accepted forms", s, err)
 		}
 	}
@@ -395,7 +386,7 @@ func TestWireAccounting(t *testing.T) {
 	}
 	q8 := NewInProcWire([]Client{mirrorClient{}}, WireOpts{Quant: codec.QuantInt8})
 	srv := NewServer(hiddenWire{q8})
-	if _, err := srv.Call(0, req); err != nil {
+	if _, _, err := srv.BroadcastQuorum(req, QuorumConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	lossless, quant := int64(codec.EncodedSize(req, codec.QuantNone)), int64(codec.EncodedSize(req, codec.QuantInt8))
@@ -410,7 +401,7 @@ func TestWireAccounting(t *testing.T) {
 // TestChaosWireDelegation: wrapping a wire-aware transport in chaos
 // keeps the server's byte accounting identical.
 func TestChaosWireDelegation(t *testing.T) {
-	w := WireOpts{Quant: codec.QuantFloat16}
+	w := WireOpts{Quant: codec.QuantInt8}
 	inner := NewInProcWire([]Client{mirrorClient{}}, w)
 	chaos := NewChaos(inner, 1)
 	if got := chaos.Wire(); got != w {
@@ -418,7 +409,7 @@ func TestChaosWireDelegation(t *testing.T) {
 	}
 	srv := NewServer(chaos)
 	req := wireFixtures()[2]
-	if _, err := srv.Call(0, req); err != nil {
+	if _, _, err := srv.BroadcastQuorum(req, QuorumConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Stats(); st.BytesDown != w.Size(req) {

@@ -228,13 +228,12 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/fl/codec.Encode":          true,
 			modulePath + "/internal/fl/codec.AppendEncode":    true,
 		},
-		// Note for extenders: the codec's quantizers (quantInt8,
-		// quantFloat16) look like aggregations — they reduce a tensor to
-		// scale/offset plus low-precision levels — but they are
-		// reversible-to-within-epsilon transforms, not the scalar
-		// statistics the privacy policy admits. They stay OFF the
-		// sanitizer list so tainted Series data quantized on its way into
-		// a Message still trips the privacyflow rule.
+		// Note for extenders: the codec's quantizer (quantInt8) looks
+		// like an aggregation — it reduces a tensor to scale/offset plus
+		// low-precision levels — but it is a reversible-to-within-epsilon
+		// transform, not a scalar statistic the privacy policy admits. It
+		// stays OFF the sanitizer list so tainted Series data quantized
+		// on its way into a Message still trips the privacyflow rule.
 		PrivacySanitizers: map[string]bool{
 			// Aggregating reductions: their results are the scalar
 			// statistics the paper's privacy model permits to cross the
@@ -272,11 +271,8 @@ func DefaultConfig(modulePath string) Config {
 			// backoff, quorum accounting (see DESIGN.md "Concurrency
 			// policy as code" for why these — and only these — may touch
 			// the transport from engine code).
-			modulePath + "/internal/fl.callWithPolicy":                  true,
-			"(*" + modulePath + "/internal/fl.Server).BroadcastQuorum":  true,
-			"(*" + modulePath + "/internal/fl.Server).CallSubsetQuorum": true,
-			// Carries its own per-call SetDeadline on the socket.
-			"(*" + modulePath + "/internal/fl.TCPTransport).Call": true,
+			modulePath + "/internal/fl.callWithPolicy":                 true,
+			"(*" + modulePath + "/internal/fl.Server).BroadcastQuorum": true,
 		},
 		DeadlineSinkFuncs: map[string]bool{
 			"(" + modulePath + "/internal/fl.Transport).Call": true,

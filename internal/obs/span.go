@@ -197,33 +197,34 @@ func (CommsSummary) EventName() string { return "comms_summary" }
 
 // DecodeEvent parses one JSONL "data" payload back into its typed
 // event by the envelope's event name — the read side of the JSONL
-// schema, used by offline analyzers (cmd/fedtrace). Unknown names
-// return (nil, nil): an older reader skips a newer event, and a trace
-// written before spans were the only timing record still decodes, its
-// flat run/phase/round/client_call/note records skipped.
+// schema, used by offline analyzers (cmd/fedtrace). Events come back
+// by value, the shape live recorders see. Unknown names return
+// (nil, nil): an older reader skips a newer event.
 func DecodeEvent(name string, data []byte) (Event, error) {
-	var ev Event
 	switch name {
 	case "client_dropped":
-		ev = &ClientDropped{}
+		return decodeAs[ClientDropped](name, data)
 	case "bo_iteration":
-		ev = &BOIteration{}
+		return decodeAs[BOIteration](name, data)
 	case "client_cache":
-		ev = &ClientCache{}
+		return decodeAs[ClientCache](name, data)
 	case "candidate_eval":
-		ev = &CandidateEval{}
+		return decodeAs[CandidateEval](name, data)
 	case "chaos_inject":
-		ev = &ChaosInject{}
+		return decodeAs[ChaosInject](name, data)
 	case "span_start":
-		ev = &SpanStart{}
+		return decodeAs[SpanStart](name, data)
 	case "span_end":
-		ev = &SpanEnd{}
+		return decodeAs[SpanEnd](name, data)
 	case "comms_summary":
-		ev = &CommsSummary{}
-	default:
-		return nil, nil
+		return decodeAs[CommsSummary](name, data)
 	}
-	if err := json.Unmarshal(data, ev); err != nil {
+	return nil, nil
+}
+
+func decodeAs[E Event](name string, data []byte) (Event, error) {
+	var ev E
+	if err := json.Unmarshal(data, &ev); err != nil {
 		return nil, fmt.Errorf("obs: decoding %s event: %w", name, err)
 	}
 	return ev, nil

@@ -35,10 +35,9 @@ func (n *SpanNode) DurationNS() int64 {
 }
 
 // BuildSpanForest reconstructs the span trees from a recorded event
-// stream; it accepts span events by value (as live recorders see
-// them) or by pointer (as DecodeEvent yields them). Spans whose
-// parent never appears (dropped lines, truncated traces) surface as
-// roots rather than vanishing. Sibling order is deterministic —
+// stream (events by value, as recorders and DecodeEvent give them).
+// Spans whose parent never appears (dropped lines, truncated traces)
+// surface as roots rather than vanishing. Sibling order is deterministic —
 // (Seq, Name, ID), never timestamps, which race for concurrent call
 // spans — so the forest's shape is a pure function of the run's
 // decisions.
@@ -46,7 +45,7 @@ func BuildSpanForest(events []Event) []*SpanNode {
 	byID := make(map[uint64]*SpanNode)
 	var order []*SpanNode
 	for _, ev := range events {
-		if start, ok := asSpanStart(ev); ok {
+		if start, ok := ev.(SpanStart); ok {
 			n := &SpanNode{
 				Trace:   parseHexID(start.Trace),
 				ID:      parseHexID(start.Span),
@@ -65,7 +64,7 @@ func BuildSpanForest(events []Event) []*SpanNode {
 			}
 			continue
 		}
-		if end, ok := asSpanEnd(ev); ok {
+		if end, ok := ev.(SpanEnd); ok {
 			if n := byID[parseHexID(end.Span)]; n != nil {
 				n.EndNS = end.EndNS
 				n.Err = end.Err
@@ -88,26 +87,6 @@ func BuildSpanForest(events []Event) []*SpanNode {
 		sortSpans(n.Children)
 	}
 	return roots
-}
-
-func asSpanStart(ev Event) (SpanStart, bool) {
-	switch e := ev.(type) {
-	case SpanStart:
-		return e, true
-	case *SpanStart:
-		return *e, true
-	}
-	return SpanStart{}, false
-}
-
-func asSpanEnd(ev Event) (SpanEnd, bool) {
-	switch e := ev.(type) {
-	case SpanEnd:
-		return e, true
-	case *SpanEnd:
-		return *e, true
-	}
-	return SpanEnd{}, false
 }
 
 func sortSpans(ns []*SpanNode) {

@@ -61,7 +61,7 @@ func TestJSONLDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, ok := ev.(*SpanStart)
+	start, ok := ev.(SpanStart)
 	if !ok || start.Name != "eval/config" || start.Seq != 3 || start.Client != -1 {
 		t.Fatalf("DecodeEvent(span_start) = %#v", ev)
 	}

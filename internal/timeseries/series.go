@@ -187,30 +187,6 @@ func (s *Series) Slice(lo, hi int) *Series {
 	return sub
 }
 
-// TrainValidSplit splits the series chronologically, reserving
-// validFrac (clamped to [0.05, 0.5]) of the observations for
-// validation, as the clients do in Algorithm 1 line 4.
-func (s *Series) TrainValidSplit(validFrac float64) (train, valid *Series) {
-	if validFrac < 0.05 {
-		validFrac = 0.05
-	}
-	if validFrac > 0.5 {
-		validFrac = 0.5
-	}
-	n := len(s.Values)
-	cut := n - int(math.Round(float64(n)*validFrac))
-	if cut < 1 {
-		cut = 1
-	}
-	if cut >= n {
-		cut = n - 1
-	}
-	if n < 2 {
-		return s, s.Slice(n, n)
-	}
-	return s.Slice(0, cut), s.Slice(cut, n)
-}
-
 // PartitionClients cuts the series into n contiguous chronological
 // splits ("time-series splits" in the paper's terminology) of
 // near-equal length, one per client. It returns an error if any split

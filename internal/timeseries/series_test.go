@@ -56,33 +56,6 @@ func TestMissingFraction(t *testing.T) {
 	}
 }
 
-func TestTrainValidSplitChronological(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	s := New("x", vals, RateDaily)
-	train, valid := s.TrainValidSplit(0.2)
-	if train.Len() != 80 || valid.Len() != 20 {
-		t.Fatalf("split sizes = %d/%d, want 80/20", train.Len(), valid.Len())
-	}
-	if train.Values[79] != 79 || valid.Values[0] != 80 {
-		t.Error("split is not chronological")
-	}
-}
-
-func TestTrainValidSplitClamps(t *testing.T) {
-	s := New("x", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, RateDaily)
-	train, valid := s.TrainValidSplit(0.9) // clamped to 0.5
-	if valid.Len() != 5 || train.Len() != 5 {
-		t.Errorf("clamped split = %d/%d, want 5/5", train.Len(), valid.Len())
-	}
-	train2, valid2 := s.TrainValidSplit(0) // clamped to 0.05 → ≥1 point
-	if valid2.Len() < 1 || train2.Len() < 1 {
-		t.Errorf("min split = %d/%d", train2.Len(), valid2.Len())
-	}
-}
-
 func TestPartitionClients(t *testing.T) {
 	vals := make([]float64, 103)
 	for i := range vals {

@@ -6,8 +6,8 @@
 # 1/4/8 and reports, per q: wall-clock ns/op, evaluation rounds,
 # total federated rounds, and exact lossless v1 payload bytes both ways
 # (Server.Stats). BenchmarkEngineWire repeats the q=8 workload across
-# the wire tiers (v1, v1+q8, v1+q16), so the bytes_down/bytes_up
-# reduction of the quantized tiers is tracked per commit.
+# the wire tiers (v1, v1+q8), so the bytes_down/bytes_up
+# reduction of the quantized tier is tracked per commit.
 # BenchmarkRecorderOverhead runs the same workload at q=4 with
 # telemetry off (nil recorder), with the Prometheus aggregator
 # attached, and with a metrics+JSONL fan-out, so the telemetry tax
